@@ -75,16 +75,27 @@ def check_tml_gradients(trials: int, seed: int, step: float = DEFAULT_STEP):
 
 
 def check_conv_fc_gradients(seed: int, step: float = DEFAULT_STEP):
+    """Conv (full and weights-only backward) and fc gradient errors."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(2, 5, 4, 2))
     w = rng.normal(size=(3, 2, 2, 3))
     b = rng.normal(size=3)
     r = rng.normal(size=(2, 3, 3, 3))
     d_x, d_w, d_b = conv2d_backward(x, w, r)
+    no_dx, d_w_only, d_b_only = conv2d_backward(x, w, r, need_dx=False)
+
+    def conv_loss():
+        return float((r * conv2d_forward(x, w, b)).sum())
+
+    numeric_w = _central_diff(conv_loss, w, step)
+    numeric_b = _central_diff(conv_loss, b, step)
     conv_err = max(
-        _rel_err(d_x, _central_diff(lambda: float((r * conv2d_forward(x, w, b)).sum()), x, step)),
-        _rel_err(d_w, _central_diff(lambda: float((r * conv2d_forward(x, w, b)).sum()), w, step)),
-        _rel_err(d_b, _central_diff(lambda: float((r * conv2d_forward(x, w, b)).sum()), b, step)),
+        _rel_err(d_x, _central_diff(conv_loss, x, step)),
+        _rel_err(d_w, numeric_w),
+        _rel_err(d_b, numeric_b),
+        _rel_err(d_w_only, numeric_w),
+        _rel_err(d_b_only, numeric_b),
+        0.0 if no_dx is None else np.inf,  # the weights-only call must skip d_x
     )
     xf = rng.normal(size=(3, 6))
     wf = rng.normal(size=(6, 4))

@@ -2,8 +2,11 @@
 
 Arrays flow through as float64 with a leading batch axis: feature volumes are
 (B, rows, cols, channels), vectors are (B, dims). Convolution is valid-padding
-stride-1 cross-correlation; max pooling is 2x2 stride 2 (odd trailing rows or
-columns are dropped); dropout scales survivors by 1/(1-rate) at train time.
+stride-1 cross-correlation (`correlate`, shared with the multiplication layer)
+plus a bias; its d_w is one im2col matmul, its d_x a scatter of d_y @ w[p, q].T
+per kernel cell, skipped for a layer that reads the network input. Max pooling
+is 2x2 stride 2 (odd trailing rows or columns are dropped); dropout scales
+survivors by 1/(1-rate) at train time.
 """
 
 from __future__ import annotations
@@ -12,23 +15,41 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 
-def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x (B,H,W,Cin), w (kh,kw,Cin,Cout), b (Cout,) -> (B,H',W',Cout)."""
+def correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Bias-free correlation: x (B,H,W,Cin), w (kh,kw,Cin,Cout) -> (B,H',W',Cout)."""
     kh, kw = w.shape[0], w.shape[1]
     win = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (B,H',W',Cin,kh,kw)
-    return np.einsum("bijkpq,pqkf->bijf", win, w, optimize=True) + b
+    return np.einsum("bijkpq,pqkf->bijf", win, w, optimize=True)
 
 
-def conv2d_backward(x, w, d_y):
-    kh, kw = w.shape[0], w.shape[1]
-    win = sliding_window_view(x, (kh, kw), axis=(1, 2))
-    d_w = np.einsum("bijkpq,bijf->pqkf", win, d_y, optimize=True)
-    d_b = d_y.sum(axis=(0, 1, 2))
-    # full correlation of d_y with the flipped kernel recovers d_x
-    pad = np.pad(d_y, ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0)))
-    win_d = sliding_window_view(pad, (kh, kw), axis=(1, 2))
-    d_x = np.einsum("bijfpq,pqkf->bijk", win_d, w[::-1, ::-1], optimize=True)
-    return d_x, d_w, d_b
+def correlate_grad_weights(x, d_y, kh: int, kw: int) -> np.ndarray:
+    """d(sum d_y * correlate(x, w)) / dw: cols.T @ d_y over (B*H'*W', kh*kw*Cin) windows."""
+    cols = sliding_window_view(x, (kh, kw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+    d_w = cols.reshape(-1, kh * kw * x.shape[3]).T @ d_y.reshape(-1, d_y.shape[3])
+    return d_w.reshape(kh, kw, x.shape[3], d_y.shape[3])
+
+
+def correlate_grad_input(w, d_y, x_shape) -> np.ndarray:
+    """d(sum d_y * correlate(x, w)) / dx: each kernel cell's share, added where it reads."""
+    b, oh, ow, c_out = d_y.shape
+    flat = d_y.reshape(-1, c_out)
+    d_x = np.zeros(x_shape)
+    for p in range(w.shape[0]):
+        for q in range(w.shape[1]):
+            d_x[:, p : p + oh, q : q + ow] += (flat @ w[p, q].T).reshape(b, oh, ow, -1)
+    return d_x
+
+
+def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x (B,H,W,Cin), w (kh,kw,Cin,Cout), b (Cout,) -> (B,H',W',Cout)."""
+    return correlate(x, w) + b
+
+
+def conv2d_backward(x, w, d_y, need_dx: bool = True):
+    """Returns (d_x, d_w, d_b); d_x is None when `need_dx` is False."""
+    d_x = correlate_grad_input(w, d_y, x.shape) if need_dx else None
+    d_w = correlate_grad_weights(x, d_y, w.shape[0], w.shape[1])
+    return d_x, d_w, d_y.sum(axis=(0, 1, 2))
 
 
 def maxpool_forward(x: np.ndarray):

@@ -36,6 +36,7 @@ LAYER_KINDS = (
 
 NET_MAGIC = b"TMLP"
 NET_FORMAT = "tmlnet-net-v1"
+NET_BLOB_VERSION = 1
 
 
 @dataclass
@@ -286,16 +287,17 @@ def _layer_forward(layer: LayerSpec, params: dict, a, train_mode, rng):
         return y, mask
     if kind == "tml":
         kernels = T.TmlKernels(layer.tml, params["w"])
-        y = T.forward_batch(a, kernels)
-        return y, (a, y)
+        y, z = T.forward_batch(a, kernels, return_log=True)
+        return y, (a, y, z)
     raise AssertionError(kind)
 
 
-def _layer_backward(layer: LayerSpec, params: dict, cache, d_y):
-    """Returns (d_input, param_grads)."""
+def _layer_backward(layer: LayerSpec, params: dict, cache, d_y, need_dx: bool):
+    """Returns (d_input, param_grads); conv and tml layers return d_input None
+    when `need_dx` is False."""
     kind = layer.kind
     if kind == "conv":
-        d_x, d_w, d_b = L.conv2d_backward(cache, params["w"], d_y)
+        d_x, d_w, d_b = L.conv2d_backward(cache, params["w"], d_y, need_dx=need_dx)
         return d_x, {"w": d_w, "b": d_b}
     if kind == "maxpool":
         idx, in_shape = cache
@@ -312,11 +314,11 @@ def _layer_backward(layer: LayerSpec, params: dict, cache, d_y):
     if kind == "dropout":
         return L.dropout_backward(d_y, cache, layer.rate), {}
     if kind == "tml":
-        x, y = cache
+        x, y, z = cache
         kernels = T.TmlKernels(layer.tml, params["w"])
-        d_x = T.backward_input_batch(x, y, d_y, kernels)
+        d_x = T.backward_input_batch(x, y, d_y, kernels) if need_dx else None
         if layer.trainable:
-            d_w = T.backward_weights_batch(x, y, d_y, kernels)
+            d_w = T.backward_weights_batch(x, y, d_y, kernels, z=z)
         else:
             d_w = np.zeros_like(params["w"])
         return d_x, {"w": d_w}
@@ -359,7 +361,11 @@ def network_forward(spec: NetworkSpec, xb, train_mode: bool = False, rng=None):
 
 
 def network_backward(spec: NetworkSpec, trace: ForwardTrace, d_logits) -> Gradients:
-    """Backpropagate d(loss)/d(logits) through the trace; one use per trace."""
+    """Backpropagate d(loss)/d(logits) through the trace; one use per trace.
+
+    The first layer of each chain reads the network input, whose gradient
+    nothing uses, so it computes none (unless the side chain joins there).
+    """
     if trace.consumed:
         raise ValueError("forward trace already consumed by a backward pass")
     trace.consumed = True
@@ -370,7 +376,8 @@ def network_backward(spec: NetworkSpec, trace: ForwardTrace, d_logits) -> Gradie
     d_side = None
     for i in range(len(spec.layers) - 2, -1, -1):
         layer = spec.layers[i]
-        d, main_grads[i] = _layer_backward(layer, spec.params[i], trace.caches[i], d)
+        need_dx = i > 0 or spec.join_at == 0
+        d, main_grads[i] = _layer_backward(layer, spec.params[i], trace.caches[i], d, need_dx)
         if spec.join_at is not None and i == spec.join_at:
             side_dim, pre_shape = trace.join_info
             d_side = d[:, :side_dim]
@@ -379,7 +386,7 @@ def network_backward(spec: NetworkSpec, trace: ForwardTrace, d_logits) -> Gradie
         for i in range(len(spec.side_layers) - 1, -1, -1):
             layer = spec.side_layers[i]
             d_side, side_grads[i] = _layer_backward(
-                layer, spec.side_params[i], trace.side_caches[i], d_side
+                layer, spec.side_params[i], trace.side_caches[i], d_side, i > 0
             )
     return Gradients(main_grads, side_grads)
 
@@ -576,7 +583,7 @@ def save_network(spec: NetworkSpec, path) -> None:
     arrays = list(_param_stream(spec))
     total = sum(a.size for a in arrays)
     with open(str(path) + ".bin", "wb") as f:
-        f.write(NET_MAGIC + struct.pack("<IQ", 1, total))
+        f.write(NET_MAGIC + struct.pack("<IQ", NET_BLOB_VERSION, total))
         for a in arrays:
             f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
@@ -587,29 +594,39 @@ def load_network(path) -> NetworkSpec:
     kv = {}
     main, side = [], []
     for ln in lines:
-        if ln.startswith("layer "):
-            chain, layer = _parse_layer_line(ln)
-            (main if chain == "main" else side).append(layer)
-        else:
-            k, v = ln.split("=", 1)
-            kv[k] = v
+        try:
+            if ln.startswith("layer "):
+                chain, layer = _parse_layer_line(ln)
+                (main if chain == "main" else side).append(layer)
+            else:
+                k, v = ln.split("=", 1)
+                kv[k] = v
+        except (KeyError, ValueError) as err:
+            raise ValueError(f"{path}: malformed line {ln!r}: {err!r}") from err
     if kv.get("format") != NET_FORMAT:
         raise ValueError(f"{path}: unsupported network format {kv.get('format')!r}")
-    h, w, c = (int(v) for v in kv["input"].split("x"))
+    try:
+        h, w, c = (int(v) for v in kv["input"].split("x"))
+        num_classes = int(kv["classes"])
+        join_at = int(kv["join"]) if "join" in kv else None
+    except (KeyError, ValueError) as err:
+        raise ValueError(f"{path}: malformed header: {err!r}") from err
     spec = NetworkSpec(
         layers=main,
         input_shape=(h, w, c),
-        num_classes=int(kv["classes"]),
+        num_classes=num_classes,
         side_layers=side,
-        join_at=int(kv["join"]) if "join" in kv else None,
+        join_at=join_at,
     )
     main_shapes, side_shapes, _ = validate_network(spec)
 
     with open(str(path) + ".bin", "rb") as f:
         blob = f.read()
-    if blob[:4] != NET_MAGIC:
-        raise ValueError(f"{path}.bin: bad parameter blob magic")
-    _version, total = struct.unpack("<IQ", blob[4:16])
+    if blob[:4] != NET_MAGIC or len(blob) < 16:
+        raise ValueError(f"{path}.bin: bad parameter blob magic or header")
+    version, total = struct.unpack("<IQ", blob[4:16])
+    if version != NET_BLOB_VERSION:
+        raise ValueError(f"{path}.bin: unsupported parameter blob version {version}")
     values = np.frombuffer(blob[16:], dtype="<f8")
     if values.size != total:
         raise ValueError(f"{path}.bin: expected {total} values, found {values.size}")

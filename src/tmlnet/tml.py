@@ -6,11 +6,12 @@ raised to the kernel weights:
 
     y[i, j, m] = prod_{p,q,k} (x[i+p, j+q, k] + eps) ** w[p, q, k, m]
 
-Products are evaluated in the log domain (sum of w * log(x + eps), then exp)
-so long chains of small factors neither underflow nor overflow. With binary
-weights this reduces to a local auto-correlation integrand; training the
-weights under the clip/rescale projection below learns which positions get
-multiplied together.
+Products are evaluated in the log domain, y = exp(correlate(log(x + eps), W)),
+by the convolution's kernels (`layers.correlate` and its gradients, which get
+g = d_y * y), so long chains of small factors neither underflow nor overflow.
+With binary weights this reduces to a local auto-correlation integrand;
+training the weights under the clip/rescale projection below learns which
+positions get multiplied together.
 
 Weight constraints: every weight stays in [0, C2] and each kernel's weights
 sum to C1. They are enforced by alternating projection (clip into the box,
@@ -25,7 +26,8 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+
+from . import layers as L
 
 KERNEL_MAGIC = b"TMLK"
 KERNEL_FORMAT_VERSION = 1
@@ -135,52 +137,44 @@ def _check_input(xb: np.ndarray, config: TmlConfig) -> None:
             f"input {xb.shape[-3]}x{xb.shape[-2]} smaller than kernel "
             f"{config.kernel_h}x{config.kernel_w}"
         )
-    if np.min(xb) < 0:
-        raise ValueError("multiplication layer requires nonnegative inputs")
+    if not xb.min() >= 0:  # also catches NaN, which min() propagates
+        raise ValueError("multiplication layer requires nonnegative inputs, got NaN or < 0")
 
 
-def forward_batch(xb: np.ndarray, kernels: TmlKernels) -> np.ndarray:
-    """Batched forward: xb (B, N1, N2, K) -> (B, N1-H+1, N2-W+1, M)."""
-    cfg = kernels.config
-    _check_input(xb, cfg)
-    z = np.log(xb + cfg.eps)
-    win = sliding_window_view(z, (cfg.kernel_h, cfg.kernel_w), axis=(1, 2))
-    # win: (B, N1', N2', K, H, W); weights: (H, W, K, M)
-    s = np.einsum("bijkpq,pqkm->bijm", win, kernels.weights, optimize=True)
-    return np.exp(s)
+def forward_batch(xb: np.ndarray, kernels: TmlKernels, return_log: bool = False):
+    """Batched forward: xb (B, N1, N2, K) -> y (B, N1-H+1, N2-W+1, M), or (y, z)
+    with z = log(xb + eps) for `backward_weights_batch` when `return_log`."""
+    _check_input(xb, kernels.config)
+    z = xb + kernels.config.eps
+    np.log(z, out=z)
+    y = L.correlate(z, kernels.weights)
+    np.exp(y, out=y)
+    return (y, z) if return_log else y
+
+
+def _log_grad(yb: np.ndarray, d_yb: np.ndarray) -> np.ndarray:
+    """d(loss)/d(log y) = d_y * y, what the log-domain correlation receives."""
+    if yb.shape != d_yb.shape:
+        raise ValueError(f"d_y shape {d_yb.shape} does not match y shape {yb.shape}")
+    return d_yb * yb
 
 
 def backward_weights_batch(
-    xb: np.ndarray, yb: np.ndarray, d_yb: np.ndarray, kernels: TmlKernels
+    xb: np.ndarray, yb: np.ndarray, d_yb: np.ndarray, kernels: TmlKernels, z=None
 ) -> np.ndarray:
-    """Gradient w.r.t. weights, summed over batch and output positions."""
+    """Gradient w.r.t. weights, summed over batch and output positions; `z` is
+    log(xb + eps) when the caller kept it from the forward pass."""
     cfg = kernels.config
-    if yb.shape != d_yb.shape:
-        raise ValueError(f"d_y shape {d_yb.shape} does not match y shape {yb.shape}")
-    z = np.log(xb + cfg.eps)
-    win = sliding_window_view(z, (cfg.kernel_h, cfg.kernel_w), axis=(1, 2))
-    g = d_yb * yb
-    return np.einsum("bijkpq,bijm->pqkm", win, g, optimize=True)
+    z = np.log(xb + cfg.eps) if z is None else z
+    return L.correlate_grad_weights(z, _log_grad(yb, d_yb), cfg.kernel_h, cfg.kernel_w)
 
 
 def backward_input_batch(
     xb: np.ndarray, yb: np.ndarray, d_yb: np.ndarray, kernels: TmlKernels
 ) -> np.ndarray:
     """Gradient w.r.t. the input volume (chain rule through the log form)."""
-    cfg = kernels.config
-    if yb.shape != d_yb.shape:
-        raise ValueError(f"d_y shape {d_yb.shape} does not match y shape {yb.shape}")
-    g = d_yb * yb  # (B, N1', N2', M)
-    d_x = np.zeros_like(xb)
-    out_h, out_w = g.shape[1], g.shape[2]
-    for p in range(cfg.kernel_h):
-        for q in range(cfg.kernel_w):
-            # weights[p, q]: (K, M); scatter each kernel cell's share onto the
-            # input positions it reads.
-            d_x[:, p : p + out_h, q : q + out_w, :] += np.einsum(
-                "bijm,km->bijk", g, kernels.weights[p, q], optimize=True
-            )
-    d_x /= xb + cfg.eps
+    d_x = L.correlate_grad_input(kernels.weights, _log_grad(yb, d_yb), xb.shape)
+    d_x /= xb + kernels.config.eps
     return d_x
 
 
@@ -284,6 +278,8 @@ def load_kernels(path) -> TmlKernels:
     if blob[:4] != KERNEL_MAGIC:
         raise ValueError(f"{path}: not a kernel bank (bad magic {blob[:4]!r})")
     head_len = 4 + struct.calcsize("<5I3d")
+    if len(blob) < head_len:
+        raise ValueError(f"{path}: truncated kernel bank header ({len(blob)} bytes)")
     version, h, w, k, m, c1, c2, eps = struct.unpack("<5I3d", blob[4:head_len])
     if version != KERNEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported kernel bank version {version}")

@@ -131,6 +131,9 @@ def train_step(
 ) -> EnergyReport:
     """One gradient/update/project cycle; mutates spec parameters in place.
 
+    Raises ValueError on a non-finite loss, gradient or update, with every
+    parameter and velocity unchanged.
+
     `project=False` skips the constraint projection (test hook: the step then
     reduces to plain momentum SGD). `post_clip_hook(chain, index, weights)`
     observes each kernel bank right after the clip sub-step.
@@ -156,6 +159,9 @@ def train_step(
         for chain, i, layer in spec.tml_entries()
         if not layer.trainable
     }
+    # compute every update first and commit only when all are finite, so a
+    # failed step leaves parameters and velocities as they were
+    updates = []
     for chain, plist, glist, vlist in (
         ("main", spec.params, grads.main, state.velocities.main),
         ("side", spec.side_params, grads.side, state.velocities.side),
@@ -164,10 +170,18 @@ def train_step(
             if (chain, i) in frozen:
                 continue
             for key in params:
-                v = vlist[i][key]
-                v *= cfg.momentum
+                v = vlist[i][key] * cfg.momentum
                 v -= cfg.learning_rate * glist[i][key]
-                params[key] += v
+                new = params[key] + v
+                if not (np.isfinite(v).all() and np.isfinite(new).all()):
+                    raise ValueError(
+                        f"non-finite gradient or update for {chain} layer {i} {key!r}; "
+                        "parameters left unchanged"
+                    )
+                updates.append((vlist[i][key], v, params[key], new))
+    for v_old, v, p_old, new in updates:
+        v_old[...] = v
+        p_old[...] = new
 
     if project:
         for chain, i, layer in spec.tml_entries(trainable_only=True):

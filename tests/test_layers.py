@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tmlnet.layers import (
     conv2d_backward,
@@ -39,6 +40,27 @@ def rel_err(a, n):
     return np.max(np.abs(a - n)) / max(np.max(np.abs(n)), 1e-12)
 
 
+def einsum_conv(x, w, b):
+    """Window-einsum forward and backward, the reference for the conv kernels."""
+    kh, kw = w.shape[0], w.shape[1]
+    win = sliding_window_view(x, (kh, kw), axis=(1, 2))
+    y = np.einsum("bijkpq,pqkf->bijf", win, w, optimize=True) + b
+
+    def backward(d_y):
+        d_w = np.einsum("bijkpq,bijf->pqkf", win, d_y, optimize=True)
+        # full correlation of d_y with the flipped kernel
+        pad = np.pad(d_y, ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0)))
+        win_d = sliding_window_view(pad, (kh, kw), axis=(1, 2))
+        d_x = np.einsum("bijfpq,pqkf->bijk", win_d, w[::-1, ::-1], optimize=True)
+        return d_x, d_w, d_y.sum(axis=(0, 1, 2))
+
+    return y, backward
+
+
+# (B, H, W, Cin, kh, kw, Cout): kh != kw, several channels, non-square inputs
+CONV_SHAPES = [(2, 9, 7, 3, 3, 2, 4), (3, 6, 11, 2, 2, 5, 3), (1, 4, 5, 1, 1, 1, 2)]
+
+
 class TestConv:
     def test_identity_kernel(self):
         x = np.arange(16.0).reshape(1, 4, 4, 1)
@@ -64,6 +86,33 @@ class TestConv:
         assert rel_err(d_x, central_diff(lambda v: loss(v, w, b), x)) < 1e-5
         assert rel_err(d_w, central_diff(lambda v: loss(x, v, b), w)) < 1e-5
         assert rel_err(d_b, central_diff(lambda v: loss(x, w, v), b)) < 1e-5
+
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
+    def test_matches_einsum_reference(self, shape):
+        bsz, h, w_, cin, kh, kw, cout = shape
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(size=(bsz, h, w_, cin))
+        w = rng.normal(size=(kh, kw, cin, cout))
+        b = rng.normal(size=cout)
+        ref_y, ref_backward = einsum_conv(x, w, b)
+        np.testing.assert_array_equal(conv2d_forward(x, w, b), ref_y)
+        d_y = rng.normal(size=ref_y.shape)
+        for got, ref in zip(conv2d_backward(x, w, d_y), ref_backward(d_y)):
+            assert got.shape == ref.shape
+            assert rel_err(got, ref) < 1e-12
+
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
+    def test_weights_only_call_matches_full_call(self, shape):
+        bsz, h, w_, cin, kh, kw, cout = shape
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(size=(bsz, h, w_, cin))
+        w = rng.normal(size=(kh, kw, cin, cout))
+        d_y = rng.normal(size=(bsz, h - kh + 1, w_ - kw + 1, cout))
+        _, d_w, d_b = conv2d_backward(x, w, d_y)
+        no_dx, d_w_only, d_b_only = conv2d_backward(x, w, d_y, need_dx=False)
+        assert no_dx is None
+        np.testing.assert_array_equal(d_w_only, d_w)
+        np.testing.assert_array_equal(d_b_only, d_b)
 
 
 class TestMaxpool:

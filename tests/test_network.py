@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from tmlnet import layers, tml
+from tmlnet.gradcheck import _central_diff, _rel_err
 from tmlnet.layers import fc_forward, softmax_xent
 from tmlnet.network import (
     LayerSpec,
@@ -58,7 +60,7 @@ class TestShapeChain:
         xb = np.random.default_rng(1).uniform(0, 1, size=(2, 28, 28, 1))
         logits, trace = network_forward(spec, xb)
         assert logits.shape == (2, 10)
-        x_tml, y_tml = trace.side_caches[0]
+        x_tml, y_tml, _z = trace.side_caches[0]
         assert y_tml.shape == (2, 26, 26, 8)  # valid padding
         assert trace.join_info[0] == 8  # pooled vector length
 
@@ -82,7 +84,7 @@ class TestShapeChain:
         xb = np.random.default_rng(1).uniform(0, 1, size=(2, 28, 28, 1))
         logits, trace = network_forward(spec, xb)
         assert logits.shape == (2, 10)
-        x_tml, y_tml = trace.caches[5]
+        x_tml, y_tml, _z = trace.caches[5]
         assert x_tml.shape == (2, 8, 8, 16)
         assert y_tml.shape == (2, 8, 8, 5)
 
@@ -198,6 +200,61 @@ class TestBackward:
                     err = np.max(np.abs(analytic - numeric)) / scale
                     assert err < 1e-4, f"{chain} layer {li} param {key}: rel err {err}"
 
+    def test_side_chain_joining_at_first_layer_gets_its_gradient(self):
+        # main layer 0 reads [side vector, flattened input], so it must pass
+        # an input gradient back to the side chain
+        spec = NetworkSpec(
+            layers=[fc(3), LayerSpec("softmax_xent_head")],
+            input_shape=(4, 4, 1),
+            num_classes=3,
+            side_layers=[tml_layer(TmlConfig(2, 2, 1, 2, c1=1.0, c2=0.6)), LayerSpec("gap")],
+            join_at=0,
+        )
+        spec = init_params(spec, np.random.default_rng(12))
+        xb = np.random.default_rng(13).uniform(0.1, 2.0, size=(2, 4, 4, 1))
+        labels = np.array([1, 2])
+        logits, trace = network_forward(spec, xb)
+        _, d_logits = softmax_xent(logits, np.eye(3)[labels])
+        grads = network_backward(spec, trace, d_logits / len(labels))
+        w = spec.side_params[0]["w"]
+        numeric = _central_diff(lambda: batch_loss(spec, xb, labels), w, 1e-6)
+        assert _rel_err(grads.side[0]["w"], numeric) < 1e-4
+
+    @pytest.mark.parametrize(
+        "build,conv_need_dx,tml_dx_calls",
+        [
+            # backward order: the last conv first; main layer 0 computes no d_x
+            (lambda: build_dhlac_net((32, 32, 1), 6, TmlConfig(3, 3, 1, 4)), [True, False], 0),
+            (lambda: build_baseline_hlac_net((20, 20, 1), 3), [True, True, False], 0),
+            (lambda: build_cooc_net((28, 28, 1), 10, TmlConfig(1, 1, 16, 4)), [True, False], 1),
+        ],
+        ids=["dhlac", "baseline+hlac", "cooc"],
+    )
+    def test_layers_reading_the_input_compute_no_input_gradient(
+        self, monkeypatch, build, conv_need_dx, tml_dx_calls
+    ):
+        conv_calls, tml_calls = [], []
+        conv_backward, tml_backward_input = layers.conv2d_backward, tml.backward_input_batch
+
+        def record_conv(*args, **kwargs):
+            out = conv_backward(*args, **kwargs)
+            conv_calls.append(out[0] is not None)
+            return out
+
+        def record_tml(*args, **kwargs):
+            tml_calls.append(args[0].shape)
+            return tml_backward_input(*args, **kwargs)
+
+        monkeypatch.setattr(layers, "conv2d_backward", record_conv)
+        monkeypatch.setattr(tml, "backward_input_batch", record_tml)
+        spec = init_params(build(), np.random.default_rng(0))
+        xb = np.random.default_rng(1).uniform(0.0, 1.0, size=(2, *spec.input_shape))
+        logits, trace = network_forward(spec, xb)
+        network_backward(spec, trace, np.ones_like(logits))
+        assert conv_calls == conv_need_dx
+        assert len(tml_calls) == tml_dx_calls
+        assert all(shape[1:] != spec.input_shape for shape in tml_calls)
+
     def test_trace_consumed_once(self):
         spec = tiny_branched_net()
         xb = np.random.default_rng(11).uniform(0.1, 1.0, size=(1, 6, 6, 1))
@@ -251,6 +308,50 @@ class TestSerialization:
         blob = (tmp_path / "ckpt.net.bin").read_bytes()
         (tmp_path / "ckpt.net.bin").write_bytes(blob[:-8])
         with pytest.raises(ValueError):
+            load_network(path)
+
+    def test_unknown_blob_version_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.net"
+        save_network(tiny_branched_net(), path)
+        blob = bytearray((tmp_path / "ckpt.net.bin").read_bytes())
+        blob[4:8] = (2).to_bytes(4, "little")
+        (tmp_path / "ckpt.net.bin").write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="version 2"):
+            load_network(path)
+
+    def test_short_blob_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.net"
+        save_network(tiny_branched_net(), path)
+        (tmp_path / "ckpt.net.bin").write_bytes(b"TMLP\x01\x00")
+        with pytest.raises(ValueError):
+            load_network(path)
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("kind=conv out=2", "kind=conv"),  # missing key
+            ("units=5", "units=five"),  # bad int
+            ("kh=2 kw=2 kc=1", "kh=2 kw=2 kc"),  # field without "="
+        ],
+        ids=["missing-key", "bad-int", "no-equals"],
+    )
+    def test_malformed_layer_line_named(self, tmp_path, old, new):
+        path = tmp_path / "ckpt.net"
+        save_network(tiny_branched_net(), path)
+        text = path.read_text()
+        assert old in text
+        bad = next(ln for ln in text.splitlines() if old in ln).replace(old, new)
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ValueError, match="malformed line") as err:
+            load_network(path)
+        assert bad in str(err.value)
+
+    def test_missing_header_key_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.net"
+        save_network(tiny_branched_net(), path)
+        path.write_text("\n".join(ln for ln in path.read_text().splitlines()
+                                  if not ln.startswith("classes=")))
+        with pytest.raises(ValueError, match="classes"):
             load_network(path)
 
     def test_frozen_flag_survives(self, tmp_path):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tmlnet.tml import (
     DegenerateKernelError,
     TmlConfig,
     TmlKernels,
+    backward_input_batch,
+    backward_weights_batch,
     clip_step,
     forward_batch,
     init_kernels,
@@ -124,6 +127,12 @@ class TestForward:
         with pytest.raises(ValueError):
             tml_forward(x, kernels)
 
+    def test_rejects_nan_input(self):
+        x, kernels = random_instance(np.random.default_rng(2))
+        x[1, 1, 0] = np.nan
+        with pytest.raises(ValueError):
+            tml_forward(x, kernels)
+
     def test_rejects_channel_mismatch(self):
         _, kernels = random_instance(np.random.default_rng(3))
         with pytest.raises(ValueError):
@@ -141,6 +150,50 @@ class TestForward:
         yb = forward_batch(xb, kernels)
         for b in range(4):
             np.testing.assert_array_equal(yb[b], tml_forward(xb[b], kernels))
+
+
+def einsum_tml(xb, kernels):
+    """Window-einsum log-domain forward and backward, the reference for the
+    TML's use of the shared correlation kernels."""
+    cfg = kernels.config
+    z = np.log(xb + cfg.eps)
+    win = sliding_window_view(z, (cfg.kernel_h, cfg.kernel_w), axis=(1, 2))
+    y = np.exp(np.einsum("bijkpq,pqkm->bijm", win, kernels.weights, optimize=True))
+
+    def backward(d_y):
+        g = d_y * y
+        d_w = np.einsum("bijkpq,bijm->pqkm", win, g, optimize=True)
+        d_x = np.zeros_like(xb)
+        oh, ow = g.shape[1], g.shape[2]
+        for p in range(cfg.kernel_h):
+            for q in range(cfg.kernel_w):
+                d_x[:, p : p + oh, q : q + ow, :] += np.einsum(
+                    "bijm,km->bijk", g, kernels.weights[p, q], optimize=True
+                )
+        return d_w, d_x / (xb + cfg.eps)
+
+    return y, backward
+
+
+class TestMatchesEinsumReference:
+    @pytest.mark.parametrize("h,w,k,m", [(3, 2, 3, 5), (1, 1, 16, 8), (2, 4, 1, 3)])
+    def test_forward_and_gradients(self, h, w, k, m):
+        rng = np.random.default_rng(h * 100 + w * 10 + k + m)
+        kernels = init_kernels(TmlConfig(h, w, k, m, c1=1.0, c2=1.0), rng)
+        xb = rng.uniform(0.0, 2.0, size=(3, 7, 6, k))
+        xb[xb < 0.3] = 0.0  # exact zeros, as after a ReLU
+        ref_y, ref_backward = einsum_tml(xb, kernels)
+        y, z = forward_batch(xb, kernels, return_log=True)
+        np.testing.assert_array_equal(y, ref_y)
+        np.testing.assert_array_equal(forward_batch(xb, kernels), ref_y)
+        np.testing.assert_array_equal(z, np.log(xb + kernels.config.eps))
+
+        d_y = rng.normal(size=y.shape)
+        ref_dw, ref_dx = ref_backward(d_y)
+        d_w = backward_weights_batch(xb, y, d_y, kernels)
+        np.testing.assert_array_equal(backward_weights_batch(xb, y, d_y, kernels, z=z), d_w)
+        assert rel_err(d_w, ref_dw) < 1e-12
+        assert rel_err(backward_input_batch(xb, y, d_y, kernels), ref_dx) < 1e-12
 
 
 class TestBackwardWeights:
@@ -361,4 +414,11 @@ class TestSerialization:
         save_kernels(k, path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError):
+            load_kernels(path)
+
+    def test_short_header_rejected(self, tmp_path):
+        path = tmp_path / "bank.tmlk"
+        save_kernels(uniform_kernels(TmlConfig(2, 2, 1, 2)), path)
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(ValueError, match="header"):
             load_kernels(path)

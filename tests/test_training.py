@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tmlnet import training
 from tmlnet.datasets import Dataset, StripeSpec, gen_stripe_dataset
 from tmlnet.layers import softmax_xent
 from tmlnet.network import (
@@ -183,6 +184,35 @@ class TestTrainStep:
                    np.random.default_rng(0))
         np.testing.assert_allclose(spec.params[0]["w"][..., 0], 0.25, atol=1e-15)
         np.testing.assert_array_equal(state.velocities.main[0]["w"][..., 0], 0.0)
+
+    @pytest.mark.parametrize("fault", ["nan-gradient", "overflowing-update"])
+    def test_failed_step_changes_nothing(self, monkeypatch, fault):
+        spec = tml_toy_net(seed=11)
+        cfg = TrainConfig(learning_rate=0.1, lam=0.01, momentum=0.9)
+        state = OptimizerState.zeros_like(spec)
+        rng = np.random.default_rng(12)
+        train_step(spec, toy_batch(rng), cfg, state, rng)  # nonzero velocities
+        # the fc bias main[2]["b"] is the last array updated, after the kernels
+        if fault == "nan-gradient":
+            backward = training.network_backward
+
+            def poisoned(*args):
+                grads = backward(*args)
+                grads.main[2]["b"][0] = np.nan
+                return grads
+
+            monkeypatch.setattr(training, "network_backward", poisoned)
+        else:
+            state.velocities.main[2]["b"][0] = 1e308
+            cfg = TrainConfig(learning_rate=0.1, lam=0.01, momentum=10.0)
+        params = [{k: v.copy() for k, v in p.items()} for p in spec.params]
+        vels = [{k: v.copy() for k, v in p.items()} for p in state.velocities.main]
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+            train_step(spec, toy_batch(rng), cfg, state, rng)
+        for before, after in ((params, spec.params), (vels, state.velocities.main)):
+            for a, b in zip(before, after):
+                for key in a:
+                    np.testing.assert_array_equal(b[key], a[key])
 
     def test_l1_subgradient_applied(self):
         # with momentum 0 and projection off, the kernel moves by
