@@ -264,7 +264,7 @@ def cmd_viz_features(args) -> int:
         raise ValueError(f"{args.ckpt}: network has no multiplication layer")
     chain, i, _layer = banks[0]
     caches = trace.side_caches if chain == "side" else trace.caches
-    _x, y = caches[i]
+    _x, y, _z = caches[i]
     os.makedirs(args.out, exist_ok=True)
     for m in range(y.shape[3]):
         write_pgm(render_feature_map(y[0], m), os.path.join(args.out, f"feature_{m:02d}.pgm"))

@@ -114,7 +114,7 @@ def cooc_heat(
     if not 0 <= target_class < spec.num_classes:
         raise IndexError(f"class {target_class} out of range")
     _logits, trace = network_forward(spec, np.asarray(image)[None], train_mode=False)
-    x_tml, _y_tml = trace.caches[t_idx]
+    x_tml, _y_tml, _z_tml = trace.caches[t_idx]
     fc_w = spec.params[fc_idx]["w"]  # (num_kernels, classes)
     m = int(np.argmax(fc_w[:, target_class]))
     bank = spec.params[t_idx]["w"]

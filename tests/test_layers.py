@@ -114,6 +114,19 @@ class TestConv:
         np.testing.assert_array_equal(d_w_only, d_w)
         np.testing.assert_array_equal(d_b_only, d_b)
 
+    def test_gradcheck_names_a_computed_dx(self, monkeypatch):
+        from tmlnet import gradcheck
+
+        conv_err, fc_err = gradcheck.check_conv_fc_gradients(0)
+        assert conv_err < 1e-5 and fc_err < 1e-5
+
+        def always_dx(x, w, d_y, need_dx=True):
+            return conv2d_backward(x, w, d_y)
+
+        monkeypatch.setattr(gradcheck, "conv2d_backward", always_dx)
+        with pytest.raises(AssertionError, match="need_dx=False"):
+            gradcheck.check_conv_fc_gradients(0)
+
 
 class TestMaxpool:
     def test_single_block(self):

@@ -1,0 +1,81 @@
+import numpy as np
+import pytest
+
+from tmlnet import tml
+from tmlnet.cli import cli_dispatch
+from tmlnet.datasets import (
+    StripeSpec,
+    gen_stripe_dataset,
+    load_dataset_dir,
+    write_idx_images,
+    write_idx_labels,
+)
+from tmlnet.network import build_cooc_net, build_dhlac_net, init_params, save_network
+from tmlnet.tml import TmlConfig
+from tmlnet.viz import cooc_heat, cooc_highlight, read_pgm, render_feature_map
+
+NUM_CLASSES = 3
+
+
+def tiny_cooc_net(seed=0):
+    cfg = TmlConfig(1, 1, 16, 4, c1=1.0, c2=0.5)
+    spec = build_cooc_net((16, 16, 1), NUM_CLASSES, cfg)
+    return init_params(spec, np.random.default_rng(seed))
+
+
+def tiny_dhlac_net(seed=0):
+    cfg = TmlConfig(3, 3, 1, 4, c1=1.0, c2=0.5)
+    spec = build_dhlac_net((16, 16, 1), NUM_CLASSES, cfg)
+    return init_params(spec, np.random.default_rng(seed))
+
+
+@pytest.fixture
+def dataset_dir(tmp_path):
+    spec = StripeSpec(num_classes=NUM_CLASSES, canvas=64, crop=16, samples_per_class=2, rng_seed=3)
+    train, test = gen_stripe_dataset(spec)
+    d = tmp_path / "data"
+    d.mkdir()
+    write_idx_images(list(train.images), d / "train-images.idx")
+    write_idx_labels(train.labels.tolist(), d / "train-labels.idx")
+    write_idx_images(list(test.images), d / "test-images.idx")
+    write_idx_labels(test.labels.tolist(), d / "test-labels.idx")
+    return d
+
+
+class TestCoocTracing:
+    def test_heat_on_tiny_cooc_net(self):
+        spec = tiny_cooc_net()
+        image = np.random.default_rng(1).uniform(0, 1, size=(16, 16, 1))
+        heat, m, channels = cooc_heat(spec, image, target_class=1)
+        assert heat.shape == (16, 16)
+        assert np.all(np.isfinite(heat)) and heat.min() >= 0  # averaged ReLU maps
+        assert 0 <= m < 4
+        assert channels.size >= 1 and np.all((0 <= channels) & (channels < 16))
+        overlay = cooc_highlight(spec, image, target_class=1)
+        assert (overlay.height, overlay.width) == (16, 16)
+
+    def test_viz_cooc_cli(self, tmp_path, dataset_dir):
+        ckpt = tmp_path / "cooc.net"
+        save_network(tiny_cooc_net(), ckpt)
+        out = tmp_path / "cooc.pgm"
+        argv = ["viz-cooc", str(ckpt), "--dataset", str(dataset_dir), "--out", str(out)]
+        assert cli_dispatch(argv) == 0
+        img = read_pgm(out)
+        assert (img.height, img.width) == (16, 16)
+
+
+def test_viz_features_cli_writes_tml_maps(tmp_path, dataset_dir):
+    spec = tiny_dhlac_net()
+    ckpt = tmp_path / "dhlac.net"
+    save_network(spec, ckpt)
+    out = tmp_path / "features"
+    argv = ["viz-features", str(ckpt), "--dataset", str(dataset_dir), "--index", "1",
+            "--out", str(out)]
+    assert cli_dispatch(argv) == 0
+    # the side bank reads the input image, so its maps can be recomputed directly
+    _train, test = load_dataset_dir(dataset_dir)
+    kernels = tml.TmlKernels(spec.side_layers[0].tml, spec.side_params[0]["w"])
+    y = tml.forward_batch(test.images[1][None], kernels)[0]
+    for m in range(4):
+        written = read_pgm(out / f"feature_{m:02d}.pgm")
+        np.testing.assert_array_equal(written.pixels, render_feature_map(y, m).pixels)
