@@ -117,9 +117,6 @@ def _train_config(cfg: dict) -> TrainConfig:
         batch_size=cfg["batch_size"],
         epochs=cfg["epochs"],
         rng_seed=cfg["seed"],
-        c1=cfg["c1"],
-        c2=cfg["c2"],
-        eps=cfg["eps"],
     )
 
 

@@ -37,12 +37,6 @@ STRIPE_THICKNESS = 2
 
 
 @dataclass
-class LabeledImage:
-    pixels: np.ndarray  # (rows, cols, channels) in [0, 1]
-    label: int
-
-
-@dataclass
 class Dataset:
     """Stacked images (N, rows, cols, channels) with integer labels (N,)."""
 
@@ -101,8 +95,9 @@ def load_idx_labels(path) -> list[int]:
     return [int(b) for b in payload]
 
 
-def _to_u8(values: np.ndarray) -> np.ndarray:
-    # round-half-up so b/255 -> b survives the round trip exactly
+def to_u8(values: np.ndarray) -> np.ndarray:
+    """[0, 1] floats -> u8 with clamping and round-half-up, so b/255 -> b
+    survives the round trip exactly."""
     return np.floor(np.clip(values, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
 
 
@@ -117,7 +112,7 @@ def write_idx_images(images, path) -> None:
         for im in imgs:
             if im.shape[0] != rows or im.shape[1] != cols:
                 raise ValueError("IDX images must share one size")
-            f.write(_to_u8(im.reshape(rows, cols, -1)[:, :, 0]).tobytes())
+            f.write(to_u8(im.reshape(rows, cols, -1)[:, :, 0]).tobytes())
 
 
 def write_idx_labels(labels, path) -> None:

@@ -9,30 +9,29 @@ Where the chains meet, the main activation is flattened and the side vector
 is concatenated in front of it; the joint vector feeds the remaining layers.
 
 Activation volumes are (B, rows, cols, channels); vectors are (B, dims).
+
+Each layer kind is defined once, as one `Kind` entry of the `KINDS` table:
+its forward and backward, output shape, parameter shapes and init, the
+checks on its hyperparameters, and its checkpoint fields. The entries reach
+their kernels through the module at call time (`L.conv2d_forward`,
+`T.forward_batch`, ...) and never hold a reference to a kernel function, so
+code that replaces a module attribute (a tracer, a test's call recorder)
+sees every call.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Callable
 
 import numpy as np
 
 from . import layers as L
 from . import tml as T
 from .hlac import default_mask_set, masks_to_binary_kernels
-
-LAYER_KINDS = (
-    "conv",
-    "maxpool",
-    "relu",
-    "sigmoid",
-    "fc",
-    "gap",
-    "dropout",
-    "tml",
-    "softmax_xent_head",
-)
 
 NET_MAGIC = b"TMLP"
 NET_FORMAT = "tmlnet-net-v1"
@@ -51,8 +50,9 @@ class LayerSpec:
     trainable: bool = True  # tml: frozen banks skip updates and projection
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
+        KINDS[self.kind].check(self)
 
 
 def conv(out_channels, kernel_h, kernel_w):
@@ -101,7 +101,6 @@ class ForwardTrace:
     caches: list
     side_caches: list
     join_info: tuple | None  # (side_dim, main activation shape before flatten)
-    train_mode: bool
     consumed: bool = False
 
 
@@ -112,68 +111,216 @@ class Gradients:
 
 
 # ---------------------------------------------------------------------------
-# shape chain
+# layer kinds
 # ---------------------------------------------------------------------------
 
 
-def _layer_out_shape(layer: LayerSpec, shape):
-    """shape: (h, w, c) volume or (d,) vector."""
-    kind = layer.kind
-    if kind in ("relu", "sigmoid", "dropout"):
-        return shape
-    if kind == "conv":
-        if len(shape) != 3:
-            raise ValueError("conv needs a feature volume input")
-        h, w, c = shape
-        oh, ow = h - layer.kernel_h + 1, w - layer.kernel_w + 1
-        if oh < 1 or ow < 1:
-            raise ValueError(f"conv kernel {layer.kernel_h}x{layer.kernel_w} exceeds input {h}x{w}")
-        return (oh, ow, layer.out_channels)
-    if kind == "maxpool":
-        if len(shape) != 3:
-            raise ValueError("maxpool needs a feature volume input")
-        h, w, c = shape
-        if h < 2 or w < 2:
-            raise ValueError(f"input {h}x{w} too small for 2x2 pooling")
-        return (h // 2, w // 2, c)
-    if kind == "tml":
-        if len(shape) != 3:
-            raise ValueError("tml needs a feature volume input")
-        h, w, c = shape
-        cfg = layer.tml
-        if c != cfg.in_channels:
-            raise ValueError(f"tml config expects {cfg.in_channels} channels, input has {c}")
-        oh, ow = h - cfg.kernel_h + 1, w - cfg.kernel_w + 1
-        if oh < 1 or ow < 1:
-            raise ValueError(f"tml kernel {cfg.kernel_h}x{cfg.kernel_w} exceeds input {h}x{w}")
-        return (oh, ow, cfg.num_kernels)
-    if kind == "gap":
-        if len(shape) != 3:
-            raise ValueError("gap needs a feature volume input")
-        return (shape[2],)
-    if kind == "fc":
-        return (layer.units,)
-    if kind == "softmax_xent_head":
-        return shape
-    raise AssertionError(kind)
+def _volume(layer: LayerSpec, shape):
+    if len(shape) != 3:
+        raise ValueError(f"{layer.kind} needs a feature volume input")
+    return shape
 
 
-def _flat_dim(shape) -> int:
-    return int(np.prod(shape))
+def _valid_shape(layer: LayerSpec, shape, kh: int, kw: int, out_channels: int):
+    """Output shape of a valid-padding stride-1 correlation with a kh x kw kernel."""
+    h, w, _c = _volume(layer, shape)
+    oh, ow = h - kh + 1, w - kw + 1
+    if oh < 1 or ow < 1:
+        raise ValueError(f"{layer.kind} kernel {kh}x{kw} exceeds input {h}x{w}")
+    return (oh, ow, out_channels)
 
 
-def _layer_param_shapes(layer: LayerSpec, in_shape) -> dict:
-    if layer.kind == "conv":
-        c_in = in_shape[2]
-        return {
-            "w": (layer.kernel_h, layer.kernel_w, c_in, layer.out_channels),
+def _pool_shape(layer: LayerSpec, shape):
+    h, w, c = _volume(layer, shape)
+    if h < 2 or w < 2:
+        raise ValueError(f"input {h}x{w} too small for 2x2 pooling")
+    return (h // 2, w // 2, c)
+
+
+def _tml_shape(layer: LayerSpec, shape):
+    cfg = layer.tml
+    if _volume(layer, shape)[2] != cfg.in_channels:
+        raise ValueError(f"tml config expects {cfg.in_channels} channels, input has {shape[2]}")
+    return _valid_shape(layer, shape, cfg.kernel_h, cfg.kernel_w, cfg.num_kernels)
+
+
+def _fan_in_normal(gain: float):
+    """Init of a weight (..., out) and its bias: w ~ N(0, gain / fan_in), b = 0,
+    where fan_in is the product of every weight axis but the last."""
+
+    def init(layer, shapes, rng):
+        std = np.sqrt(gain / math.prod(shapes["w"][:-1]))
+        return {"w": rng.normal(0.0, std, size=shapes["w"]), "b": np.zeros(shapes["b"])}
+
+    return init
+
+
+def _positive_ints(*names):
+    def check(layer: LayerSpec):
+        for name in names:
+            v = getattr(layer, name)
+            if not isinstance(v, (int, np.integer)) or v < 1:
+                raise ValueError(f"{layer.kind} {name} must be a positive integer, got {v!r}")
+
+    return check
+
+
+def _check_rate(layer: LayerSpec):
+    if not (isinstance(layer.rate, (int, float)) and 0.0 <= layer.rate < 1.0):
+        raise ValueError(f"dropout rate must be in [0, 1), got {layer.rate!r}")
+
+
+def _weight_grads(d_x, d_w, d_b):
+    return d_x, {"w": d_w, "b": d_b}
+
+
+def _sigmoid_forward(layer, p, a, train_mode, rng):
+    y = L.sigmoid_forward(a)
+    return y, y
+
+
+def _maxpool_forward(layer, p, a, train_mode, rng):
+    y, idx = L.maxpool_forward(a)
+    return y, (idx, a.shape)
+
+
+def _dropout_forward(layer, p, a, train_mode, rng):
+    if train_mode and layer.rate > 0 and rng is None:
+        raise ValueError("training forward through dropout needs an rng")
+    return L.dropout_forward(a, layer.rate, rng, train_mode)
+
+
+def _tml_forward(layer, p, a, train_mode, rng):
+    y, z = T.forward_batch(a, T.TmlKernels(layer.tml, p["w"]), return_log=True)
+    return y, (a, y, z)
+
+
+def _tml_backward(layer, p, cache, d_y, need_dx):
+    x, y, z = cache
+    kernels = T.TmlKernels(layer.tml, p["w"])
+    d_x = T.backward_input_batch(x, y, d_y, kernels) if need_dx else None
+    if layer.trainable:
+        d_w = T.backward_weights_batch(x, y, d_y, kernels, z=z)
+    else:
+        d_w = np.zeros_like(p["w"])
+    return d_x, {"w": d_w}
+
+
+def _tml_from_fields(kh, kw, kc, km, c1, c2, eps, trainable):
+    return tml_layer(T.TmlConfig(kh, kw, kc, km, c1=c1, c2=c2, eps=eps), trainable)
+
+
+@dataclass(frozen=True)
+class Kind:
+    """What one layer kind does; every function takes the LayerSpec first.
+
+    Conv and tml backwards return d_input None when `need_dx` is False. The
+    loss head has no forward or backward: the network's last activations are
+    the logits it consumes (see layers.softmax_xent).
+    """
+
+    forward: Callable | None  # (layer, params, a, train_mode, rng) -> (y, cache)
+    backward: Callable | None  # (layer, params, cache, d_y, need_dx) -> (d_x, param grads)
+    out_shape: Callable = lambda layer, shape: shape  # (h, w, c) volume or (d,) vector
+    param_shapes: Callable = lambda layer, in_shape: {}
+    init: Callable = lambda layer, shapes, rng: {}  # (layer, param shapes, rng) -> params
+    check: Callable = lambda layer: None  # raises ValueError on a bad hyperparameter
+    fields: tuple = ()  # checkpoint fields: (key, LayerSpec attribute path, parser)
+    make: Callable | None = None  # builds the LayerSpec from the parsed fields, in order
+
+
+KINDS = {
+    "conv": Kind(
+        forward=lambda layer, p, a, train_mode, rng: (L.conv2d_forward(a, p["w"], p["b"]), a),
+        backward=lambda layer, p, x, d_y, need_dx: _weight_grads(
+            *L.conv2d_backward(x, p["w"], d_y, need_dx=need_dx)
+        ),
+        out_shape=lambda layer, shape: _valid_shape(
+            layer, shape, layer.kernel_h, layer.kernel_w, layer.out_channels
+        ),
+        param_shapes=lambda layer, in_shape: {
+            "w": (layer.kernel_h, layer.kernel_w, in_shape[2], layer.out_channels),
             "b": (layer.out_channels,),
-        }
-    if layer.kind == "fc":
-        return {"w": (_flat_dim(in_shape), layer.units), "b": (layer.units,)}
-    if layer.kind == "tml":
-        return {"w": layer.tml.weights_shape()}
-    return {}
+        },
+        init=_fan_in_normal(2.0),
+        check=_positive_ints("out_channels", "kernel_h", "kernel_w"),
+        fields=(("out", "out_channels", int), ("kh", "kernel_h", int), ("kw", "kernel_w", int)),
+        make=conv,
+    ),
+    "maxpool": Kind(
+        forward=_maxpool_forward,
+        backward=lambda layer, p, cache, d_y, need_dx: (L.maxpool_backward(d_y, *cache), {}),
+        out_shape=_pool_shape,
+    ),
+    "relu": Kind(
+        forward=lambda layer, p, a, train_mode, rng: (L.relu_forward(a), a),
+        backward=lambda layer, p, x, d_y, need_dx: (L.relu_backward(d_y, x), {}),
+    ),
+    "sigmoid": Kind(
+        forward=_sigmoid_forward,
+        backward=lambda layer, p, y, d_y, need_dx: (L.sigmoid_backward(d_y, y), {}),
+    ),
+    "fc": Kind(
+        forward=lambda layer, p, a, train_mode, rng: (L.fc_forward(a, p["w"], p["b"]), a),
+        backward=lambda layer, p, x, d_y, need_dx: _weight_grads(*L.fc_backward(x, p["w"], d_y)),
+        out_shape=lambda layer, shape: (layer.units,),
+        param_shapes=lambda layer, in_shape: {
+            "w": (math.prod(in_shape), layer.units),
+            "b": (layer.units,),
+        },
+        init=_fan_in_normal(1.0),
+        check=_positive_ints("units"),
+        fields=(("units", "units", int),),
+        make=fc,
+    ),
+    "gap": Kind(
+        forward=lambda layer, p, a, train_mode, rng: (L.gap_forward(a), a.shape),
+        backward=lambda layer, p, in_shape, d_y, need_dx: (L.gap_backward(d_y, in_shape), {}),
+        out_shape=lambda layer, shape: (_volume(layer, shape)[2],),
+    ),
+    "dropout": Kind(
+        forward=_dropout_forward,
+        backward=lambda layer, p, mask, d_y, need_dx: (
+            L.dropout_backward(d_y, mask, layer.rate), {}
+        ),
+        check=_check_rate,
+        fields=(("rate", "rate", float),),
+        make=dropout,
+    ),
+    "tml": Kind(
+        forward=_tml_forward,
+        backward=_tml_backward,
+        out_shape=_tml_shape,
+        param_shapes=lambda layer, in_shape: {"w": layer.tml.weights_shape()},
+        init=lambda layer, shapes, rng: {"w": T.init_kernels(layer.tml, rng).weights},
+        fields=(
+            ("kh", "tml.kernel_h", int),
+            ("kw", "tml.kernel_w", int),
+            ("kc", "tml.in_channels", int),
+            ("km", "tml.num_kernels", int),
+            ("c1", "tml.c1", float),
+            ("c2", "tml.c2", float),
+            ("eps", "tml.eps", float),
+            ("trainable", "trainable", lambda text: bool(int(text))),
+        ),
+        make=_tml_from_fields,
+    ),
+    "softmax_xent_head": Kind(forward=None, backward=None),
+}
+
+
+def _chain_shapes(layers: list[LayerSpec], shape, join_at=None, side_out=None):
+    """Each layer's parameter shapes and the chain's output shape; at `join_at`
+    the side chain's (d,) output is prepended to the flattened activation."""
+    param_shapes = []
+    for i, layer in enumerate(layers):
+        if i == join_at:
+            shape = (side_out[0] + math.prod(shape),)
+        kind = KINDS[layer.kind]
+        out = kind.out_shape(layer, shape)
+        param_shapes.append(kind.param_shapes(layer, shape))
+        shape = out
+    return param_shapes, shape
 
 
 def validate_network(spec: NetworkSpec):
@@ -191,71 +338,36 @@ def validate_network(spec: NetworkSpec):
     if (spec.join_at is None) != (not spec.side_layers):
         raise ValueError("side_layers and join_at must be set together")
 
-    side_shapes = []
-    side_out = None
+    side_shapes, side_out = _chain_shapes(spec.side_layers, spec.input_shape)
     if spec.side_layers:
-        shape = spec.input_shape
-        for layer in spec.side_layers:
-            side_shapes.append(_layer_param_shapes(layer, shape))
-            shape = _layer_out_shape(layer, shape)
-        if len(shape) != 1:
-            raise ValueError(f"side chain must end in a vector, got shape {shape}")
-        side_out = shape[0]
+        if len(side_out) != 1:
+            raise ValueError(f"side chain must end in a vector, got shape {side_out}")
         if not 0 <= spec.join_at < len(spec.layers) - 1:
             raise ValueError(f"join_at {spec.join_at} must precede the loss head")
-
-    main_shapes = []
-    shape = spec.input_shape
-    for i, layer in enumerate(spec.layers):
-        if spec.join_at is not None and i == spec.join_at:
-            shape = (side_out + _flat_dim(shape),)
-        main_shapes.append(_layer_param_shapes(layer, shape))
-        shape = _layer_out_shape(layer, shape)
+    main_shapes, shape = _chain_shapes(spec.layers, spec.input_shape, spec.join_at, side_out)
     if shape != (spec.num_classes,):
         raise ValueError(f"head expects ({spec.num_classes},) logits, chain produces {shape}")
     return main_shapes, side_shapes, shape
 
 
 def init_params(spec: NetworkSpec, rng: np.random.Generator) -> NetworkSpec:
-    """Fill in every unset parameter array (He-style for conv, scaled normal
-    for fc, uniform-then-project for trainable exponent kernels).
+    """Fill in every unset parameter array with its kind's init (He-style for
+    conv, scaled normal for fc, uniform-then-project for exponent kernels).
 
     Pre-seeded entries (e.g. frozen binary kernel banks) are kept. The side
     chain initializes first, then the main chain, so a given seed always
     produces the same parameter stream.
     """
     main_shapes, side_shapes, _ = validate_network(spec)
-    for chain, specs, shapes, existing in (
-        ("side", spec.side_layers, side_shapes, spec.side_params),
-        ("main", spec.layers, main_shapes, spec.params),
+    for attr, specs, shapes in (
+        ("side_params", spec.side_layers, side_shapes),
+        ("params", spec.layers, main_shapes),
     ):
-        params = list(existing) if existing else [None] * len(specs)
+        params = list(getattr(spec, attr)) or [None] * len(specs)
         for i, layer in enumerate(specs):
-            if params[i] is not None:
-                continue
-            want = shapes[i]
-            if not want:
-                params[i] = {}
-            elif layer.kind == "conv":
-                fan_in = want["w"][0] * want["w"][1] * want["w"][2]
-                params[i] = {
-                    "w": rng.normal(0.0, np.sqrt(2.0 / fan_in), size=want["w"]),
-                    "b": np.zeros(want["b"]),
-                }
-            elif layer.kind == "fc":
-                fan_in = want["w"][0]
-                params[i] = {
-                    "w": rng.normal(0.0, np.sqrt(1.0 / fan_in), size=want["w"]),
-                    "b": np.zeros(want["b"]),
-                }
-            elif layer.kind == "tml":
-                params[i] = {"w": T.init_kernels(layer.tml, rng).weights}
-            else:
-                raise AssertionError(layer.kind)
-        if chain == "side":
-            spec.side_params = params
-        else:
-            spec.params = params
+            if params[i] is None:
+                params[i] = KINDS[layer.kind].init(layer, shapes[i], rng)
+        setattr(spec, attr, params)
     return spec
 
 
@@ -264,72 +376,11 @@ def init_params(spec: NetworkSpec, rng: np.random.Generator) -> NetworkSpec:
 # ---------------------------------------------------------------------------
 
 
-def _layer_forward(layer: LayerSpec, params: dict, a, train_mode, rng):
-    kind = layer.kind
-    if kind == "conv":
-        return L.conv2d_forward(a, params["w"], params["b"]), a
-    if kind == "maxpool":
-        y, idx = L.maxpool_forward(a)
-        return y, (idx, a.shape)
-    if kind == "relu":
-        return L.relu_forward(a), a
-    if kind == "sigmoid":
-        y = L.sigmoid_forward(a)
-        return y, y
-    if kind == "fc":
-        return L.fc_forward(a, params["w"], params["b"]), a
-    if kind == "gap":
-        return L.gap_forward(a), a.shape
-    if kind == "dropout":
-        if train_mode and layer.rate > 0 and rng is None:
-            raise ValueError("training forward through dropout needs an rng")
-        y, mask = L.dropout_forward(a, layer.rate, rng, train_mode)
-        return y, mask
-    if kind == "tml":
-        kernels = T.TmlKernels(layer.tml, params["w"])
-        y, z = T.forward_batch(a, kernels, return_log=True)
-        return y, (a, y, z)
-    raise AssertionError(kind)
-
-
-def _layer_backward(layer: LayerSpec, params: dict, cache, d_y, need_dx: bool):
-    """Returns (d_input, param_grads); conv and tml layers return d_input None
-    when `need_dx` is False."""
-    kind = layer.kind
-    if kind == "conv":
-        d_x, d_w, d_b = L.conv2d_backward(cache, params["w"], d_y, need_dx=need_dx)
-        return d_x, {"w": d_w, "b": d_b}
-    if kind == "maxpool":
-        idx, in_shape = cache
-        return L.maxpool_backward(d_y, idx, in_shape), {}
-    if kind == "relu":
-        return L.relu_backward(d_y, cache), {}
-    if kind == "sigmoid":
-        return L.sigmoid_backward(d_y, cache), {}
-    if kind == "fc":
-        d_x, d_w, d_b = L.fc_backward(cache, params["w"], d_y)
-        return d_x, {"w": d_w, "b": d_b}
-    if kind == "gap":
-        return L.gap_backward(d_y, cache), {}
-    if kind == "dropout":
-        return L.dropout_backward(d_y, cache, layer.rate), {}
-    if kind == "tml":
-        x, y, z = cache
-        kernels = T.TmlKernels(layer.tml, params["w"])
-        d_x = T.backward_input_batch(x, y, d_y, kernels) if need_dx else None
-        if layer.trainable:
-            d_w = T.backward_weights_batch(x, y, d_y, kernels, z=z)
-        else:
-            d_w = np.zeros_like(params["w"])
-        return d_x, {"w": d_w}
-    raise AssertionError(kind)
-
-
 def network_forward(spec: NetworkSpec, xb, train_mode: bool = False, rng=None):
     """Run a batch through the network; returns (logits, ForwardTrace).
 
     The loss head itself computes nothing here: the returned activations are
-    the logits it consumes (see training.energy / layers.softmax_xent).
+    the logits it consumes (see layers.softmax_xent).
     """
     xb = np.asarray(xb, dtype=np.float64)
     if xb.ndim != 4:
@@ -345,7 +396,7 @@ def network_forward(spec: NetworkSpec, xb, train_mode: bool = False, rng=None):
     if spec.join_at is not None:
         s = xb
         for i, layer in enumerate(spec.side_layers):
-            s, cache = _layer_forward(layer, spec.side_params[i], s, train_mode, rng)
+            s, cache = KINDS[layer.kind].forward(layer, spec.side_params[i], s, train_mode, rng)
             side_caches.append(cache)
 
     a = xb
@@ -354,10 +405,10 @@ def network_forward(spec: NetworkSpec, xb, train_mode: bool = False, rng=None):
         if spec.join_at is not None and i == spec.join_at:
             join_info = (s.shape[1], a.shape)
             a = np.concatenate([s, a.reshape(a.shape[0], -1)], axis=1)
-        a, cache = _layer_forward(layer, spec.params[i], a, train_mode, rng)
+        a, cache = KINDS[layer.kind].forward(layer, spec.params[i], a, train_mode, rng)
         caches.append(cache)
     caches.append(None)  # head slot
-    return a, ForwardTrace(caches, side_caches, join_info, train_mode)
+    return a, ForwardTrace(caches, side_caches, join_info)
 
 
 def network_backward(spec: NetworkSpec, trace: ForwardTrace, d_logits) -> Gradients:
@@ -377,7 +428,9 @@ def network_backward(spec: NetworkSpec, trace: ForwardTrace, d_logits) -> Gradie
     for i in range(len(spec.layers) - 2, -1, -1):
         layer = spec.layers[i]
         need_dx = i > 0 or spec.join_at == 0
-        d, main_grads[i] = _layer_backward(layer, spec.params[i], trace.caches[i], d, need_dx)
+        d, main_grads[i] = KINDS[layer.kind].backward(
+            layer, spec.params[i], trace.caches[i], d, need_dx
+        )
         if spec.join_at is not None and i == spec.join_at:
             side_dim, pre_shape = trace.join_info
             d_side = d[:, :side_dim]
@@ -385,7 +438,7 @@ def network_backward(spec: NetworkSpec, trace: ForwardTrace, d_logits) -> Gradie
     if spec.join_at is not None:
         for i in range(len(spec.side_layers) - 1, -1, -1):
             layer = spec.side_layers[i]
-            d_side, side_grads[i] = _layer_backward(
+            d_side, side_grads[i] = KINDS[layer.kind].backward(
                 layer, spec.side_params[i], trace.side_caches[i], d_side, i > 0
             )
     return Gradients(main_grads, side_grads)
@@ -417,10 +470,6 @@ def build_dhlac_net(input_shape, num_classes: int, tml_cfg: T.TmlConfig) -> Netw
     image, average pooling turns its maps into a vector, and that vector is
     concatenated with the convolutional branch's last hidden features ahead
     of the classifying layer."""
-    if tml_cfg.in_channels != input_shape[2]:
-        raise ValueError(
-            f"kernel bank expects {tml_cfg.in_channels} channels, input has {input_shape[2]}"
-        )
     branch = _lenet_branch()
     spec = NetworkSpec(
         layers=branch + [fc(num_classes), LayerSpec("softmax_xent_head")],
@@ -436,21 +485,11 @@ def build_dhlac_net(input_shape, num_classes: int, tml_cfg: T.TmlConfig) -> Netw
 def build_cooc_net(input_shape, num_classes: int, tml_cfg: T.TmlConfig) -> NetworkSpec:
     """Co-occurrence topology: the multiplication layer consumes the second
     convolution's rectified feature maps, and its pooled outputs feed the
-    classifying layer directly (required by the co-occurrence tracing tools)."""
-    if tml_cfg.in_channels != 16:
-        raise ValueError("co-occurrence bank must take the 16 feature maps of conv2")
+    classifying layer directly (required by the co-occurrence tracing tools).
+    The bank reads conv2's 16 maps: the LeNet branch up to conv2's ReLU."""
     spec = NetworkSpec(
-        layers=[
-            conv(6, 5, 5),
-            LayerSpec("relu"),
-            LayerSpec("maxpool"),
-            conv(16, 5, 5),
-            LayerSpec("relu"),
-            tml_layer(tml_cfg),
-            LayerSpec("gap"),
-            fc(num_classes),
-            LayerSpec("softmax_xent_head"),
-        ],
+        layers=_lenet_branch()[:5]
+        + [tml_layer(tml_cfg), LayerSpec("gap"), fc(num_classes), LayerSpec("softmax_xent_head")],
         input_shape=tuple(input_shape),
         num_classes=num_classes,
     )
@@ -489,9 +528,8 @@ def build_baseline_net(input_shape, num_classes: int) -> NetworkSpec:
 def build_baseline_hlac_net(input_shape, num_classes: int, eps: float = 1e-6) -> NetworkSpec:
     """Baseline CNN plus fixed auto-correlation features: the standard 25
     binary masks run as a frozen multiplication-layer bank over the input,
-    pooled to a 25-vector and concatenated before the classifier."""
-    if input_shape[2] != 1:
-        raise ValueError("the fixed auto-correlation branch expects single-channel input")
+    pooled to a 25-vector and concatenated before the classifier; the bank
+    takes single-channel input."""
     base = build_baseline_net(input_shape, num_classes)
     bank = masks_to_binary_kernels(default_mask_set(), 3, 3, eps=eps)
     spec = NetworkSpec(
@@ -511,57 +549,8 @@ def build_baseline_hlac_net(input_shape, num_classes: int, eps: float = 1e-6) ->
 # ---------------------------------------------------------------------------
 
 
-def _layer_line(chain: str, layer: LayerSpec) -> str:
-    fields = [f"chain={chain}", f"kind={layer.kind}"]
-    if layer.kind == "conv":
-        fields += [f"out={layer.out_channels}", f"kh={layer.kernel_h}", f"kw={layer.kernel_w}"]
-    elif layer.kind == "fc":
-        fields += [f"units={layer.units}"]
-    elif layer.kind == "dropout":
-        fields += [f"rate={layer.rate!r}"]
-    elif layer.kind == "tml":
-        c = layer.tml
-        fields += [
-            f"kh={c.kernel_h}",
-            f"kw={c.kernel_w}",
-            f"kc={c.in_channels}",
-            f"km={c.num_kernels}",
-            f"c1={c.c1!r}",
-            f"c2={c.c2!r}",
-            f"eps={c.eps!r}",
-            f"trainable={int(layer.trainable)}",
-        ]
-    return "layer " + " ".join(fields)
-
-
-def _parse_layer_line(line: str) -> tuple[str, LayerSpec]:
-    kv = dict(part.split("=", 1) for part in line.split()[1:])
-    chain, kind = kv["chain"], kv["kind"]
-    if kind == "conv":
-        return chain, conv(int(kv["out"]), int(kv["kh"]), int(kv["kw"]))
-    if kind == "fc":
-        return chain, fc(int(kv["units"]))
-    if kind == "dropout":
-        return chain, dropout(float(kv["rate"]))
-    if kind == "tml":
-        cfg = T.TmlConfig(
-            int(kv["kh"]),
-            int(kv["kw"]),
-            int(kv["kc"]),
-            int(kv["km"]),
-            c1=float(kv["c1"]),
-            c2=float(kv["c2"]),
-            eps=float(kv["eps"]),
-        )
-        return chain, tml_layer(cfg, trainable=bool(int(kv["trainable"])))
-    return chain, LayerSpec(kind)
-
-
-def _param_stream(spec: NetworkSpec):
-    """Deterministic parameter order: main chain then side chain, keys sorted."""
-    for params in list(spec.params) + list(spec.side_params):
-        for key in sorted(params):
-            yield params[key]
+def _field_text(value) -> str:
+    return str(int(value)) if isinstance(value, bool) else str(value)
 
 
 def save_network(spec: NetworkSpec, path) -> None:
@@ -575,12 +564,18 @@ def save_network(spec: NetworkSpec, path) -> None:
     ]
     if spec.join_at is not None:
         lines.append(f"join={spec.join_at}")
-    lines += [_layer_line("main", l) for l in spec.layers]
-    lines += [_layer_line("side", l) for l in spec.side_layers]
+    for chain, specs in (("main", spec.layers), ("side", spec.side_layers)):
+        for layer in specs:
+            fields = [
+                f"{key}={_field_text(attrgetter(attr)(layer))}"
+                for key, attr, _parse in KINDS[layer.kind].fields
+            ]
+            lines.append(" ".join(["layer", f"chain={chain}", f"kind={layer.kind}", *fields]))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
-    arrays = list(_param_stream(spec))
+    # main chain then side chain, keys sorted: the order load_network reads
+    arrays = [params[key] for params in spec.params + spec.side_params for key in sorted(params)]
     total = sum(a.size for a in arrays)
     with open(str(path) + ".bin", "wb") as f:
         f.write(NET_MAGIC + struct.pack("<IQ", NET_BLOB_VERSION, total))
@@ -593,11 +588,15 @@ def load_network(path) -> NetworkSpec:
         lines = [ln.strip() for ln in f if ln.strip()]
     kv = {}
     main, side = [], []
+    chains = {"main": main, "side": side}
     for ln in lines:
         try:
             if ln.startswith("layer "):
-                chain, layer = _parse_layer_line(ln)
-                (main if chain == "main" else side).append(layer)
+                fields = dict(part.split("=", 1) for part in ln.split()[1:])
+                kind = KINDS[fields["kind"]]
+                values = [parse(fields[key]) for key, _attr, parse in kind.fields]
+                layer = kind.make(*values) if kind.make else LayerSpec(fields["kind"])
+                chains[fields["chain"]].append(layer)
             else:
                 k, v = ln.split("=", 1)
                 kv[k] = v
@@ -636,7 +635,7 @@ def load_network(path) -> NetworkSpec:
     for shapes in main_shapes + side_shapes:
         d = {}
         for key in sorted(shapes):
-            n = _flat_dim(shapes[key])
+            n = math.prod(shapes[key])
             d[key] = values[cursor : cursor + n].reshape(shapes[key]).astype(np.float64)
             cursor += n
         filled.append(d)

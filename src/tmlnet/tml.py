@@ -116,12 +116,6 @@ def init_kernels(config: TmlConfig, rng: np.random.Generator) -> TmlKernels:
     return project_kernels(TmlKernels(config, w))
 
 
-def uniform_kernels(config: TmlConfig) -> TmlKernels:
-    """All-cells-equal bank: every kernel sums to c1 exactly."""
-    w = np.full(config.weights_shape(), config.c1 / config.weight_count)
-    return TmlKernels(config, w)
-
-
 # ---------------------------------------------------------------------------
 # forward / backward
 # ---------------------------------------------------------------------------
@@ -239,11 +233,6 @@ def reinit_kernels(kernels: TmlKernels, kernel_indices) -> TmlKernels:
     out = kernels.copy()
     out.weights[..., list(kernel_indices)] = kernels.config.c1 / kernels.config.weight_count
     return out
-
-
-def kernel_l1(kernels: TmlKernels) -> float:
-    """Sum of absolute weights over the whole bank."""
-    return float(np.abs(kernels.weights).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Constrained training: energy with an L1 kernel penalty, momentum SGD, and
-the alternating clip/rescale projection applied after every update.
+"""Constrained training: an objective with an L1 kernel penalty, momentum SGD,
+and the alternating clip/rescale projection applied after every update.
 
 Each step computes gradients of
 
@@ -11,12 +11,15 @@ constraint set (weights in [0, C2], per-kernel sum C1). Only kernel weights
 carry the L1 term and the projection; ordinary CNN parameters are untouched
 by either. The subgradient of |w| at w = 0 is taken as 0 so clipped-away
 weights stay put until the data gradient revives them.
+
+Only the mean loss is reported: after projection every trainable kernel is
+nonnegative and sums to C1, so the L1 term is the constant lambda * M * C1.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +37,6 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 30
     rng_seed: int = 0
-    c1: float = 1.0
-    c2: float = 0.5
-    eps: float = 1e-6
 
     def __post_init__(self):
         if self.lam < 0:
@@ -51,21 +51,9 @@ class TrainConfig:
 
 
 @dataclass
-class EnergyReport:
-    mean_loss: float
-    l1_term: float
-
-    @property
-    def total(self) -> float:
-        return self.mean_loss + self.l1_term
-
-
-@dataclass
 class EpochMetrics:
     epoch: int
     mean_loss: float
-    l1_term: float
-    total: float
     train_acc: float
     test_acc: float | None
 
@@ -99,26 +87,6 @@ def teacher_onehot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return np.eye(num_classes)[labels]
 
 
-def _trainable_l1(spec: NetworkSpec) -> float:
-    total = 0.0
-    for chain, i, _layer in spec.tml_entries(trainable_only=True):
-        total += np.abs(spec.param_dict(chain, i)["w"]).sum()
-    return float(total)
-
-
-def energy(spec: NetworkSpec, batch, cfg: TrainConfig) -> EnergyReport:
-    """Mean loss over the batch plus lambda times the trainable kernels' L1 norm."""
-    xb, labels = batch
-    if len(xb) == 0:
-        raise ValueError("energy of an empty batch")
-    logits, _ = network_forward(spec, xb, train_mode=False)
-    losses, _ = softmax_xent(logits, teacher_onehot(labels, spec.num_classes))
-    mean_loss = float(losses.mean())
-    if not np.isfinite(mean_loss):
-        raise ValueError("non-finite loss")
-    return EnergyReport(mean_loss, cfg.lam * _trainable_l1(spec))
-
-
 def train_step(
     spec: NetworkSpec,
     batch,
@@ -128,8 +96,9 @@ def train_step(
     project: bool = True,
     post_clip_hook=None,
     invariants: InvariantLog | None = None,
-) -> EnergyReport:
-    """One gradient/update/project cycle; mutates spec parameters in place.
+) -> float:
+    """One gradient/update/project cycle; mutates spec parameters in place and
+    returns the batch's mean loss before the update.
 
     Raises ValueError on a non-finite loss, gradient or update, with every
     parameter and velocity unchanged.
@@ -145,7 +114,6 @@ def train_step(
     mean_loss = float(losses.mean())
     if not np.isfinite(mean_loss):
         raise ValueError("non-finite loss")
-    report = EnergyReport(mean_loss, cfg.lam * _trainable_l1(spec))
     grads = network_backward(spec, trace, d_logits / len(losses))
 
     # L1 subgradient on trainable kernels only (sign(0) = 0)
@@ -211,7 +179,7 @@ def train_step(
                 )
     if invariants is not None:
         invariants.steps += 1
-    return report
+    return mean_loss
 
 
 def evaluate(spec: NetworkSpec, ds: Dataset, batch_size: int = 256) -> float:
@@ -225,7 +193,7 @@ def evaluate(spec: NetworkSpec, ds: Dataset, batch_size: int = 256) -> float:
     return hits / len(ds)
 
 
-METRIC_FIELDS = ("epoch", "mean_loss", "l1_term", "total", "train_acc", "test_acc")
+METRIC_FIELDS = ("epoch", "mean_loss", "train_acc", "test_acc")
 
 
 def write_metrics_csv(metrics: list[EpochMetrics], path) -> None:
@@ -237,8 +205,6 @@ def write_metrics_csv(metrics: list[EpochMetrics], path) -> None:
                 [
                     m.epoch,
                     repr(m.mean_loss),
-                    repr(m.l1_term),
-                    repr(m.total),
                     repr(m.train_acc),
                     "" if m.test_acc is None else repr(m.test_acc),
                 ]
@@ -258,8 +224,7 @@ def train_loop(
     """Fixed-epoch training with a seeded shuffle; returns per-epoch metrics.
 
     The epoch's mean_loss averages the pre-update batch losses seen during the
-    epoch; l1_term is measured on the post-projection kernels at epoch end, so
-    the logged decomposition reflects the feasible (projected) state.
+    epoch.
     """
     if len(train_ds) == 0:
         raise ValueError("empty training dataset")
@@ -269,7 +234,7 @@ def train_loop(
     for epoch in range(1, cfg.epochs + 1):
         step_losses = []
         for batch in batches(train_ds, cfg.batch_size, rng):
-            report = train_step(
+            loss = train_step(
                 spec,
                 batch,
                 cfg,
@@ -278,22 +243,17 @@ def train_loop(
                 post_clip_hook=post_clip_hook,
                 invariants=invariants,
             )
-            step_losses.append(report.mean_loss)
-        l1_term = cfg.lam * _trainable_l1(spec)
-        mean_loss = float(np.mean(step_losses))
+            step_losses.append(loss)
         m = EpochMetrics(
             epoch=epoch,
-            mean_loss=mean_loss,
-            l1_term=l1_term,
-            total=mean_loss + l1_term,
+            mean_loss=float(np.mean(step_losses)),
             train_acc=evaluate(spec, train_ds),
             test_acc=evaluate(spec, test_ds) if test_ds is not None else None,
         )
         metrics.append(m)
         if log is not None:
             acc = "" if m.test_acc is None else f" test_acc={m.test_acc:.4f}"
-            log(f"epoch {epoch}: loss={m.mean_loss:.4f} l1={m.l1_term:.6f} "
-                f"train_acc={m.train_acc:.4f}{acc}")
+            log(f"epoch {epoch}: loss={m.mean_loss:.4f} train_acc={m.train_acc:.4f}{acc}")
     if metrics_path is not None:
         write_metrics_csv(metrics, metrics_path)
     return metrics

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import to_u8
 from .network import NetworkSpec, network_forward
 from .tml import TmlKernels
 
@@ -32,13 +33,8 @@ class GrayImage:
             )
 
 
-def _quantize(values: np.ndarray) -> np.ndarray:
-    """[0, 1] floats -> u8 with clamping and round-half-up."""
-    return np.floor(np.clip(values, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
-
-
 def _gray(values: np.ndarray) -> GrayImage:
-    px = _quantize(values)
+    px = to_u8(values)
     return GrayImage(width=px.shape[1], height=px.shape[0], pixels=px)
 
 
@@ -50,11 +46,6 @@ def render_kernel_heatmap(kernels: TmlKernels, m: int, channel: int = 0) -> Gray
     if not 0 <= channel < cfg.in_channels:
         raise IndexError(f"channel {channel} out of range 0..{cfg.in_channels - 1}")
     return _gray(kernels.weights[:, :, channel, m] / cfg.c2)
-
-
-def render_kernel_heatmaps(kernels: TmlKernels, m: int) -> list[GrayImage]:
-    """One heatmap per input channel of kernel m."""
-    return [render_kernel_heatmap(kernels, m, k) for k in range(kernels.config.in_channels)]
 
 
 def render_feature_map(y: np.ndarray, m: int) -> GrayImage:

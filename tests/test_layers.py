@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from tmlnet.gradcheck import DEFAULT_STEP, _central_diff, _rel_err
 from tmlnet.layers import (
     conv2d_backward,
     conv2d_forward,
@@ -19,25 +20,6 @@ from tmlnet.layers import (
     sigmoid_forward,
     softmax_xent,
 )
-
-
-def central_diff(f, x, step=1e-6):
-    """Finite-difference gradient of scalar f over every entry of x."""
-    g = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        xp = x.copy()
-        xp[idx] += step
-        fp = f(xp)
-        xp[idx] -= 2 * step
-        fm = f(xp)
-        g[idx] = (fp - fm) / (2 * step)
-    return g
-
-
-def rel_err(a, n):
-    return np.max(np.abs(a - n)) / max(np.max(np.abs(n)), 1e-12)
 
 
 def einsum_conv(x, w, b):
@@ -81,11 +63,11 @@ class TestConv:
         w = rng.normal(size=(3, 2, 2, 3))
         b = rng.normal(size=3)
         r = rng.normal(size=(2, 3, 3, 3))
-        loss = lambda xx, ww, bb: float((r * conv2d_forward(xx, ww, bb)).sum())
+        loss = lambda: float((r * conv2d_forward(x, w, b)).sum())
         d_x, d_w, d_b = conv2d_backward(x, w, r)
-        assert rel_err(d_x, central_diff(lambda v: loss(v, w, b), x)) < 1e-5
-        assert rel_err(d_w, central_diff(lambda v: loss(x, v, b), w)) < 1e-5
-        assert rel_err(d_b, central_diff(lambda v: loss(x, w, v), b)) < 1e-5
+        assert _rel_err(d_x, _central_diff(loss, x, DEFAULT_STEP)) < 1e-5
+        assert _rel_err(d_w, _central_diff(loss, w, DEFAULT_STEP)) < 1e-5
+        assert _rel_err(d_b, _central_diff(loss, b, DEFAULT_STEP)) < 1e-5
 
     @pytest.mark.parametrize("shape", CONV_SHAPES)
     def test_matches_einsum_reference(self, shape):
@@ -99,7 +81,7 @@ class TestConv:
         d_y = rng.normal(size=ref_y.shape)
         for got, ref in zip(conv2d_backward(x, w, d_y), ref_backward(d_y)):
             assert got.shape == ref.shape
-            assert rel_err(got, ref) < 1e-12
+            assert _rel_err(got, ref) < 1e-12
 
     @pytest.mark.parametrize("shape", CONV_SHAPES)
     def test_weights_only_call_matches_full_call(self, shape):
@@ -174,8 +156,8 @@ class TestActivations:
         r = rng.normal(size=7)
         y = sigmoid_forward(x)
         analytic = sigmoid_backward(r, y)
-        numeric = central_diff(lambda v: float((r * sigmoid_forward(v)).sum()), x)
-        assert rel_err(analytic, numeric) < 1e-6
+        numeric = _central_diff(lambda: float((r * sigmoid_forward(x)).sum()), x, DEFAULT_STEP)
+        assert _rel_err(analytic, numeric) < 1e-6
 
 
 class TestFc:
@@ -192,11 +174,11 @@ class TestFc:
         w = rng.normal(size=(6, 4))
         b = rng.normal(size=4)
         r = rng.normal(size=(2, 4))
-        loss = lambda xx, ww, bb: float((r * fc_forward(xx, ww, bb)).sum())
+        loss = lambda: float((r * fc_forward(x, w, b)).sum())
         d_x, d_w, d_b = fc_backward(x, w, r)
-        assert rel_err(d_x, central_diff(lambda v: loss(v, w, b), x)) < 1e-5
-        assert rel_err(d_w, central_diff(lambda v: loss(x, v, b), w)) < 1e-5
-        assert rel_err(d_b, central_diff(lambda v: loss(x, w, v), b)) < 1e-5
+        assert _rel_err(d_x, _central_diff(loss, x, DEFAULT_STEP)) < 1e-5
+        assert _rel_err(d_w, _central_diff(loss, w, DEFAULT_STEP)) < 1e-5
+        assert _rel_err(d_b, _central_diff(loss, b, DEFAULT_STEP)) < 1e-5
 
 
 class TestDropout:
@@ -259,8 +241,8 @@ class TestSoftmaxXent:
         t = np.zeros(5)
         t[2] = 1.0
         _, analytic = softmax_xent(logits, t)
-        numeric = central_diff(lambda v: softmax_xent(v, t)[0], logits)
-        assert rel_err(analytic, numeric) < 1e-6
+        numeric = _central_diff(lambda: softmax_xent(logits, t)[0], logits, DEFAULT_STEP)
+        assert _rel_err(analytic, numeric) < 1e-6
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(8)

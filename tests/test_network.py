@@ -12,6 +12,7 @@ from tmlnet.network import (
     build_cooc_net,
     build_dhlac_net,
     conv,
+    dropout,
     fc,
     init_params,
     load_network,
@@ -43,6 +44,11 @@ def tiny_branched_net(seed=0):
         join_at=3,
     )
     return init_params(spec, np.random.default_rng(seed))
+
+
+def hlac_net():
+    """Every kind tiny_branched_net lacks (dropout) and a frozen bank."""
+    return init_params(build_baseline_hlac_net((20, 20, 1), 3), np.random.default_rng(0))
 
 
 def batch_loss(spec, xb, labels):
@@ -110,6 +116,21 @@ class TestShapeChain:
         )
         with pytest.raises(ValueError):
             validate_network(spec)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: conv(0, 3, 3),
+            lambda: conv(2, 3.0, 3),
+            lambda: fc(-5),
+            lambda: dropout(1.5),
+            lambda: LayerSpec("fc"),
+        ],
+        ids=["zero-out", "float-kernel", "negative-units", "rate-past-one", "no-units"],
+    )
+    def test_bad_hyperparameter_rejected_when_built(self, make):
+        with pytest.raises(ValueError, match="must be"):
+            make()
 
     def test_baseline_nets_validate(self):
         for shape in ((28, 28, 1), (32, 32, 1)):
@@ -255,6 +276,34 @@ class TestBackward:
         assert len(tml_calls) == tml_dx_calls
         assert all(shape[1:] != spec.input_shape for shape in tml_calls)
 
+    def test_every_kernel_is_looked_up_at_call_time(self, monkeypatch):
+        # tracers and call recorders replace module attributes; a kernel
+        # reference stored at import would bypass them without any error
+        layer_kernels = [
+            f"{name}_{step}"
+            for name in ("conv2d", "maxpool", "relu", "sigmoid", "fc", "gap", "dropout")
+            for step in ("forward", "backward")
+        ]
+        kernels = {
+            layers: layer_kernels,
+            tml: ["forward_batch", "backward_weights_batch", "backward_input_batch"],
+        }
+        called = set()
+        for module, names in kernels.items():
+            for name in names:
+                def record(*args, _kernel=getattr(module, name), _name=name, **kwargs):
+                    called.add(_name)
+                    return _kernel(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, record)
+        cooc = build_cooc_net((28, 28, 1), 10, TmlConfig(1, 1, 16, 4))
+        rng = np.random.default_rng(0)
+        for spec in (tiny_branched_net(), hlac_net(), init_params(cooc, rng)):
+            xb = rng.uniform(0.1, 1.0, size=(2, *spec.input_shape))
+            logits, trace = network_forward(spec, xb, train_mode=True, rng=rng)
+            network_backward(spec, trace, np.ones_like(logits))
+        assert called == {name for names in kernels.values() for name in names}
+
     def test_trace_consumed_once(self):
         spec = tiny_branched_net()
         xb = np.random.default_rng(11).uniform(0.1, 1.0, size=(1, 6, 6, 1))
@@ -275,6 +324,49 @@ class TestBackward:
         assert np.any(grads.main[0]["w"] != 0.0)
 
 
+# Between them the two pinned checkpoints hold all nine layer kinds and a
+# frozen bank.
+TINY_NET_TEXT = """\
+format=tmlnet-net-v1
+input=6x6x1
+classes=3
+join=3
+layer chain=main kind=conv out=2 kh=3 kw=3
+layer chain=main kind=relu
+layer chain=main kind=maxpool
+layer chain=main kind=fc units=5
+layer chain=main kind=sigmoid
+layer chain=main kind=fc units=3
+layer chain=main kind=softmax_xent_head
+layer chain=side kind=tml kh=2 kw=2 kc=1 km=2 c1=1.0 c2=0.6 eps=1e-06 trainable=1
+layer chain=side kind=gap
+"""
+
+HLAC_NET_TEXT = """\
+format=tmlnet-net-v1
+input=20x20x1
+classes=3
+join=13
+layer chain=main kind=conv out=8 kh=3 kw=3
+layer chain=main kind=relu
+layer chain=main kind=maxpool
+layer chain=main kind=dropout rate=0.25
+layer chain=main kind=conv out=16 kh=3 kw=3
+layer chain=main kind=relu
+layer chain=main kind=maxpool
+layer chain=main kind=dropout rate=0.25
+layer chain=main kind=conv out=32 kh=3 kw=3
+layer chain=main kind=relu
+layer chain=main kind=fc units=64
+layer chain=main kind=relu
+layer chain=main kind=dropout rate=0.5
+layer chain=main kind=fc units=3
+layer chain=main kind=softmax_xent_head
+layer chain=side kind=tml kh=3 kw=3 kc=1 km=25 c1=1.0 c2=1.0 eps=1e-06 trainable=0
+layer chain=side kind=gap
+"""
+
+
 class TestSerialization:
     def test_round_trip_bitwise(self, tmp_path):
         spec = tiny_branched_net(seed=7)
@@ -293,6 +385,15 @@ class TestSerialization:
         la, _ = network_forward(spec, xb)
         lb, _ = network_forward(back, xb)
         np.testing.assert_array_equal(la, lb)
+
+    @pytest.mark.parametrize(
+        "build,text",
+        [(tiny_branched_net, TINY_NET_TEXT), (hlac_net, HLAC_NET_TEXT)],
+        ids=["tiny-branched", "baseline+hlac"],
+    )
+    def test_saved_text_is_pinned(self, tmp_path, build, text):
+        save_network(build(), tmp_path / "ckpt.net")
+        assert (tmp_path / "ckpt.net").read_text() == text
 
     def test_identical_saves_are_byte_identical(self, tmp_path):
         spec = tiny_branched_net(seed=3)
@@ -327,17 +428,29 @@ class TestSerialization:
             load_network(path)
 
     @pytest.mark.parametrize(
-        "old,new",
+        "build,old,new",
         [
-            ("kind=conv out=2", "kind=conv"),  # missing key
-            ("units=5", "units=five"),  # bad int
-            ("kh=2 kw=2 kc=1", "kh=2 kw=2 kc"),  # field without "="
+            (tiny_branched_net, "kind=conv out=2", "kind=conv"),  # missing key
+            (tiny_branched_net, "units=5", "units=five"),  # bad int
+            (tiny_branched_net, "kh=2 kw=2 kc=1", "kh=2 kw=2 kc"),  # field without "="
+            (tiny_branched_net, "chain=side kind=gap", "chain=sid kind=gap"),
+            (tiny_branched_net, "out=2", "out=0"),
+            (tiny_branched_net, "units=5", "units=-5"),
+            (hlac_net, "rate=0.5", "rate=1.5"),
         ],
-        ids=["missing-key", "bad-int", "no-equals"],
+        ids=[
+            "missing-key",
+            "bad-int",
+            "no-equals",
+            "unknown-chain",
+            "zero-out",
+            "negative-units",
+            "rate-past-one",
+        ],
     )
-    def test_malformed_layer_line_named(self, tmp_path, old, new):
+    def test_malformed_layer_line_named(self, tmp_path, build, old, new):
         path = tmp_path / "ckpt.net"
-        save_network(tiny_branched_net(), path)
+        save_network(build(), path)
         text = path.read_text()
         assert old in text
         bad = next(ln for ln in text.splitlines() if old in ln).replace(old, new)
@@ -362,6 +475,21 @@ class TestSerialization:
         back = load_network(path)
         assert back.side_layers[0].trainable is False
         np.testing.assert_array_equal(back.side_params[0]["w"], spec.side_params[0]["w"])
+
+    def test_numpy_scalar_hyperparameters_save_as_plain_numbers(self, tmp_path):
+        spec = NetworkSpec(
+            layers=[conv(np.int64(2), 3, 3), fc(np.int64(3)), LayerSpec("softmax_xent_head")],
+            input_shape=(6, 6, 1),
+            num_classes=3,
+            side_layers=[tml_layer(TmlConfig(2, 2, 1, 2, c1=np.float64(1.0), c2=np.float64(0.6))),
+                         LayerSpec("gap")],
+            join_at=1,
+        )
+        path = tmp_path / "ckpt.net"
+        save_network(init_params(spec, np.random.default_rng(0)), path)
+        text = path.read_text()
+        assert "out=2 " in text and "units=3" in text and "c1=1.0 c2=0.6 " in text
+        assert load_network(path).side_layers[0].tml == spec.side_layers[0].tml
 
 
 def test_init_params_deterministic():

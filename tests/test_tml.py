@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from tmlnet.gradcheck import DEFAULT_STEP, _central_diff, _rel_err
 from tmlnet.tml import (
     DegenerateKernelError,
     TmlConfig,
@@ -11,7 +12,6 @@ from tmlnet.tml import (
     clip_step,
     forward_batch,
     init_kernels,
-    kernel_l1,
     load_kernels,
     project_kernels,
     reinit_kernels,
@@ -20,7 +20,6 @@ from tmlnet.tml import (
     tml_backward_input,
     tml_backward_weights,
     tml_forward,
-    uniform_kernels,
 )
 
 # Exponents large enough to matter, small enough that exp() stays tame.
@@ -50,11 +49,6 @@ def random_instance(rng, n1=4, n2=4, k=1, h=2, w=2, m=2, lo=0.1, hi=2.0, eps=1e-
     kernels = init_kernels(cfg, rng)
     x = rng.uniform(lo, hi, size=(n1, n2, k))
     return x, kernels
-
-
-def rel_err(analytic, numeric):
-    scale = max(np.max(np.abs(numeric)), 1e-12)
-    return np.max(np.abs(analytic - numeric)) / scale
 
 
 class TestConfig:
@@ -192,8 +186,8 @@ class TestMatchesEinsumReference:
         ref_dw, ref_dx = ref_backward(d_y)
         d_w = backward_weights_batch(xb, y, d_y, kernels)
         np.testing.assert_array_equal(backward_weights_batch(xb, y, d_y, kernels, z=z), d_w)
-        assert rel_err(d_w, ref_dw) < 1e-12
-        assert rel_err(backward_input_batch(xb, y, d_y, kernels), ref_dx) < 1e-12
+        assert _rel_err(d_w, ref_dw) < 1e-12
+        assert _rel_err(backward_input_batch(xb, y, d_y, kernels), ref_dx) < 1e-12
 
 
 class TestBackwardWeights:
@@ -214,23 +208,15 @@ class TestBackwardWeights:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        step = 1e-6
         for _ in range(10):
             x, kernels = random_instance(rng)
             y = tml_forward(x, kernels)
             r = rng.normal(size=y.shape)  # fixed linear functional: L = sum(r * y)
             analytic = tml_backward_weights(x, y, r, kernels)
-            numeric = np.zeros_like(analytic)
-            it = np.nditer(kernels.weights, flags=["multi_index"])
-            for _val in it:
-                idx = it.multi_index
-                wp = kernels.weights.copy()
-                wp[idx] += step
-                lp = float((r * tml_forward(x, TmlKernels(kernels.config, wp))).sum())
-                wp[idx] -= 2 * step
-                lm = float((r * tml_forward(x, TmlKernels(kernels.config, wp))).sum())
-                numeric[idx] = (lp - lm) / (2 * step)
-            assert rel_err(analytic, numeric) < 1e-5
+            numeric = _central_diff(
+                lambda: float((r * tml_forward(x, kernels)).sum()), kernels.weights, DEFAULT_STEP
+            )
+            assert _rel_err(analytic, numeric) < 1e-5
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(8)
@@ -261,23 +247,15 @@ class TestBackwardInput:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(9)
-        step = 1e-6
         for _ in range(10):
             x, kernels = random_instance(rng)
             y = tml_forward(x, kernels)
             r = rng.normal(size=y.shape)
             analytic = tml_backward_input(x, y, r, kernels)
-            numeric = np.zeros_like(x)
-            it = np.nditer(x, flags=["multi_index"])
-            for _val in it:
-                idx = it.multi_index
-                xp = x.copy()
-                xp[idx] += step
-                lp = float((r * tml_forward(xp, kernels)).sum())
-                xp[idx] -= 2 * step
-                lm = float((r * tml_forward(xp, kernels)).sum())
-                numeric[idx] = (lp - lm) / (2 * step)
-            assert rel_err(analytic, numeric) < 1e-5
+            numeric = _central_diff(
+                lambda: float((r * tml_forward(x, kernels)).sum()), x, DEFAULT_STEP
+            )
+            assert _rel_err(analytic, numeric) < 1e-5
 
 
 class TestProjection:
@@ -346,23 +324,6 @@ class TestProjection:
             project_kernels(k)
 
 
-class TestKernelL1:
-    def test_zero_bank(self):
-        cfg = TmlConfig(2, 2, 1, 3, c1=1.0, c2=1.0)
-        assert kernel_l1(TmlKernels(cfg, np.zeros(cfg.weights_shape()))) == 0.0
-
-    def test_absolute_values(self):
-        cfg = TmlConfig(1, 2, 1, 1, c1=1.0, c2=1.0)
-        k = TmlKernels(cfg, np.array([0.3, -0.2]).reshape(cfg.weights_shape()))
-        assert kernel_l1(k) == pytest.approx(0.5)
-
-    def test_projected_bank_is_m_times_c1(self):
-        rng = np.random.default_rng(13)
-        cfg = TmlConfig(3, 3, 2, 6, c1=1.5, c2=0.75)
-        k = project_kernels(TmlKernels(cfg, rng.uniform(0, 1, cfg.weights_shape())))
-        assert kernel_l1(k) == pytest.approx(6 * 1.5, abs=1e-9)
-
-
 class TestInit:
     def test_init_is_feasible_and_seeded(self):
         cfg = TmlConfig(3, 3, 1, 4)
@@ -371,11 +332,6 @@ class TestInit:
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_allclose(a.weights.sum(axis=(0, 1, 2)), cfg.c1, atol=1e-9)
         assert a.weights.min() >= 0.0
-
-    def test_uniform_kernels(self):
-        cfg = TmlConfig(2, 2, 1, 3)
-        k = uniform_kernels(cfg)
-        assert np.all(k.weights == 0.25)
 
 
 class TestSerialization:
@@ -409,7 +365,7 @@ class TestSerialization:
 
     def test_truncated_rejected(self, tmp_path):
         cfg = TmlConfig(2, 2, 1, 2)
-        k = uniform_kernels(cfg)
+        k = init_kernels(cfg, np.random.default_rng(0))
         path = tmp_path / "bank.tmlk"
         save_kernels(k, path)
         path.write_bytes(path.read_bytes()[:-8])
@@ -418,7 +374,7 @@ class TestSerialization:
 
     def test_short_header_rejected(self, tmp_path):
         path = tmp_path / "bank.tmlk"
-        save_kernels(uniform_kernels(TmlConfig(2, 2, 1, 2)), path)
+        save_kernels(init_kernels(TmlConfig(2, 2, 1, 2), np.random.default_rng(0)), path)
         path.write_bytes(path.read_bytes()[:20])
         with pytest.raises(ValueError, match="header"):
             load_kernels(path)

@@ -16,11 +16,9 @@ from tmlnet.network import (
 )
 from tmlnet.tml import TmlConfig
 from tmlnet.training import (
-    EnergyReport,
     InvariantLog,
     OptimizerState,
     TrainConfig,
-    energy,
     evaluate,
     teacher_onehot,
     train_loop,
@@ -57,41 +55,6 @@ def toy_batch(rng, n=4, shape=(4, 4, 1), classes=2):
     return rng.uniform(0.1, 1.0, size=(n, *shape)), rng.integers(0, classes, size=n)
 
 
-class TestEnergy:
-    def test_zero_lambda_total_is_mean_loss(self):
-        spec = tml_toy_net()
-        rng = np.random.default_rng(1)
-        batch = toy_batch(rng)
-        report = energy(spec, batch, TrainConfig(lam=0.0))
-        assert report.l1_term == 0.0
-        assert report.total == report.mean_loss
-
-    def test_projected_kernels_l1_is_lambda_m_c1(self):
-        spec = tml_toy_net(m=4, c1=1.0)
-        rng = np.random.default_rng(2)
-        report = energy(spec, toy_batch(rng), TrainConfig(lam=0.01))
-        assert report.l1_term == pytest.approx(0.04, abs=1e-12)
-
-    def test_hand_built_single_sample(self):
-        # one fc layer, zero weights: loss is ln(2), l1 term absent
-        spec = fc_toy_net()
-        spec.params[0]["w"][...] = 0.0
-        spec.params[0]["b"][...] = 0.0
-        batch = (np.ones((1, 1, 1, 1)), np.array([0]))
-        report = energy(spec, batch, TrainConfig(lam=0.5))
-        assert report.mean_loss == pytest.approx(np.log(2.0), abs=1e-12)
-        assert report.l1_term == 0.0  # no multiplication layer in the net
-
-    def test_empty_batch_rejected(self):
-        spec = fc_toy_net()
-        with pytest.raises(ValueError):
-            energy(spec, (np.zeros((0, 1, 1, 1)), np.zeros(0, dtype=int)), TrainConfig())
-
-    def test_report_total_decomposition(self):
-        r = EnergyReport(mean_loss=1.25, l1_term=0.04)
-        assert r.total == 1.25 + 0.04
-
-
 class TestTrainStep:
     def test_zero_learning_rate_leaves_feasible_net_unchanged(self):
         spec = tml_toy_net()
@@ -115,8 +78,8 @@ class TestTrainStep:
         cfg = TrainConfig(learning_rate=0.1, lam=0.0, momentum=0.0, batch_size=1, epochs=1)
         state = OptimizerState.zeros_like(spec)
         batch = (np.ones((1, 1, 1, 1)), np.array([0]))
-        report = train_step(spec, batch, cfg, state, np.random.default_rng(0))
-        assert report.mean_loss == pytest.approx(np.log(2.0), abs=1e-12)
+        loss = train_step(spec, batch, cfg, state, np.random.default_rng(0))
+        assert loss == pytest.approx(np.log(2.0), abs=1e-12)
         np.testing.assert_allclose(spec.params[0]["w"], [[0.05, -0.05]], atol=1e-15)
         np.testing.assert_allclose(spec.params[0]["b"], [0.05, -0.05], atol=1e-15)
 
@@ -137,7 +100,7 @@ class TestTrainStep:
 
     def test_post_clip_hook_sees_bounded_weights(self):
         spec = tml_toy_net(c2=0.3)
-        cfg = TrainConfig(learning_rate=1.0, lam=0.01, c2=0.3)
+        cfg = TrainConfig(learning_rate=1.0, lam=0.01)
         state = OptimizerState.zeros_like(spec)
         rng = np.random.default_rng(5)
         seen = []
@@ -261,7 +224,7 @@ class TestTrainLoop:
         for name in ("a.csv", "b.csv"):
             train, test = gen_stripe_dataset(StripeSpec(**spec_args))
             cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=8, rng_seed=12)
-            tml_cfg = TmlConfig(3, 3, 1, 2, c1=cfg.c1, c2=cfg.c2, eps=cfg.eps)
+            tml_cfg = TmlConfig(3, 3, 1, 2, c1=1.0, c2=0.5, eps=1e-6)
             spec = build_dhlac_net((16, 16, 1), 6, tml_cfg)
             init_params(spec, np.random.default_rng(cfg.rng_seed))
             p = tmp_path / name
@@ -277,13 +240,11 @@ class TestTrainLoop:
         p = tmp_path / "metrics.csv"
         metrics = train_loop(spec, ds, cfg, metrics_path=p)
         assert len(metrics) == 3
-        for m in metrics:
-            assert m.total == pytest.approx(m.mean_loss + m.l1_term, abs=1e-12)
-            # projection pins the kernel L1 norm, so the logged term is exact
-            assert m.l1_term == pytest.approx(0.01 * 4 * 1.0, abs=1e-12)
         lines = p.read_text().strip().splitlines()
-        assert lines[0] == "epoch,mean_loss,l1_term,total,train_acc,test_acc"
-        assert len(lines) == 4
+        assert lines[0] == "epoch,mean_loss,train_acc,test_acc"
+        assert lines[1:] == [
+            f"{m.epoch},{m.mean_loss!r},{m.train_acc!r}," for m in metrics
+        ]
 
     def test_empty_dataset_rejected(self):
         spec = fc_toy_net()
@@ -319,7 +280,7 @@ def test_write_metrics_csv_handles_missing_test_acc(tmp_path):
 
     p = tmp_path / "m.csv"
     write_metrics_csv(
-        [EpochMetrics(1, 0.5, 0.04, 0.54, 0.9, None)],
+        [EpochMetrics(1, 0.5, 0.9, None)],
         p,
     )
-    assert p.read_text().splitlines()[1] == "1,0.5,0.04,0.54,0.9,"
+    assert p.read_text().splitlines()[1] == "1,0.5,0.9,"
