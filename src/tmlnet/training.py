@@ -100,14 +100,16 @@ def train_step(
     """One gradient/update/project cycle; mutates spec parameters in place and
     returns the batch's mean loss before the update.
 
-    Raises ValueError on a non-finite loss, gradient or update, with every
-    parameter and velocity unchanged.
+    Raises ValueError on an empty batch or a non-finite loss, gradient or
+    update, with every parameter and velocity unchanged.
 
     `project=False` skips the constraint projection (test hook: the step then
     reduces to plain momentum SGD). `post_clip_hook(chain, index, weights)`
     observes each kernel bank right after the clip sub-step.
     """
     xb, labels = batch
+    if len(labels) == 0:
+        raise ValueError("empty batch")
     onehot = teacher_onehot(labels, spec.num_classes)
     logits, trace = network_forward(spec, xb, train_mode=True, rng=rng)
     losses, d_logits = softmax_xent(logits, onehot)

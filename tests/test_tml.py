@@ -324,6 +324,38 @@ class TestProjection:
             project_kernels(k)
 
 
+class TestKernelL1:
+    """The training penalty is lambda times the bank's L1 norm; projection pins that norm."""
+
+    def test_zero_bank(self):
+        # an all-zero bank has no direction to rescale; every kernel restarts
+        # uniform and the bank's L1 norm comes back to M * c1
+        cfg = TmlConfig(2, 2, 1, 3, c1=1.0, c2=1.0)
+        k = TmlKernels(cfg, np.zeros(cfg.weights_shape()))
+        assert np.abs(k.weights).sum() == 0.0
+        with pytest.raises(DegenerateKernelError) as err:
+            project_kernels(k)
+        assert list(err.value.kernel_indices) == [0, 1, 2]
+        out = project_kernels(reinit_kernels(k, err.value.kernel_indices))
+        assert np.abs(out.weights).sum() == pytest.approx(3 * 1.0, abs=1e-12)
+
+    def test_absolute_values(self):
+        # |0.3| + |-0.2| = 0.5 before projection; the clip drops the negative
+        # weight, so afterwards the L1 norm is the plain sum c1
+        cfg = TmlConfig(1, 2, 1, 1, c1=1.0, c2=1.0)
+        k = TmlKernels(cfg, np.array([0.3, -0.2]).reshape(cfg.weights_shape()))
+        assert np.abs(k.weights).sum() == pytest.approx(0.5)
+        out = project_kernels(k)
+        np.testing.assert_allclose(out.weights.ravel(), [1.0, 0.0], atol=1e-12)
+        assert np.abs(out.weights).sum() == pytest.approx(out.weights.sum(), abs=1e-12)
+
+    def test_projected_bank_is_m_times_c1(self):
+        rng = np.random.default_rng(13)
+        cfg = TmlConfig(3, 3, 2, 6, c1=1.5, c2=0.75)
+        k = project_kernels(TmlKernels(cfg, rng.uniform(0, 1, cfg.weights_shape())))
+        assert np.abs(k.weights).sum() == pytest.approx(6 * 1.5, abs=1e-9)
+
+
 class TestInit:
     def test_init_is_feasible_and_seeded(self):
         cfg = TmlConfig(3, 3, 1, 4)
@@ -332,6 +364,15 @@ class TestInit:
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_allclose(a.weights.sum(axis=(0, 1, 2)), cfg.c1, atol=1e-9)
         assert a.weights.min() >= 0.0
+
+    def test_uniform_kernels(self):
+        # reinit restarts the listed kernels at c1 / (H*W*K) and leaves the rest
+        cfg = TmlConfig(2, 2, 1, 3)
+        k = init_kernels(cfg, np.random.default_rng(0))
+        one = reinit_kernels(k, [1])
+        assert np.all(one.weights[..., 1] == 0.25)
+        np.testing.assert_array_equal(one.weights[..., [0, 2]], k.weights[..., [0, 2]])
+        assert np.all(reinit_kernels(k, range(3)).weights == 0.25)
 
 
 class TestSerialization:

@@ -55,6 +55,73 @@ def toy_batch(rng, n=4, shape=(4, 4, 1), classes=2):
     return rng.uniform(0.1, 1.0, size=(n, *shape)), rng.integers(0, classes, size=n)
 
 
+class TestEnergy:
+    """The objective E = mean loss + lambda * L1(trainable kernels): train_step
+    reports the mean loss and applies the L1 term through its subgradient."""
+
+    def test_zero_lambda_total_is_mean_loss(self):
+        spec, same = tml_toy_net(), tml_toy_net()
+        rng = np.random.default_rng(1)
+        batch = toy_batch(rng)
+        logits, _ = network_forward(spec, batch[0], train_mode=False)
+        expected = float(softmax_xent(logits, teacher_onehot(batch[1], 2))[0].mean())
+        loss = train_step(spec, batch, TrainConfig(lam=0.0), OptimizerState.zeros_like(spec), rng)
+        assert loss == pytest.approx(expected, abs=1e-12)
+        # the reported loss carries no L1 term, whatever lambda is
+        other = train_step(same, batch, TrainConfig(lam=0.5), OptimizerState.zeros_like(same),
+                           np.random.default_rng(1))
+        assert other == loss
+
+    def test_projected_kernels_l1_is_lambda_m_c1(self):
+        spec = tml_toy_net(m=4, c1=1.0)
+        rng = np.random.default_rng(2)
+        cfg = TrainConfig(lam=0.01)
+        train_step(spec, toy_batch(rng), cfg, OptimizerState.zeros_like(spec), rng)
+        assert cfg.lam * np.abs(spec.params[0]["w"]).sum() == pytest.approx(0.04, abs=1e-12)
+
+    def test_hand_built_single_sample(self):
+        # one fc layer, zero weights: loss is ln(2), and with no multiplication
+        # layer in the net lambda changes nothing in the update
+        spec = fc_toy_net()
+        spec.params[0]["w"][...] = 0.0
+        spec.params[0]["b"][...] = 0.0
+        cfg = TrainConfig(learning_rate=0.1, lam=0.5, momentum=0.0)
+        batch = (np.ones((1, 1, 1, 1)), np.array([0]))
+        loss = train_step(spec, batch, cfg, OptimizerState.zeros_like(spec), np.random.default_rng(0))
+        assert loss == pytest.approx(np.log(2.0), abs=1e-12)
+        np.testing.assert_allclose(spec.params[0]["w"], [[0.05, -0.05]], atol=1e-15)
+        np.testing.assert_allclose(spec.params[0]["b"], [0.05, -0.05], atol=1e-15)
+
+    def test_empty_batch_rejected(self):
+        spec = fc_toy_net()
+        before = spec.params[0]["w"].copy()
+        with pytest.raises(ValueError, match="empty"):
+            train_step(spec, (np.zeros((0, 1, 1, 1)), np.zeros(0, dtype=int)), TrainConfig(),
+                       OptimizerState.zeros_like(spec), np.random.default_rng(0))
+        np.testing.assert_array_equal(spec.params[0]["w"], before)
+
+    def test_report_total_decomposition(self):
+        # the step on E is the step on the mean loss plus -lr * lambda * sign(w)
+        # on kernel weights only, with sign(0) = 0
+        plain, penalized = tml_toy_net(seed=6), tml_toy_net(seed=6)
+        for spec in (plain, penalized):
+            spec.params[0]["w"][0, 0, 0, 0] = 0.0
+            spec.params[0]["w"][0, 1, 0, 0] = -0.1
+        w0 = plain.params[0]["w"].copy()
+        batch = toy_batch(np.random.default_rng(7))
+        lr, lam = 0.1, 0.3
+        for spec, cfg_lam in ((plain, 0.0), (penalized, lam)):
+            cfg = TrainConfig(learning_rate=lr, lam=cfg_lam, momentum=0.0)
+            train_step(spec, batch, cfg, OptimizerState.zeros_like(spec),
+                       np.random.default_rng(0), project=False)
+        np.testing.assert_allclose(
+            penalized.params[0]["w"] - plain.params[0]["w"], -lr * lam * np.sign(w0), atol=1e-12
+        )
+        for p, q in zip(plain.params[1:], penalized.params[1:]):
+            for key in p:
+                np.testing.assert_array_equal(p[key], q[key])
+
+
 class TestTrainStep:
     def test_zero_learning_rate_leaves_feasible_net_unchanged(self):
         spec = tml_toy_net()
