@@ -4,9 +4,20 @@ Arrays flow through as float64 with a leading batch axis: feature volumes are
 (B, rows, cols, channels), vectors are (B, dims). Convolution is valid-padding
 stride-1 cross-correlation (`correlate`, shared with the multiplication layer)
 plus a bias; its d_w is one im2col matmul, its d_x a scatter of d_y @ w[p, q].T
-per kernel cell, skipped for a layer that reads the network input. Max pooling
-is 2x2 stride 2 (odd trailing rows or columns are dropped); dropout scales
-survivors by 1/(1-rate) at train time.
+per kernel cell, skipped for a layer that reads the network input. Dropout
+scales survivors by 1/(1-rate) at train time.
+
+Max pooling is 2x2 stride 2; odd trailing rows or columns are dropped and get
+a zero gradient. The forward takes the elementwise max of the four strided
+views x[:, p::2, q::2] of the blocks, with no copy and no index array. The
+backward finds the routing from the cached input and output: each d_y goes to
+the first position of its block, in (0,0),(0,1),(1,0),(1,1) order, whose value
+equals the max, so tied values get the gradient once (first max wins, as an
+argmax would pick). A block holding a NaN pools to NaN, which equals nothing,
+so that block gets no gradient; NaN logits are rejected by `softmax_xent`
+before any backward runs. A block whose max is a zero held as both 0.0 and
+-0.0 may pool to either. ReLU's backward reads its output: y > 0 exactly
+where x > 0.
 """
 
 from __future__ import annotations
@@ -14,12 +25,16 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+# contract the two operands directly: no path search per call, and the same
+# bits as optimize=True
+_CORRELATE_PATH = ["einsum_path", (0, 1)]
+
 
 def correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Bias-free correlation: x (B,H,W,Cin), w (kh,kw,Cin,Cout) -> (B,H',W',Cout)."""
     kh, kw = w.shape[0], w.shape[1]
     win = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (B,H',W',Cin,kh,kw)
-    return np.einsum("bijkpq,pqkf->bijf", win, w, optimize=True)
+    return np.einsum("bijkpq,pqkf->bijf", win, w, optimize=_CORRELATE_PATH)
 
 
 def correlate_grad_weights(x, d_y, kh: int, kw: int) -> np.ndarray:
@@ -52,34 +67,38 @@ def conv2d_backward(x, w, d_y, need_dx: bool = True):
     return d_x, d_w, d_y.sum(axis=(0, 1, 2))
 
 
-def maxpool_forward(x: np.ndarray):
-    """2x2/2 max pool; returns (y, argmax indices) for the backward pass."""
-    b, h, w, c = x.shape
+def _quarters(a: np.ndarray, h2: int, w2: int) -> list[np.ndarray]:
+    """The four strided (h2, w2) views of a's 2x2 blocks, in (0,0),(0,1),(1,0),(1,1) order."""
+    return [a[:, p : 2 * h2 : 2, q : 2 * w2 : 2] for p in (0, 1) for q in (0, 1)]
+
+
+def maxpool_forward(x: np.ndarray) -> np.ndarray:
+    """2x2/2 max pool: the elementwise max of x's four block views."""
+    _, h, w, _ = x.shape
     h2, w2 = h // 2, w // 2
     if h2 == 0 or w2 == 0:
         raise ValueError(f"input {h}x{w} too small for 2x2 pooling")
-    blocks = (
-        x[:, : 2 * h2, : 2 * w2, :]
-        .reshape(b, h2, 2, w2, 2, c)
-        .transpose(0, 1, 3, 5, 2, 4)
-        .reshape(b, h2, w2, c, 4)
-    )
-    idx = blocks.argmax(axis=-1)  # first max wins ties: deterministic routing
-    y = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
-    return y, idx
+    v = _quarters(x, h2, w2)
+    y = np.maximum(v[0], v[1])
+    np.maximum(y, v[2], out=y)
+    np.maximum(y, v[3], out=y)
+    return y
 
 
-def maxpool_backward(d_y: np.ndarray, idx: np.ndarray, in_shape) -> np.ndarray:
-    b, h, w, c = in_shape
-    h2, w2 = h // 2, w // 2
-    d_blocks = np.zeros((b, h2, w2, c, 4))
-    np.put_along_axis(d_blocks, idx[..., None], d_y[..., None], axis=-1)
-    d_x = np.zeros(in_shape)
-    d_x[:, : 2 * h2, : 2 * w2, :] = (
-        d_blocks.reshape(b, h2, w2, c, 2, 2)
-        .transpose(0, 1, 4, 2, 5, 3)
-        .reshape(b, 2 * h2, 2 * w2, c)
-    )
+def maxpool_backward(d_y: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Routes each d_y to the first position of its block whose value equals the max."""
+    h2, w2 = y.shape[1], y.shape[2]
+    d_x = np.zeros(x.shape)
+    free = np.ones(y.shape, dtype=bool)  # blocks whose max is not yet found
+    hit = np.empty(y.shape, dtype=bool)
+    bits = np.asarray(d_y, dtype=np.float64).view(np.int64)
+    for v, dv in zip(_quarters(x, h2, w2), _quarters(d_x, h2, w2)):
+        np.equal(v, y, out=hit)
+        hit &= free
+        # multiplying bit patterns copies d_y exactly where hit and writes +0.0
+        # elsewhere; a float product would leave -0.0 (or NaN from an inf) there
+        np.multiply(bits, hit, out=dv.view(np.int64))
+        free ^= hit
     return d_x
 
 
@@ -87,8 +106,10 @@ def relu_forward(x):
     return np.maximum(x, 0.0)
 
 
-def relu_backward(d_y, x):
-    return d_y * (x > 0)
+def relu_backward(d_y, y):
+    """Takes the output: y > 0 exactly where x > 0, since ReLU passes positives,
+    keeps NaN (not > 0) and maps the rest, -0.0 included, to a zero."""
+    return d_y * (y > 0)
 
 
 def sigmoid_forward(x):

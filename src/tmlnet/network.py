@@ -180,8 +180,13 @@ def _sigmoid_forward(layer, p, a, train_mode, rng):
 
 
 def _maxpool_forward(layer, p, a, train_mode, rng):
-    y, idx = L.maxpool_forward(a)
-    return y, (idx, a.shape)
+    y = L.maxpool_forward(a)
+    return y, (a, y)
+
+
+def _relu_forward(layer, p, a, train_mode, rng):
+    y = L.relu_forward(a)
+    return y, y
 
 
 def _dropout_forward(layer, p, a, train_mode, rng):
@@ -217,6 +222,12 @@ class Kind:
     Conv and tml backwards return d_input None when `need_dx` is False. The
     loss head has no forward or backward: the network's last activations are
     the logits it consumes (see layers.softmax_xent).
+
+    The cache a forward returns for its backward: conv and fc keep their
+    input x; relu and sigmoid their output y; maxpool (x, y), where an x made
+    by a relu is that relu's cached output itself, so the trace holds it once;
+    gap the input shape; dropout its keep mask (None in eval mode); tml
+    (x, y, z) with z = log(x + eps).
     """
 
     forward: Callable | None  # (layer, params, a, train_mode, rng) -> (y, cache)
@@ -253,8 +264,8 @@ KINDS = {
         out_shape=_pool_shape,
     ),
     "relu": Kind(
-        forward=lambda layer, p, a, train_mode, rng: (L.relu_forward(a), a),
-        backward=lambda layer, p, x, d_y, need_dx: (L.relu_backward(d_y, x), {}),
+        forward=_relu_forward,
+        backward=lambda layer, p, y, d_y, need_dx: (L.relu_backward(d_y, y), {}),
     ),
     "sigmoid": Kind(
         forward=_sigmoid_forward,

@@ -185,12 +185,18 @@ def train_step(
 
 
 def evaluate(spec: NetworkSpec, ds: Dataset, batch_size: int = 256) -> float:
-    """Fraction of samples whose arg-max logit matches the label (eval mode)."""
+    """Fraction of samples whose arg-max logit matches the label (eval mode).
+
+    Raises ValueError on an empty dataset.
+    """
+    if len(ds) == 0:
+        raise ValueError("empty dataset")
     hits = 0
     for start in range(0, len(ds), batch_size):
         xb = ds.images[start : start + batch_size]
         yb = ds.labels[start : start + batch_size]
-        logits, _ = network_forward(spec, xb, train_mode=False)
+        # keep only the logits: a bound trace would live on through the next batch
+        logits = network_forward(spec, xb, train_mode=False)[0]
         hits += int((logits.argmax(axis=1) == yb).sum())
     return hits / len(ds)
 

@@ -110,29 +110,80 @@ class TestConv:
             gradcheck.check_conv_fc_gradients(0)
 
 
+def argmax_maxpool(x):
+    """Block-copy/argmax forward and backward, the reference for the pool kernels."""
+    b, h, w, c = x.shape
+    h2, w2 = h // 2, w // 2
+    blocks = (
+        x[:, : 2 * h2, : 2 * w2, :]
+        .reshape(b, h2, 2, w2, 2, c)
+        .transpose(0, 1, 3, 5, 2, 4)
+        .reshape(b, h2, w2, c, 4)
+    )
+    idx = blocks.argmax(axis=-1)  # first max wins ties
+    y = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
+
+    def backward(d_y):
+        d_blocks = np.zeros((b, h2, w2, c, 4))
+        np.put_along_axis(d_blocks, idx[..., None], d_y[..., None], axis=-1)
+        d_x = np.zeros(x.shape)
+        d_x[:, : 2 * h2, : 2 * w2, :] = (
+            d_blocks.reshape(b, h2, w2, c, 2, 2)
+            .transpose(0, 1, 4, 2, 5, 3)
+            .reshape(b, 2 * h2, 2 * w2, c)
+        )
+        return d_x
+
+    return y, backward
+
+
+# (B, H, W, C): odd and even H and W, C in {1, 6, 16}
+POOL_SHAPES = [(2, 5, 7, 1), (3, 8, 9, 6), (1, 11, 6, 16), (4, 2, 3, 6), (2, 7, 7, 16)]
+
+
 class TestMaxpool:
     def test_single_block(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)
-        y, _ = maxpool_forward(x)
+        y = maxpool_forward(x)
         assert y.reshape(()) == 4.0
 
     def test_odd_trailing_dropped(self):
         x = np.arange(30.0).reshape(1, 5, 6, 1)
-        y, _ = maxpool_forward(x)
+        y = maxpool_forward(x)
         assert y.shape == (1, 2, 3, 1)
 
     def test_backward_routes_to_argmax(self):
         x = np.array([[1.0, 4.0], [3.0, 2.0]]).reshape(1, 2, 2, 1)
-        y, idx = maxpool_forward(x)
-        d_x = maxpool_backward(np.full((1, 1, 1, 1), 5.0), idx, x.shape)
+        y = maxpool_forward(x)
+        d_x = maxpool_backward(np.full((1, 1, 1, 1), 5.0), x, y)
         np.testing.assert_array_equal(d_x.reshape(2, 2), [[0.0, 5.0], [0.0, 0.0]])
 
     def test_tie_routes_once(self):
         # equal entries must receive the gradient exactly once in total
         x = np.full((1, 2, 2, 1), 7.0)
-        y, idx = maxpool_forward(x)
-        d_x = maxpool_backward(np.ones((1, 1, 1, 1)), idx, x.shape)
+        y = maxpool_forward(x)
+        d_x = maxpool_backward(np.ones((1, 1, 1, 1)), x, y)
         assert d_x.sum() == 1.0
+
+    @pytest.mark.parametrize("shape", POOL_SHAPES)
+    def test_matches_argmax_reference_bytes(self, shape):
+        # small integers tie often; the ReLU turns every negative into a 0.0
+        # block member, and whole all-zero blocks occur
+        rng = np.random.default_rng(sum(shape))
+        x = relu_forward(rng.integers(-3, 3, size=shape).astype(np.float64))
+        x[0, :2, :2] = 0.0  # an all-zero block in every channel
+        ref_y, ref_backward = argmax_maxpool(x)
+        y = maxpool_forward(x)
+        assert y.shape == ref_y.shape and y.tobytes() == ref_y.tobytes()
+        d_y = rng.normal(size=y.shape)  # negative entries too: no -0.0 may leak
+        d_x = maxpool_backward(d_y, x, y)
+        assert d_x.shape == x.shape and d_x.tobytes() == ref_backward(d_y).tobytes()
+
+    def test_nan_block_gets_no_gradient(self):
+        x = np.array([[1.0, np.nan], [3.0, 2.0]]).reshape(1, 2, 2, 1)
+        y = maxpool_forward(x)
+        assert np.isnan(y).all()
+        np.testing.assert_array_equal(maxpool_backward(np.ones_like(y), x, y), 0.0)
 
 
 class TestActivations:
@@ -142,6 +193,13 @@ class TestActivations:
     def test_relu_backward(self):
         x = np.array([-1.0, 0.0, 2.0])
         np.testing.assert_array_equal(relu_backward(np.ones(3), x), [0.0, 0.0, 1.0])
+
+    def test_relu_backward_from_output_matches_input(self):
+        x = np.array([-2.0, -0.0, 0.0, 1e-300, 3.0, np.nan, -np.inf, np.inf])
+        d_y = np.arange(1.0, 9.0)
+        y = relu_forward(x)
+        assert not np.signbit(y[1])
+        assert relu_backward(d_y, y).tobytes() == relu_backward(d_y, x).tobytes()
 
     def test_sigmoid_range_and_symmetry(self):
         x = np.array([-800.0, -1.0, 0.0, 1.0, 800.0])

@@ -185,6 +185,26 @@ class TestForward:
         with pytest.raises(ValueError):
             network_forward(spec, np.zeros((1, 5, 6, 1)))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_dhlac_net((28, 28, 1), 10, TmlConfig(3, 3, 1, 8)),
+            lambda: build_baseline_net((20, 20, 1), 4),
+        ],
+    )
+    def test_maxpool_caches_the_relu_output_itself(self, build):
+        # the pool reads what the ReLU keeps, so the trace holds it once
+        spec = init_params(build(), np.random.default_rng(0))
+        xb = np.random.default_rng(1).uniform(size=(2, *spec.input_shape))
+        _, trace = network_forward(spec, xb)
+        pools = [i for i, layer in enumerate(spec.layers) if layer.kind == "maxpool"]
+        assert len(pools) == 2
+        for i in pools:
+            assert spec.layers[i - 1].kind == "relu"
+            x, y = trace.caches[i]
+            assert x is trace.caches[i - 1]
+            assert y.shape == (2, x.shape[1] // 2, x.shape[2] // 2, x.shape[3])
+
 
 class TestBackward:
     def test_whole_net_gradients_match_finite_differences(self):

@@ -276,6 +276,38 @@ class TestEvaluate:
         acc = evaluate(spec, ds)
         assert 0.02 < acc < 0.3
 
+    def test_empty_dataset_rejected(self):
+        spec = fc_toy_net()
+        ds = Dataset(np.ones((5, 1, 1, 1)), np.zeros(5, dtype=int))
+        with pytest.raises(ValueError, match="empty dataset"):
+            evaluate(spec, ds.subset(0))
+        with pytest.raises(ValueError, match="empty dataset"):
+            train_loop(spec, ds, TrainConfig(epochs=1), test_ds=ds.subset(0))
+
+    def test_previous_batch_trace_is_freed(self, monkeypatch):
+        import gc
+        import weakref
+
+        forward = training.network_forward
+        traces = []
+
+        def recording_forward(*args, **kwargs):
+            # by the next batch, evaluate must hold nothing of the last trace
+            assert all(ref() is None for ref in traces)
+            logits, trace = forward(*args, **kwargs)
+            traces.append(weakref.ref(trace))
+            return logits, trace
+
+        monkeypatch.setattr(training, "network_forward", recording_forward)
+        gc.disable()  # freed by reference count alone, not by a collection
+        try:
+            spec = fc_toy_net()
+            ds = Dataset(np.ones((5, 1, 1, 1)), np.zeros(5, dtype=int))
+            evaluate(spec, ds, batch_size=2)
+        finally:
+            gc.enable()
+        assert len(traces) == 3
+
 
 class TestTrainLoop:
     def test_single_class_constant_input_perfect_in_one_epoch(self):
