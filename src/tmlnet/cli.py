@@ -32,6 +32,7 @@ from .network import (
     build_dhlac_net,
     init_params,
     load_network,
+    network_forward,
     save_network,
 )
 from .tml import KERNEL_MAGIC, TmlConfig, TmlKernels, load_kernels
@@ -67,12 +68,6 @@ DEFAULTS = {
     "samples": 100,
 }
 
-_INT_KEYS = {
-    "epochs", "batch_size", "kernel_h", "kernel_w", "num_kernels", "seed",
-    "train_limit", "test_limit", "classes", "canvas", "crop", "samples",
-}
-
-
 def parse_config_file(path) -> dict:
     """key=value lines; blank lines and #-comments ignored."""
     values = {}
@@ -86,7 +81,10 @@ def parse_config_file(path) -> dict:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in DEFAULTS:
                 raise ValueError(f"{path}:{ln_no}: unknown config key {key!r}")
-            values[key] = int(val) if key in _INT_KEYS else float(val)
+            try:
+                values[key] = type(DEFAULTS[key])(val)
+            except ValueError as err:
+                raise ValueError(f"{path}:{ln_no}: bad value for {key!r}: {err}") from err
     return values
 
 
@@ -176,6 +174,9 @@ def cmd_train(args) -> int:
     cfg = resolve_config(args, overrides)
     print(f"architecture {args.arch}")
     print_config(cfg)
+    for key in ("train_limit", "test_limit"):
+        if cfg[key] < 0:
+            raise ValueError(f"{key} must be nonnegative (0 = use everything), got {cfg[key]}")
     train_ds, test_ds = load_dataset_dir(args.dataset)
     train_ds = _limited(train_ds, cfg["train_limit"])
     test_ds = _limited(test_ds, cfg["test_limit"])
@@ -251,8 +252,6 @@ def _image_from_dataset(args):
 
 
 def cmd_viz_features(args) -> int:
-    from .network import network_forward
-
     spec = load_network(args.ckpt)
     image, label = _image_from_dataset(args)
     _logits, trace = network_forward(spec, image[None], train_mode=False)
@@ -274,8 +273,6 @@ def cmd_viz_cooc(args) -> int:
     image, label = _image_from_dataset(args)
     target = args.target_class
     if target is None:
-        from .network import network_forward
-
         logits, _ = network_forward(spec, image[None], train_mode=False)
         target = int(logits[0].argmax())
     heat, m, channels = cooc_heat(spec, image, target, nonzero_frac=args.threshold)
@@ -303,10 +300,7 @@ def cmd_hlac_extract(args) -> int:
 def _add_config_flags(p, keys=("seed",)):
     p.add_argument("--config", help="key=value config file")
     for key in keys:
-        if key in _INT_KEYS:
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
-        else:
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float)
+        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=type(DEFAULTS[key]))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -151,6 +151,8 @@ class StripeSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if self.crop < 1:
+            raise ValueError(f"crop size must be at least 1, got {self.crop}")
         if self.crop > self.canvas:
             raise ValueError("crop size exceeds canvas size")
         if not 1 <= self.num_classes <= len(STRIPE_STYLES):

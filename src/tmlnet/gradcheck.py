@@ -159,22 +159,18 @@ def check_network_gradients(seed: int, step: float = DEFAULT_STEP):
 
 def run_all(seed: int = 0, trials: int = 100, emit=print):
     """Run every check; returns True when all pass their tolerances."""
-    ok = True
     w_err, x_err = check_tml_gradients(trials, seed)
+    conv_err, fc_err = check_conv_fc_gradients(seed)
+    net_err = check_network_gradients(seed)
+    ok = True
     for name, err, tol in (
         ("tml weight gradient", w_err, 1e-5),
         ("tml input gradient", x_err, 1e-5),
+        ("conv gradient", conv_err, 1e-5),
+        ("fc gradient", fc_err, 1e-5),
+        ("whole-network gradient", net_err, 1e-4),
     ):
         status = "ok" if err < tol else "FAIL"
         ok &= err < tol
         emit(f"{name}: max rel err {err:.3e} (tolerance {tol:.0e}) {status}")
-    conv_err, fc_err = check_conv_fc_gradients(seed)
-    for name, err, tol in (("conv gradient", conv_err, 1e-5), ("fc gradient", fc_err, 1e-5)):
-        status = "ok" if err < tol else "FAIL"
-        ok &= err < tol
-        emit(f"{name}: max rel err {err:.3e} (tolerance {tol:.0e}) {status}")
-    net_err = check_network_gradients(seed)
-    status = "ok" if net_err < 1e-4 else "FAIL"
-    ok &= net_err < 1e-4
-    emit(f"whole-network gradient: max rel err {net_err:.3e} (tolerance 1e-04) {status}")
     return ok

@@ -47,7 +47,7 @@ class LayerSpec:
     units: int | None = None  # fc
     rate: float | None = None  # dropout
     tml: T.TmlConfig | None = None  # tml
-    trainable: bool = True  # tml: frozen banks skip updates and projection
+    trainable: bool = True  # tml: a frozen bank gets no gradient, update or projection
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -83,11 +83,11 @@ class NetworkSpec:
     params: list[dict] = field(default_factory=list)
     side_params: list[dict] = field(default_factory=list)
 
-    def tml_entries(self, trainable_only: bool = False):
+    def tml_entries(self):
         """Yield (chain_name, index, LayerSpec) for every multiplication layer."""
         for chain, specs in (("main", self.layers), ("side", self.side_layers)):
             for i, layer in enumerate(specs):
-                if layer.kind == "tml" and (layer.trainable or not trainable_only):
+                if layer.kind == "tml":
                     yield chain, i, layer
 
     def param_dict(self, chain: str, index: int) -> dict:
@@ -204,11 +204,9 @@ def _tml_backward(layer, p, cache, d_y, need_dx):
     x, y, z = cache
     kernels = T.TmlKernels(layer.tml, p["w"])
     d_x = T.backward_input_batch(x, y, d_y, kernels) if need_dx else None
-    if layer.trainable:
-        d_w = T.backward_weights_batch(x, y, d_y, kernels, z=z)
-    else:
-        d_w = np.zeros_like(p["w"])
-    return d_x, {"w": d_w}
+    if not layer.trainable:
+        return d_x, {}
+    return d_x, {"w": T.backward_weights_batch(x, y, d_y, kernels, z=z)}
 
 
 def _tml_from_fields(kh, kw, kc, km, c1, c2, eps, trainable):
@@ -219,7 +217,8 @@ def _tml_from_fields(kh, kw, kc, km, c1, c2, eps, trainable):
 class Kind:
     """What one layer kind does; every function takes the LayerSpec first.
 
-    Conv and tml backwards return d_input None when `need_dx` is False. The
+    Conv and tml backwards return d_input None when `need_dx` is False. Param
+    grads hold only the arrays that train: a frozen tml bank returns {}. The
     loss head has no forward or backward: the network's last activations are
     the logits it consumes (see layers.softmax_xent).
 

@@ -10,7 +10,8 @@ with momentum SGD, then projects every trainable kernel bank back onto its
 constraint set (weights in [0, C2], per-kernel sum C1). Only kernel weights
 carry the L1 term and the projection; ordinary CNN parameters are untouched
 by either. The subgradient of |w| at w = 0 is taken as 0 so clipped-away
-weights stay put until the data gradient revives them.
+weights stay put until the data gradient revives them. A frozen bank gets no
+gradient from the backward pass, so the step neither updates nor projects it.
 
 Only the mean loss is reported: after projection every trainable kernel is
 nonnegative and sums to C1, so the L1 term is the constant lambda * M * C1.
@@ -76,7 +77,6 @@ class InvariantLog:
 
     min_weight: float = np.inf
     max_sum_abs_err: float = 0.0
-    max_post_clip_weight: float = -np.inf
     steps: int = 0
 
 
@@ -94,18 +94,17 @@ def train_step(
     state: OptimizerState,
     rng: np.random.Generator,
     project: bool = True,
-    post_clip_hook=None,
     invariants: InvariantLog | None = None,
 ) -> float:
-    """One gradient/update/project cycle; mutates spec parameters in place and
+    """One gradient/update/project cycle over the (layer, params, grads,
+    velocities) slots in checkpoint order; mutates spec parameters in place and
     returns the batch's mean loss before the update.
 
     Raises ValueError on an empty batch or a non-finite loss, gradient or
     update, with every parameter and velocity unchanged.
 
     `project=False` skips the constraint projection (test hook: the step then
-    reduces to plain momentum SGD). `post_clip_hook(chain, index, weights)`
-    observes each kernel bank right after the clip sub-step.
+    reduces to plain momentum SGD).
     """
     xb, labels = batch
     if len(labels) == 0:
@@ -117,68 +116,55 @@ def train_step(
     if not np.isfinite(mean_loss):
         raise ValueError("non-finite loss")
     grads = network_backward(spec, trace, d_logits / len(losses))
+    slots = list(
+        zip(
+            spec.layers + spec.side_layers,
+            spec.params + spec.side_params,
+            grads.main + grads.side,
+            state.velocities.main + state.velocities.side,
+        )
+    )
 
-    # L1 subgradient on trainable kernels only (sign(0) = 0)
-    if cfg.lam:
-        for chain, i, _layer in spec.tml_entries(trainable_only=True):
-            glist = grads.main if chain == "main" else grads.side
-            glist[i]["w"] += cfg.lam * np.sign(spec.param_dict(chain, i)["w"])
-
-    frozen = {
-        ("side" if chain == "side" else "main", i)
-        for chain, i, layer in spec.tml_entries()
-        if not layer.trainable
-    }
     # compute every update first and commit only when all are finite, so a
     # failed step leaves parameters and velocities as they were
     updates = []
-    for chain, plist, glist, vlist in (
-        ("main", spec.params, grads.main, state.velocities.main),
-        ("side", spec.side_params, grads.side, state.velocities.side),
-    ):
-        for i, params in enumerate(plist):
-            if (chain, i) in frozen:
-                continue
-            for key in params:
-                v = vlist[i][key] * cfg.momentum
-                v -= cfg.learning_rate * glist[i][key]
-                new = params[key] + v
-                if not (np.isfinite(v).all() and np.isfinite(new).all()):
-                    raise ValueError(
-                        f"non-finite gradient or update for {chain} layer {i} {key!r}; "
-                        "parameters left unchanged"
-                    )
-                updates.append((vlist[i][key], v, params[key], new))
+    for n, (layer, params, g, vel) in enumerate(slots):
+        for key, d in g.items():
+            # L1 subgradient on kernels only (sign(0) = 0); skipped at lambda 0,
+            # where adding 0 * sign(w) could still turn a -0.0 gradient into +0.0
+            if layer.kind == "tml" and cfg.lam:
+                d = d + cfg.lam * np.sign(params[key])
+            v = vel[key] * cfg.momentum
+            v -= cfg.learning_rate * d
+            new = params[key] + v
+            if not (np.isfinite(v).all() and np.isfinite(new).all()):
+                raise ValueError(
+                    f"non-finite gradient or update for {layer.kind} layer {n} {key!r}; "
+                    "parameters left unchanged"
+                )
+            updates.append((vel[key], v, params[key], new))
     for v_old, v, p_old, new in updates:
         v_old[...] = v
         p_old[...] = new
 
     if project:
-        for chain, i, layer in spec.tml_entries(trainable_only=True):
-            params = spec.param_dict(chain, i)
-            bank = T.TmlKernels(layer.tml, params["w"])
-            clipped = T.clip_step(bank)
-            if post_clip_hook is not None:
-                post_clip_hook(chain, i, clipped.weights)
-            if invariants is not None:
-                invariants.max_post_clip_weight = max(
-                    invariants.max_post_clip_weight, float(clipped.weights.max())
-                )
-            try:
-                projected = T.rescale_step(clipped)
-            except T.DegenerateKernelError as err:
-                # dead kernels restart uniform with cleared momentum
-                projected = T.rescale_step(T.reinit_kernels(clipped, err.kernel_indices))
-                vel = (state.velocities.main if chain == "main" else state.velocities.side)[i]
-                vel["w"][..., list(err.kernel_indices)] = 0.0
-            params["w"][...] = projected.weights
-            if invariants is not None:
-                w = params["w"]
-                invariants.min_weight = min(invariants.min_weight, float(w.min()))
-                sums = w.sum(axis=(0, 1, 2))
-                invariants.max_sum_abs_err = max(
-                    invariants.max_sum_abs_err, float(np.abs(sums - layer.tml.c1).max())
-                )
+        for layer, params, g, vel in slots:
+            if layer.kind == "tml" and g:
+                clipped = T.clip_step(T.TmlKernels(layer.tml, params["w"]))
+                try:
+                    projected = T.rescale_step(clipped)
+                except T.DegenerateKernelError as err:
+                    # dead kernels restart uniform with cleared momentum
+                    projected = T.rescale_step(T.reinit_kernels(clipped, err.kernel_indices))
+                    vel["w"][..., list(err.kernel_indices)] = 0.0
+                params["w"][...] = projected.weights
+                if invariants is not None:
+                    w = params["w"]
+                    invariants.min_weight = min(invariants.min_weight, float(w.min()))
+                    sums = w.sum(axis=(0, 1, 2))
+                    invariants.max_sum_abs_err = max(
+                        invariants.max_sum_abs_err, float(np.abs(sums - layer.tml.c1).max())
+                    )
     if invariants is not None:
         invariants.steps += 1
     return mean_loss
@@ -227,7 +213,6 @@ def train_loop(
     metrics_path=None,
     log=None,
     invariants: InvariantLog | None = None,
-    post_clip_hook=None,
 ) -> list[EpochMetrics]:
     """Fixed-epoch training with a seeded shuffle; returns per-epoch metrics.
 
@@ -242,15 +227,7 @@ def train_loop(
     for epoch in range(1, cfg.epochs + 1):
         step_losses = []
         for batch in batches(train_ds, cfg.batch_size, rng):
-            loss = train_step(
-                spec,
-                batch,
-                cfg,
-                state,
-                rng,
-                post_clip_hook=post_clip_hook,
-                invariants=invariants,
-            )
+            loss = train_step(spec, batch, cfg, state, rng, invariants=invariants)
             step_losses.append(loss)
         m = EpochMetrics(
             epoch=epoch,

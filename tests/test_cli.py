@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from tmlnet.cli import cli_dispatch
 from tmlnet.datasets import load_dataset_dir
@@ -40,3 +41,69 @@ def test_stripes_train_eval_round_trip(tmp_path, capsys):
     assert cli_dispatch(images) == 0
     expected = [hlac_vector(img, default_mask_set()) for img in test_ds.images]
     np.testing.assert_array_equal(np.loadtxt(csv, delimiter=","), expected)
+
+
+def test_gradcheck_command_passes(capsys):
+    assert cli_dispatch(["gradcheck", "--trials", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "gradcheck passed"
+    assert sum(line.endswith(" ok") for line in out) == 5
+
+
+def tiny_stripes(tmp_path):
+    data = tmp_path / "data"
+    gen = ["gen-stripes", "--out", str(data), "--classes", "2",
+           "--canvas", "64", "--crop", "16", "--samples", "4"]
+    assert cli_dispatch(gen) == 0
+    return data
+
+
+def test_train_reads_config_file_under_flags(tmp_path, capsys):
+    data = tiny_stripes(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text("# tiny run\nepochs = 1\nnum_kernels=3  # fewer kernels\n\nlambda=0.02\nseed=7\n")
+    capsys.readouterr()
+    train = ["train", "--arch", "dhlac", "--dataset", str(data), "--out", str(tmp_path / "run"),
+             "--config", str(config), "--seed", "5"]
+    assert cli_dispatch(train) == 0
+    out = capsys.readouterr().out.splitlines()
+    for line in ("config epochs=1", "config num_kernels=3", "config lambda=0.02",
+                 "config seed=5"):
+        assert line in out
+    assert load_network(tmp_path / "run.net").side_params[0]["w"].shape[-1] == 3
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("seed=1\nbogus=3\n", ":2: unknown config key 'bogus'"),
+        ("# header\nseed 3\n", ":2: expected key=value"),
+        ("seed=1.5\n", ":1: bad value for 'seed'"),
+        ("epochs=2\nlambda=small\n", ":2: bad value for 'lambda'"),
+    ],
+)
+def test_bad_config_file_names_file_and_line(tmp_path, capsys, text, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(text)
+    assert cli_dispatch(["gradcheck", "--trials", "1", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{config}{message}" in err
+
+
+def test_negative_limit_rejected_before_reading(tmp_path, capsys):
+    missing = tmp_path / "no-such-dataset"
+    for flag in ("--train-limit", "--test-limit"):
+        train = ["train", "--arch", "dhlac", "--dataset", str(missing), "--out",
+                 str(tmp_path / "run"), flag, "-25"]
+        assert cli_dispatch(train) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be nonnegative" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_zero_crop_rejected_before_writing(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert cli_dispatch(["gen-stripes", "--out", str(out), "--crop", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "crop" in err
+    assert not out.exists()

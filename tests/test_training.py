@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from tmlnet import training
+from tmlnet import tml, training
 from tmlnet.datasets import Dataset, StripeSpec, gen_stripe_dataset
 from tmlnet.layers import softmax_xent
 from tmlnet.network import (
     LayerSpec,
     NetworkSpec,
+    build_baseline_hlac_net,
     build_dhlac_net,
     fc,
     init_params,
@@ -165,14 +166,22 @@ class TestTrainStep:
         assert inv.max_sum_abs_err <= 1e-9
         assert inv.steps == 10
 
-    def test_post_clip_hook_sees_bounded_weights(self):
+    def test_post_clip_hook_sees_bounded_weights(self, monkeypatch):
+        # record every bank the clip sub-step hands on to the rescale
         spec = tml_toy_net(c2=0.3)
         cfg = TrainConfig(learning_rate=1.0, lam=0.01)
         state = OptimizerState.zeros_like(spec)
         rng = np.random.default_rng(5)
         seen = []
-        train_step(spec, toy_batch(rng), cfg, state, rng,
-                   post_clip_hook=lambda chain, i, w: seen.append(w.copy()))
+        clip_step = tml.clip_step
+
+        def recording_clip(bank):
+            clipped = clip_step(bank)
+            seen.append(clipped.weights.copy())
+            return clipped
+
+        monkeypatch.setattr(tml, "clip_step", recording_clip)
+        train_step(spec, toy_batch(rng), cfg, state, rng)
         assert seen
         for w in seen:
             assert w.max() <= 0.3 + 1e-15
@@ -259,6 +268,21 @@ class TestTrainStep:
         delta = a.params[0]["w"] - b.params[0]["w"]
         signs = np.sign(tml_toy_net(seed=9).params[0]["w"])
         np.testing.assert_allclose(delta, 0.1 * 0.2 * signs, atol=1e-12)
+
+    def test_frozen_bank_untouched_by_step(self):
+        # the binary HLAC kernels sum to 1-3, not c1 = 1, and are nonzero, so
+        # an L1 step or a projection would visibly move them
+        spec = init_params(build_baseline_hlac_net((20, 20, 1), 3), np.random.default_rng(0))
+        bank = spec.side_params[0]["w"].copy()
+        assert not np.allclose(bank.sum(axis=(0, 1, 2)), 1.0)
+        state = OptimizerState.zeros_like(spec)
+        rng = np.random.default_rng(1)
+        train_step(spec, toy_batch(rng, shape=(20, 20, 1), classes=3),
+                   TrainConfig(learning_rate=0.1, lam=0.5), state, rng)
+        assert spec.side_params[0]["w"].tobytes() == bank.tobytes()
+        assert not np.any(state.velocities.side[0]["w"])
+        # the trainable conv weights did move
+        assert np.any(state.velocities.main[0]["w"])
 
 
 class TestEvaluate:
