@@ -35,7 +35,7 @@ from .network import (
     network_forward,
     save_network,
 )
-from .tml import KERNEL_MAGIC, TmlConfig, TmlKernels, load_kernels
+from .tml import TmlConfig, TmlKernels
 from .training import TrainConfig, evaluate, train_loop
 from .viz import (
     cooc_heat,
@@ -213,16 +213,11 @@ def cmd_gradcheck(args) -> int:
 
 
 def _load_checkpoint_kernels(path) -> TmlKernels:
-    """Accept either a raw kernel-bank file or a network checkpoint."""
-    with open(path, "rb") as f:
-        magic = f.read(4)
-    if magic == KERNEL_MAGIC:
-        return load_kernels(path)
+    """A checkpoint's multiplication-layer bank, a trainable one first."""
     spec = load_network(path)
     banks = list(spec.tml_entries())
     if not banks:
         raise ValueError(f"{path}: network has no multiplication layer")
-    # prefer a trainable bank; fall back to any
     banks.sort(key=lambda entry: not entry[2].trainable)
     chain, i, layer = banks[0]
     return TmlKernels(layer.tml, spec.param_dict(chain, i)["w"])

@@ -56,19 +56,19 @@ def check_tml_gradients(trials: int, seed: int, step: float = DEFAULT_STEP):
         k = int(rng.integers(1, 3))
         cfg = T.TmlConfig(2, 2, k, int(rng.integers(1, 4)), c1=1.0, c2=0.5)
         kernels = T.init_kernels(cfg, rng)
-        x = rng.uniform(0.1, 2.0, size=(int(n1), int(n2), k))
-        y = T.tml_forward(x, kernels)
+        x = rng.uniform(0.1, 2.0, size=(1, int(n1), int(n2), k))  # a batch of one
+        y = T.forward_batch(x, kernels)
         r = rng.normal(size=y.shape)
 
-        analytic_w = T.tml_backward_weights(x, y, r, kernels)
+        analytic_w = T.backward_weights_batch(x, y, r, kernels)
         numeric_w = _central_diff(
-            lambda: float((r * T.tml_forward(x, kernels)).sum()), kernels.weights, step
+            lambda: float((r * T.forward_batch(x, kernels)).sum()), kernels.weights, step
         )
         worst_w = max(worst_w, _rel_err(analytic_w, numeric_w))
 
-        analytic_x = T.tml_backward_input(x, y, r, kernels)
+        analytic_x = T.backward_input_batch(x, y, r, kernels)
         numeric_x = _central_diff(
-            lambda: float((r * T.tml_forward(x, kernels)).sum()), x, step
+            lambda: float((r * T.forward_batch(x, kernels)).sum()), x, step
         )
         worst_x = max(worst_x, _rel_err(analytic_x, numeric_x))
     return worst_w, worst_x

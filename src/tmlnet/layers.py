@@ -3,9 +3,16 @@
 Arrays flow through as float64 with a leading batch axis: feature volumes are
 (B, rows, cols, channels), vectors are (B, dims). Convolution is valid-padding
 stride-1 cross-correlation (`correlate`, shared with the multiplication layer)
-plus a bias; its d_w is one im2col matmul, its d_x a scatter of d_y @ w[p, q].T
-per kernel cell, skipped for a layer that reads the network input. Dropout
-scales survivors by 1/(1-rate) at train time.
+plus a bias. Forward and d_w both read the window matrix `_cols` (one row per
+output position, kh*kw*Cin columns). The forward is a GEMM over blocks of whole
+images, each block's window matrix sized to stay in L2 (`_BLOCK_BYTES`), and it
+writes channel-major memory: the (B, H', W', Cout) result is a view of a
+(Cout, B, H', W') array. An NHWC GEMM was measured slower end to end: ReLU,
+pooling and GAP downstream stream whole channel planes on this layout, and
+GAP's means sum in a different order on NHWC, which moves the logits' last
+bits. d_x is a scatter of d_y @ w[p, q].T per kernel cell, skipped for a layer
+that reads the network input. Dropout scales survivors by 1/(1-rate) at train
+time.
 
 Max pooling is 2x2 stride 2; odd trailing rows or columns are dropped and get
 a zero gradient. The forward takes the elementwise max of the four strided
@@ -25,22 +32,33 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# contract the two operands directly: no path search per call, and the same
-# bits as optimize=True
-_CORRELATE_PATH = ["einsum_path", (0, 1)]
+# bytes of window matrix per GEMM block: half of a 2 MiB L2, so a block's
+# window matrix is still cached when the GEMM reads it
+_BLOCK_BYTES = 1 << 20
+
+
+def _cols(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Window matrix of x (B,H,W,Cin): one row per output position, columns in (p, q, k) order."""
+    win = sliding_window_view(x, (kh, kw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+    return win.reshape(-1, kh * kw * x.shape[3])
 
 
 def correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Bias-free correlation: x (B,H,W,Cin), w (kh,kw,Cin,Cout) -> (B,H',W',Cout)."""
-    kh, kw = w.shape[0], w.shape[1]
-    win = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (B,H',W',Cin,kh,kw)
-    return np.einsum("bijkpq,pqkf->bijf", win, w, optimize=_CORRELATE_PATH)
+    """Bias-free correlation: x (B,H,W,Cin), w (kh,kw,Cin,Cout) -> (B,H',W',Cout), channel-major."""
+    b, h, wd, c_in = x.shape
+    kh, kw, _, c_out = w.shape
+    oh, ow = h - kh + 1, wd - kw + 1
+    w_t = w.reshape(-1, c_out).T
+    y = np.empty((c_out, b, oh, ow))
+    per = max(1, _BLOCK_BYTES // (8 * kh * kw * c_in * oh * ow))
+    for s in range(0, b, per):
+        np.matmul(w_t, _cols(x[s : s + per], kh, kw).T, out=y[:, s : s + per].reshape(c_out, -1))
+    return y.transpose(1, 2, 3, 0)
 
 
 def correlate_grad_weights(x, d_y, kh: int, kw: int) -> np.ndarray:
     """d(sum d_y * correlate(x, w)) / dw: cols.T @ d_y over (B*H'*W', kh*kw*Cin) windows."""
-    cols = sliding_window_view(x, (kh, kw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
-    d_w = cols.reshape(-1, kh * kw * x.shape[3]).T @ d_y.reshape(-1, d_y.shape[3])
+    d_w = _cols(x, kh, kw).T @ d_y.reshape(-1, d_y.shape[3])
     return d_w.reshape(kh, kw, x.shape[3], d_y.shape[3])
 
 
@@ -57,7 +75,9 @@ def correlate_grad_input(w, d_y, x_shape) -> np.ndarray:
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x (B,H,W,Cin), w (kh,kw,Cin,Cout), b (Cout,) -> (B,H',W',Cout)."""
-    return correlate(x, w) + b
+    y = correlate(x, w)
+    y += b
+    return y
 
 
 def conv2d_backward(x, w, d_y, need_dx: bool = True):

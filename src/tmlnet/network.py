@@ -594,8 +594,11 @@ def save_network(spec: NetworkSpec, path) -> None:
 
 
 def load_network(path) -> NetworkSpec:
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
+    try:
+        with open(path) as f:
+            lines = [ln.strip() for ln in f if ln.strip()]
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not a network checkpoint (not text)") from err
     kv = {}
     main, side = [], []
     chains = {"main": main, "side": side}

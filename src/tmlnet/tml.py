@@ -22,15 +22,11 @@ above C2 until the next step's clip.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import layers as L
-
-KERNEL_MAGIC = b"TMLK"
-KERNEL_FORMAT_VERSION = 1
 
 
 class DegenerateKernelError(RuntimeError):
@@ -172,28 +168,6 @@ def backward_input_batch(
     return d_x
 
 
-def tml_forward(x: np.ndarray, kernels: TmlKernels) -> np.ndarray:
-    """Forward pass for a single input volume (N1, N2, K) -> (N1', N2', M)."""
-    x = np.asarray(x, dtype=np.float64)
-    return forward_batch(x[None], kernels)[0]
-
-
-def tml_backward_weights(
-    x: np.ndarray, y: np.ndarray, d_y: np.ndarray, kernels: TmlKernels
-) -> np.ndarray:
-    """d(loss)/d(weights) for one sample: sum over output positions of d_y * y * log(x + eps)."""
-    x = np.asarray(x, dtype=np.float64)
-    return backward_weights_batch(x[None], y[None], np.asarray(d_y)[None], kernels)
-
-
-def tml_backward_input(
-    x: np.ndarray, y: np.ndarray, d_y: np.ndarray, kernels: TmlKernels
-) -> np.ndarray:
-    """d(loss)/d(input) for one sample."""
-    x = np.asarray(x, dtype=np.float64)
-    return backward_input_batch(x[None], y[None], np.asarray(d_y)[None], kernels)[0]
-
-
 # ---------------------------------------------------------------------------
 # constraint projection
 # ---------------------------------------------------------------------------
@@ -233,48 +207,3 @@ def reinit_kernels(kernels: TmlKernels, kernel_indices) -> TmlKernels:
     out = kernels.copy()
     out.weights[..., list(kernel_indices)] = kernels.config.c1 / kernels.config.weight_count
     return out
-
-
-# ---------------------------------------------------------------------------
-# serialization: flat little-endian binary bank
-# ---------------------------------------------------------------------------
-# Layout: magic "TMLK", version u32, H, W, K, M u32, c1, c2, eps f64 (all
-# little-endian), then H*W*K*M f64 weights in C order of (p, q, k, m).
-
-
-def save_kernels(kernels: TmlKernels, path) -> None:
-    cfg = kernels.config
-    header = KERNEL_MAGIC + struct.pack(
-        "<5I3d",
-        KERNEL_FORMAT_VERSION,
-        cfg.kernel_h,
-        cfg.kernel_w,
-        cfg.in_channels,
-        cfg.num_kernels,
-        cfg.c1,
-        cfg.c2,
-        cfg.eps,
-    )
-    body = np.ascontiguousarray(kernels.weights, dtype="<f8").tobytes()
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(body)
-
-
-def load_kernels(path) -> TmlKernels:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != KERNEL_MAGIC:
-        raise ValueError(f"{path}: not a kernel bank (bad magic {blob[:4]!r})")
-    head_len = 4 + struct.calcsize("<5I3d")
-    if len(blob) < head_len:
-        raise ValueError(f"{path}: truncated kernel bank header ({len(blob)} bytes)")
-    version, h, w, k, m, c1, c2, eps = struct.unpack("<5I3d", blob[4:head_len])
-    if version != KERNEL_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported kernel bank version {version}")
-    cfg = TmlConfig(h, w, k, m, c1=c1, c2=c2, eps=eps)
-    expected = head_len + 8 * cfg.weight_count * m
-    if len(blob) != expected:
-        raise ValueError(f"{path}: truncated kernel bank ({len(blob)} of {expected} bytes)")
-    weights = np.frombuffer(blob[head_len:], dtype="<f8").reshape(cfg.weights_shape())
-    return TmlKernels(cfg, weights.astype(np.float64))

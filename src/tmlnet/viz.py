@@ -103,7 +103,7 @@ def cooc_heat(
     t_idx, fc_idx = _coocc_structure(spec)
     layer = spec.layers[t_idx]
     if not 0 <= target_class < spec.num_classes:
-        raise IndexError(f"class {target_class} out of range")
+        raise ValueError(f"class {target_class} out of range 0..{spec.num_classes - 1}")
     _logits, trace = network_forward(spec, np.asarray(image)[None], train_mode=False)
     x_tml, _y_tml, _z_tml = trace.caches[t_idx]
     fc_w = spec.params[fc_idx]["w"]  # (num_kernels, classes)

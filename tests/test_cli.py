@@ -107,3 +107,13 @@ def test_zero_crop_rejected_before_writing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "crop" in err
     assert not out.exists()
+
+
+def test_binary_file_is_not_a_checkpoint(tmp_path, capsys):
+    # the header and weights of a raw kernel bank, a format no longer read
+    bank = tmp_path / "bank.tmlk"
+    bank.write_bytes(b"TMLK" + (1).to_bytes(4, "little") + np.full(4, 0.25).tobytes())
+    assert cli_dispatch(["viz-kernels", str(bank), "--out", str(tmp_path / "k")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bank}: not a network checkpoint")
+    assert not (tmp_path / "k").exists()

@@ -11,7 +11,7 @@ from tmlnet.hlac import (
     masks_to_binary_kernels,
     write_features_csv,
 )
-from tmlnet.tml import tml_forward
+from tmlnet.tml import forward_batch
 
 
 def brute_force_hlac(img, offsets):
@@ -162,7 +162,7 @@ class TestTmlEquivalence:
             for mask in masks.masks:
                 h, w = mask_extent(mask)
                 kernels = masks_to_binary_kernels(MaskSet((mask,)), h, w, eps=1e-12)
-                y = tml_forward(img, kernels)
+                y = forward_batch(img[None], kernels)[0]
                 count = y.shape[0] * y.shape[1]
                 got = y[:, :, 0].mean() * count
                 want = hlac_feature(img, mask)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from tmlnet import layers
 from tmlnet.gradcheck import DEFAULT_STEP, _central_diff, _rel_err
 from tmlnet.layers import (
     conv2d_backward,
@@ -39,8 +40,15 @@ def einsum_conv(x, w, b):
     return y, backward
 
 
-# (B, H, W, Cin, kh, kw, Cout): kh != kw, several channels, non-square inputs
-CONV_SHAPES = [(2, 9, 7, 3, 3, 2, 4), (3, 6, 11, 2, 2, 5, 3), (1, 4, 5, 1, 1, 1, 2)]
+# (B, H, W, Cin, kh, kw, Cout): kh != kw, several channels, non-square inputs,
+# and the 5x5 single-channel and 3x3 eight-channel kernels of the shipped nets
+CONV_SHAPES = [
+    (2, 9, 7, 3, 3, 2, 4),
+    (3, 6, 11, 2, 2, 5, 3),
+    (1, 4, 5, 1, 1, 1, 2),
+    (3, 12, 10, 1, 5, 5, 6),
+    (2, 8, 9, 8, 3, 3, 16),
+]
 
 
 class TestConv:
@@ -82,6 +90,34 @@ class TestConv:
         for got, ref in zip(conv2d_backward(x, w, d_y), ref_backward(d_y)):
             assert got.shape == ref.shape
             assert _rel_err(got, ref) < 1e-12
+
+    def test_blocked_forward_matches_einsum_reference(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(5, 6, 7, 2))
+        w = rng.normal(size=(3, 2, 2, 4))
+        b = rng.normal(size=4)
+        # each image's window matrix is 4*6 rows of 3*2*2 float64s: room for two
+        monkeypatch.setattr(layers, "_BLOCK_BYTES", 2 * 8 * 24 * 12 + 8)
+        cols, blocks = layers._cols, []
+
+        def counting_cols(xb, kh, kw):
+            blocks.append(len(xb))
+            return cols(xb, kh, kw)
+
+        monkeypatch.setattr(layers, "_cols", counting_cols)
+        np.testing.assert_array_equal(conv2d_forward(x, w, b), einsum_conv(x, w, b)[0])
+        assert blocks == [2, 2, 1]
+
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
+    def test_output_is_channel_major(self, shape):
+        # each channel's (B, H', W') plane is one contiguous run: relu, maxpool
+        # and gap then stream whole planes, and gap's per-channel means sum in
+        # the order that keeps the logits' bits
+        bsz, h, w_, cin, kh, kw, cout = shape
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(size=(bsz, h, w_, cin))
+        y = conv2d_forward(x, rng.normal(size=(kh, kw, cin, cout)), rng.normal(size=cout))
+        assert y.transpose(3, 0, 1, 2).flags.c_contiguous
 
     @pytest.mark.parametrize("shape", CONV_SHAPES)
     def test_weights_only_call_matches_full_call(self, shape):

@@ -12,14 +12,9 @@ from tmlnet.tml import (
     clip_step,
     forward_batch,
     init_kernels,
-    load_kernels,
     project_kernels,
     reinit_kernels,
     rescale_step,
-    save_kernels,
-    tml_backward_input,
-    tml_backward_weights,
-    tml_forward,
 )
 
 # Exponents large enough to matter, small enough that exp() stays tame.
@@ -74,7 +69,7 @@ class TestForward:
         cfg = TmlConfig(2, 2, 1, 3, c1=1.0, c2=1.0)
         kernels = TmlKernels(cfg, np.zeros(cfg.weights_shape()))
         x = np.random.default_rng(0).uniform(0, 5, size=(4, 5, 1))
-        y = tml_forward(x, kernels)
+        y = forward_batch(x[None], kernels)[0]
         assert y.shape == (3, 4, 3)
         assert np.all(y == 1.0)
 
@@ -82,7 +77,7 @@ class TestForward:
         cfg = TmlConfig(1, 1, 1, 1, c1=1.0, c2=1.0, eps=1e-8)
         kernels = TmlKernels(cfg, np.ones((1, 1, 1, 1)))
         x = np.random.default_rng(1).uniform(0, 2, size=(3, 3, 1))
-        y = tml_forward(x, kernels)
+        y = forward_batch(x[None], kernels)[0]
         np.testing.assert_allclose(y[:, :, 0], x[:, :, 0] + 1e-8, rtol=1e-12)
 
     def test_half_exponents_sqrt_product(self):
@@ -93,7 +88,7 @@ class TestForward:
         w[0, 1, 0, 0] = 0.5
         kernels = TmlKernels(cfg, w)
         x = np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None]
-        y = tml_forward(x, kernels)
+        y = forward_batch(x[None], kernels)[0]
         assert y.shape == (1, 1, 1)
         np.testing.assert_allclose(y[0, 0, 0], np.sqrt(2.0), rtol=1e-12)
         np.testing.assert_allclose(y, direct_product_forward(x, kernels), rtol=1e-12)
@@ -112,30 +107,30 @@ class TestForward:
                 lo=1e-6,
                 hi=10.0,
             )
-            y = tml_forward(x, kernels)
+            y = forward_batch(x[None], kernels)[0]
             np.testing.assert_allclose(y, direct_product_forward(x, kernels), rtol=1e-10)
 
     def test_rejects_negative_input(self):
         x, kernels = random_instance(np.random.default_rng(2))
         x[1, 1, 0] = -0.5
         with pytest.raises(ValueError):
-            tml_forward(x, kernels)
+            forward_batch(x[None], kernels)[0]
 
     def test_rejects_nan_input(self):
         x, kernels = random_instance(np.random.default_rng(2))
         x[1, 1, 0] = np.nan
         with pytest.raises(ValueError):
-            tml_forward(x, kernels)
+            forward_batch(x[None], kernels)[0]
 
     def test_rejects_channel_mismatch(self):
         _, kernels = random_instance(np.random.default_rng(3))
         with pytest.raises(ValueError):
-            tml_forward(np.ones((4, 4, 2)), kernels)
+            forward_batch(np.ones((1, 4, 4, 2)), kernels)
 
     def test_rejects_undersized_input(self):
         _, kernels = random_instance(np.random.default_rng(4), h=3, w=3, n1=4, n2=4)
         with pytest.raises(ValueError):
-            tml_forward(np.ones((2, 2, 1)), kernels)
+            forward_batch(np.ones((1, 2, 2, 1)), kernels)
 
     def test_batched_matches_per_image(self):
         rng = np.random.default_rng(5)
@@ -143,7 +138,7 @@ class TestForward:
         xb = rng.uniform(0.1, 2.0, size=(4, 5, 5, 1))
         yb = forward_batch(xb, kernels)
         for b in range(4):
-            np.testing.assert_array_equal(yb[b], tml_forward(xb[b], kernels))
+            np.testing.assert_array_equal(yb[b], forward_batch(xb[b][None], kernels)[0])
 
 
 def einsum_tml(xb, kernels):
@@ -195,35 +190,37 @@ class TestBackwardWeights:
         cfg = TmlConfig(2, 2, 1, 2, eps=1e-6)
         kernels = init_kernels(cfg, np.random.default_rng(0))
         x = np.full((4, 4, 1), 1.0 - cfg.eps)
-        y = tml_forward(x, kernels)
-        d_w = tml_backward_weights(x, y, np.ones_like(y), kernels)
+        y = forward_batch(x[None], kernels)[0]
+        d_w = backward_weights_batch(x[None], y[None], np.ones_like(y)[None], kernels)
         np.testing.assert_allclose(d_w, 0.0, atol=1e-12)
 
     def test_zero_upstream_gradient(self):
         rng = np.random.default_rng(1)
         x, kernels = random_instance(rng)
-        y = tml_forward(x, kernels)
-        d_w = tml_backward_weights(x, y, np.zeros_like(y), kernels)
+        y = forward_batch(x[None], kernels)[0]
+        d_w = backward_weights_batch(x[None], y[None], np.zeros_like(y)[None], kernels)
         assert np.all(d_w == 0.0)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             x, kernels = random_instance(rng)
-            y = tml_forward(x, kernels)
+            y = forward_batch(x[None], kernels)[0]
             r = rng.normal(size=y.shape)  # fixed linear functional: L = sum(r * y)
-            analytic = tml_backward_weights(x, y, r, kernels)
+            analytic = backward_weights_batch(x[None], y[None], r[None], kernels)
             numeric = _central_diff(
-                lambda: float((r * tml_forward(x, kernels)).sum()), kernels.weights, DEFAULT_STEP
+                lambda: float((r * forward_batch(x[None], kernels)[0]).sum()),
+                kernels.weights,
+                DEFAULT_STEP,
             )
             assert _rel_err(analytic, numeric) < 1e-5
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(8)
         x, kernels = random_instance(rng)
-        y = tml_forward(x, kernels)
+        y = forward_batch(x[None], kernels)[0]
         with pytest.raises(ValueError):
-            tml_backward_weights(x, y, y[:-1], kernels)
+            backward_weights_batch(x[None], y[None], y[None, :-1], kernels)
 
 
 class TestBackwardInput:
@@ -231,8 +228,8 @@ class TestBackwardInput:
         cfg = TmlConfig(2, 2, 1, 2)
         kernels = TmlKernels(cfg, np.zeros(cfg.weights_shape()))
         x = np.random.default_rng(0).uniform(0.1, 2, size=(4, 4, 1))
-        y = tml_forward(x, kernels)
-        d_x = tml_backward_input(x, y, np.ones_like(y), kernels)
+        y = forward_batch(x[None], kernels)[0]
+        d_x = backward_input_batch(x[None], y[None], np.ones_like(y)[None], kernels)[0]
         assert np.all(d_x == 0.0)
 
     def test_identity_kernel_routes_gradient(self):
@@ -240,20 +237,20 @@ class TestBackwardInput:
         kernels = TmlKernels(cfg, np.ones((1, 1, 1, 1)))
         rng = np.random.default_rng(1)
         x = rng.uniform(0.5, 2.0, size=(3, 4, 1))
-        y = tml_forward(x, kernels)
+        y = forward_batch(x[None], kernels)[0]
         d_y = rng.normal(size=y.shape)
-        d_x = tml_backward_input(x, y, d_y, kernels)
+        d_x = backward_input_batch(x[None], y[None], d_y[None], kernels)[0]
         np.testing.assert_allclose(d_x, d_y, rtol=1e-10)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             x, kernels = random_instance(rng)
-            y = tml_forward(x, kernels)
+            y = forward_batch(x[None], kernels)[0]
             r = rng.normal(size=y.shape)
-            analytic = tml_backward_input(x, y, r, kernels)
+            analytic = backward_input_batch(x[None], y[None], r[None], kernels)[0]
             numeric = _central_diff(
-                lambda: float((r * tml_forward(x, kernels)).sum()), x, DEFAULT_STEP
+                lambda: float((r * forward_batch(x[None], kernels)[0]).sum()), x, DEFAULT_STEP
             )
             assert _rel_err(analytic, numeric) < 1e-5
 
@@ -374,48 +371,3 @@ class TestInit:
         np.testing.assert_array_equal(one.weights[..., [0, 2]], k.weights[..., [0, 2]])
         assert np.all(reinit_kernels(k, range(3)).weights == 0.25)
 
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(21)
-        cfg = TmlConfig(3, 2, 2, 4, c1=1.25, c2=0.5, eps=1e-7)
-        k = init_kernels(cfg, rng)
-        path = tmp_path / "bank.tmlk"
-        save_kernels(k, path)
-        back = load_kernels(path)
-        assert back.config == cfg
-        np.testing.assert_array_equal(back.weights, k.weights)
-
-    def test_header_layout(self, tmp_path):
-        cfg = TmlConfig(1, 2, 1, 1, c1=1.0, c2=1.0, eps=1e-6)
-        k = TmlKernels(cfg, np.array([1.0, 2.0]).reshape(cfg.weights_shape()))
-        path = tmp_path / "bank.tmlk"
-        save_kernels(k, path)
-        blob = path.read_bytes()
-        assert blob[:4] == b"TMLK"
-        assert blob[4:8] == (1).to_bytes(4, "little")
-        assert blob[8:24] == b"".join(v.to_bytes(4, "little") for v in (1, 2, 1, 1))
-        assert len(blob) == 4 + 4 * 5 + 8 * 3 + 8 * 2
-        assert np.frombuffer(blob[-16:], dtype="<f8").tolist() == [1.0, 2.0]
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.tmlk"
-        path.write_bytes(b"NOPE" + b"\x00" * 60)
-        with pytest.raises(ValueError):
-            load_kernels(path)
-
-    def test_truncated_rejected(self, tmp_path):
-        cfg = TmlConfig(2, 2, 1, 2)
-        k = init_kernels(cfg, np.random.default_rng(0))
-        path = tmp_path / "bank.tmlk"
-        save_kernels(k, path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError):
-            load_kernels(path)
-
-    def test_short_header_rejected(self, tmp_path):
-        path = tmp_path / "bank.tmlk"
-        save_kernels(init_kernels(TmlConfig(2, 2, 1, 2), np.random.default_rng(0)), path)
-        path.write_bytes(path.read_bytes()[:20])
-        with pytest.raises(ValueError, match="header"):
-            load_kernels(path)

@@ -79,3 +79,15 @@ def test_viz_features_cli_writes_tml_maps(tmp_path, dataset_dir):
     for m in range(4):
         written = read_pgm(out / f"feature_{m:02d}.pgm")
         np.testing.assert_array_equal(written.pixels, render_feature_map(y, m).pixels)
+
+
+@pytest.mark.parametrize("target", ["99", "-1"])
+def test_viz_cooc_cli_rejects_out_of_range_class(tmp_path, dataset_dir, capsys, target):
+    ckpt = tmp_path / "cooc.net"
+    save_network(tiny_cooc_net(), ckpt)
+    out = tmp_path / "cooc.pgm"
+    argv = ["viz-cooc", str(ckpt), "--dataset", str(dataset_dir), "--target-class", target,
+            "--out", str(out)]
+    assert cli_dispatch(argv) == 1
+    assert f"error: class {target} out of range" in capsys.readouterr().err
+    assert not out.exists()
