@@ -268,7 +268,7 @@ def cmd_viz_cooc(args) -> int:
     image, label = _image_from_dataset(args)
     target = args.target_class
     if target is None:
-        logits, _ = network_forward(spec, image[None], train_mode=False)
+        logits, _ = network_forward(spec, image[None], train_mode=False, trace=False)
         target = int(logits[0].argmax())
     heat, m, channels = cooc_heat(spec, image, target, nonzero_frac=args.threshold)
     overlay = cooc_highlight(spec, image, target, nonzero_frac=args.threshold)
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("viz-kernels", help="render kernel heatmaps as PGM files")
-    p.add_argument("ckpt", help="checkpoint .net file or raw kernel bank")
+    p.add_argument("ckpt", help="checkpoint .net file")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_viz_kernels)
 

@@ -48,7 +48,9 @@ def _central_diff(loss, arr, step):
 
 def check_tml_gradients(trials: int, seed: int, step: float = DEFAULT_STEP):
     """Weight- and input-gradient errors over `trials` random instances
-    (inputs in [0.1, 2], feasible kernel banks)."""
+    (inputs in [0.1, 2], feasible kernel banks); `trials` must be at least 1."""
+    if trials < 1:
+        raise ValueError(f"gradcheck needs at least 1 trial, got {trials}")
     rng = np.random.default_rng(seed)
     worst_w = worst_x = 0.0
     for _ in range(trials):
@@ -140,7 +142,7 @@ def check_network_gradients(seed: int, step: float = DEFAULT_STEP):
     onehot = np.eye(3)[labels]
 
     def loss():
-        logits, _ = network_forward(spec, xb, train_mode=False)
+        logits, _ = network_forward(spec, xb, train_mode=False, trace=False)
         losses, _ = softmax_xent(logits, onehot)
         return float(losses.mean())
 

@@ -181,8 +181,7 @@ def evaluate(spec: NetworkSpec, ds: Dataset, batch_size: int = 256) -> float:
     for start in range(0, len(ds), batch_size):
         xb = ds.images[start : start + batch_size]
         yb = ds.labels[start : start + batch_size]
-        # keep only the logits: a bound trace would live on through the next batch
-        logits = network_forward(spec, xb, train_mode=False)[0]
+        logits, _ = network_forward(spec, xb, train_mode=False, trace=False)
         hits += int((logits.argmax(axis=1) == yb).sum())
     return hits / len(ds)
 

@@ -50,6 +50,14 @@ def test_gradcheck_command_passes(capsys):
     assert sum(line.endswith(" ok") for line in out) == 5
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_gradcheck_without_trials_rejected(capsys, trials):
+    assert cli_dispatch(["gradcheck", "--trials", trials]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "at least 1 trial" in captured.err
+    assert "gradcheck passed" not in captured.out
+
+
 def tiny_stripes(tmp_path):
     data = tmp_path / "data"
     gen = ["gen-stripes", "--out", str(data), "--classes", "2",

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tmlnet import layers, tml
+from tmlnet import layers, network, tml
+from tmlnet.datasets import Dataset
 from tmlnet.gradcheck import _central_diff, _rel_err
 from tmlnet.layers import fc_forward, softmax_xent
 from tmlnet.network import (
@@ -23,6 +24,7 @@ from tmlnet.network import (
     validate_network,
 )
 from tmlnet.tml import TmlConfig
+from tmlnet.training import evaluate
 
 
 def tiny_branched_net(seed=0):
@@ -204,6 +206,57 @@ class TestForward:
             x, y = trace.caches[i]
             assert x is trace.caches[i - 1]
             assert y.shape == (2, x.shape[1] // 2, x.shape[2] // 2, x.shape[3])
+
+
+SHIPPED_NETS = {
+    "dhlac": lambda: build_dhlac_net((16, 16, 1), 4, TmlConfig(3, 3, 1, 4, c1=1.0, c2=0.5)),
+    "cooc": lambda: build_cooc_net((16, 16, 1), 4, TmlConfig(1, 1, 16, 4, c1=1.0, c2=0.5)),
+    "baseline": lambda: build_baseline_net((20, 20, 1), 4),
+    "baseline+hlac": lambda: build_baseline_hlac_net((20, 20, 1), 4),
+}
+
+
+def blocks_of_three(monkeypatch, spec):
+    """Size trace-free blocks to 3 images of `spec`; returns the list of block sizes run."""
+    widest = validate_network(spec)[2]
+    monkeypatch.setattr(network, "_EVAL_BLOCK_BYTES", 8 * widest * 3 + 7)
+    walk, sizes = network._forward_chains, []
+
+    def counting_walk(spec, xb, *args):
+        sizes.append(len(xb))
+        return walk(spec, xb, *args)
+
+    monkeypatch.setattr(network, "_forward_chains", counting_walk)
+    return sizes
+
+
+class TestTraceFreeForward:
+    @pytest.mark.parametrize("arch", sorted(SHIPPED_NETS))
+    def test_blocks_match_traced_forward(self, monkeypatch, arch):
+        spec = init_params(SHIPPED_NETS[arch](), np.random.default_rng(0))
+        xb = np.random.default_rng(1).uniform(size=(7, *spec.input_shape))
+        traced, _ = network_forward(spec, xb)
+        sizes = blocks_of_three(monkeypatch, spec)
+        blocked, no_trace = network_forward(spec, xb, trace=False)
+        assert sizes == [3, 3, 1] and no_trace is None
+        np.testing.assert_allclose(blocked, traced, rtol=1e-12)
+        np.testing.assert_array_equal(blocked.argmax(axis=1), traced.argmax(axis=1))
+
+    def test_train_mode_rejected(self):
+        spec = tiny_branched_net()
+        xb = np.ones((2, 6, 6, 1))
+        with pytest.raises(ValueError, match="eval mode only"):
+            network_forward(spec, xb, train_mode=True, rng=np.random.default_rng(0), trace=False)
+
+    @pytest.mark.parametrize("arch", sorted(SHIPPED_NETS))
+    def test_evaluate_matches_traced_argmax(self, monkeypatch, arch):
+        spec = init_params(SHIPPED_NETS[arch](), np.random.default_rng(0))
+        rng = np.random.default_rng(2)
+        ds = Dataset(rng.uniform(size=(11, *spec.input_shape)), rng.integers(0, 4, size=11))
+        expected = np.mean(network_forward(spec, ds.images)[0].argmax(axis=1) == ds.labels)
+        sizes = blocks_of_three(monkeypatch, spec)
+        assert evaluate(spec, ds, batch_size=4) == expected
+        assert sizes == [3, 1, 3, 1, 3]  # batches of 4, 4, 3
 
 
 class TestBackward:

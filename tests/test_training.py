@@ -312,17 +312,30 @@ class TestEvaluate:
         import gc
         import weakref
 
-        forward = training.network_forward
-        traces = []
+        from tmlnet import network
+
+        forward, walk = training.network_forward, network._forward_chains
+        trace_type = network.ForwardTrace
+        calls, traces = [], []
 
         def recording_forward(*args, **kwargs):
-            # by the next batch, evaluate must hold nothing of the last trace
-            assert all(ref() is None for ref in traces)
-            logits, trace = forward(*args, **kwargs)
+            calls.append(kwargs.get("trace"))
+            return forward(*args, **kwargs)
+
+        def recording_trace(*args, **kwargs):
+            trace = trace_type(*args, **kwargs)
             traces.append(weakref.ref(trace))
-            return logits, trace
+            return trace
+
+        def checked_walk(*args, **kwargs):
+            # when a block starts, nothing of an earlier block or batch is alive
+            assert all(ref() is None for ref in traces)
+            return walk(*args, **kwargs)
 
         monkeypatch.setattr(training, "network_forward", recording_forward)
+        monkeypatch.setattr(network, "ForwardTrace", recording_trace)
+        monkeypatch.setattr(network, "_forward_chains", checked_walk)
+        monkeypatch.setattr(network, "_EVAL_BLOCK_BYTES", 8)  # one image per block
         gc.disable()  # freed by reference count alone, not by a collection
         try:
             spec = fc_toy_net()
@@ -330,7 +343,8 @@ class TestEvaluate:
             evaluate(spec, ds, batch_size=2)
         finally:
             gc.enable()
-        assert len(traces) == 3
+        assert calls == [False] * 3  # one trace-free forward per batch of 2, 2, 1
+        assert len(traces) == 5 and all(ref() is None for ref in traces)
 
 
 class TestTrainLoop:
