@@ -3,16 +3,29 @@
 Arrays flow through as float64 with a leading batch axis: feature volumes are
 (B, rows, cols, channels), vectors are (B, dims). Convolution is valid-padding
 stride-1 cross-correlation (`correlate`, shared with the multiplication layer)
-plus a bias. Forward and d_w both read the window matrix `_cols` (one row per
-output position, kh*kw*Cin columns). The forward is a GEMM over blocks of whole
-images, each block's window matrix sized to stay in L2 (`_BLOCK_BYTES`), and it
-writes channel-major memory: the (B, H', W', Cout) result is a view of a
-(Cout, B, H', W') array. An NHWC GEMM was measured slower end to end: ReLU,
-pooling and GAP downstream stream whole channel planes on this layout, and
-GAP's means sum in a different order on NHWC, which moves the logits' last
-bits. d_x is a scatter of d_y @ w[p, q].T per kernel cell, skipped for a layer
-that reads the network input. Dropout scales survivors by 1/(1-rate) at train
-time.
+plus a bias. Forward and d_w read the window matrix `_cols`: one row per
+kernel cell in (p, q, k) order, one column per output position in (b, i, j)
+order, copied from the (Cin, B, H, W) planes of x. Activations are already
+channel-major, so each row is built from whole image rows, runs of W'
+values; the transposed matrix (one row per output position) copied runs of
+kw*Cin values, 3-5 for the single-channel first layers, and that copy was
+most of their forward time. The forward is a GEMM over blocks of whole
+images, each block's window matrix sized to stay in L2 (`_BLOCK_BYTES`),
+and it writes channel-major memory: the (B, H', W', Cout) result is a view
+of a (Cout, B, H', W') array. An NHWC GEMM was measured slower end to end:
+ReLU, pooling and GAP downstream stream whole channel planes on this layout,
+and GAP's means sum in a different order on NHWC, which moves the logits'
+last bits. d_w is cols @ d_y over the whole batch. d_x is one GEMM, w as a
+(kh*kw*Cin, Cout) matrix times d_y transposed, whose row block for each
+kernel cell is added where that cell reads, into a channel-major d_x; it is
+skipped for a layer that reads the network input. Max pooling's backward
+writes d_x in x's layout and GAP's writes it channel-major, so the ReLU and
+TML backwards beneath them multiply arrays of one layout. The logits are
+bit-for-bit those of the former NHWC-row window matrix. The conv bias
+gradients (d_y summed per channel) moved in the last bits: numpy sums a
+channel-major d_y pairwise along each plane, not row by row, and where this
+was checked against an exact sum the new figure was the closer. Dropout
+scales survivors by 1/(1-rate) at train time.
 
 Max pooling is 2x2 stride 2; odd trailing rows or columns are dropped and get
 a zero gradient. The forward takes the elementwise max of the four strided
@@ -38,9 +51,10 @@ _BLOCK_BYTES = 1 << 20
 
 
 def _cols(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Window matrix of x (B,H,W,Cin): one row per output position, columns in (p, q, k) order."""
-    win = sliding_window_view(x, (kh, kw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
-    return win.reshape(-1, kh * kw * x.shape[3])
+    """Window matrix of x (B,H,W,Cin): one row per kernel cell in (p, q, k) order,
+    one column per output position in (b, i, j) order."""
+    win = sliding_window_view(x.transpose(3, 0, 1, 2), (kh, kw), axis=(2, 3))
+    return win.transpose(4, 5, 0, 1, 2, 3).reshape(kh * kw * x.shape[3], -1)
 
 
 def correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -52,25 +66,27 @@ def correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     y = np.empty((c_out, b, oh, ow))
     per = max(1, _BLOCK_BYTES // (8 * kh * kw * c_in * oh * ow))
     for s in range(0, b, per):
-        np.matmul(w_t, _cols(x[s : s + per], kh, kw).T, out=y[:, s : s + per].reshape(c_out, -1))
+        np.matmul(w_t, _cols(x[s : s + per], kh, kw), out=y[:, s : s + per].reshape(c_out, -1))
     return y.transpose(1, 2, 3, 0)
 
 
 def correlate_grad_weights(x, d_y, kh: int, kw: int) -> np.ndarray:
-    """d(sum d_y * correlate(x, w)) / dw: cols.T @ d_y over (B*H'*W', kh*kw*Cin) windows."""
-    d_w = _cols(x, kh, kw).T @ d_y.reshape(-1, d_y.shape[3])
+    """d(sum d_y * correlate(x, w)) / dw: cols @ d_y over the B*H'*W' output positions."""
+    d_w = _cols(x, kh, kw) @ d_y.reshape(-1, d_y.shape[3])
     return d_w.reshape(kh, kw, x.shape[3], d_y.shape[3])
 
 
 def correlate_grad_input(w, d_y, x_shape) -> np.ndarray:
-    """d(sum d_y * correlate(x, w)) / dx: each kernel cell's share, added where it reads."""
+    """d(sum d_y * correlate(x, w)) / dx, channel-major: one GEMM gives every
+    window's share, and each kernel cell's row block is added where it reads."""
     b, oh, ow, c_out = d_y.shape
-    flat = d_y.reshape(-1, c_out)
-    d_x = np.zeros(x_shape)
-    for p in range(w.shape[0]):
-        for q in range(w.shape[1]):
-            d_x[:, p : p + oh, q : q + ow] += (flat @ w[p, q].T).reshape(b, oh, ow, -1)
-    return d_x
+    kh, kw, c_in, _ = w.shape
+    d_cols = (w.reshape(-1, c_out) @ d_y.reshape(-1, c_out).T).reshape(kh, kw, c_in, b, oh, ow)
+    d_x = np.zeros((c_in, *x_shape[:3]))
+    for p in range(kh):
+        for q in range(kw):
+            d_x[:, :, p : p + oh, q : q + ow] += d_cols[p, q]
+    return d_x.transpose(1, 2, 3, 0)
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -108,9 +124,9 @@ def maxpool_forward(x: np.ndarray) -> np.ndarray:
 def maxpool_backward(d_y: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Routes each d_y to the first position of its block whose value equals the max."""
     h2, w2 = y.shape[1], y.shape[2]
-    d_x = np.zeros(x.shape)
-    free = np.ones(y.shape, dtype=bool)  # blocks whose max is not yet found
-    hit = np.empty(y.shape, dtype=bool)
+    d_x = np.zeros_like(x)
+    free = np.ones_like(y, dtype=bool)  # blocks whose max is not yet found
+    hit = np.empty_like(y, dtype=bool)
     bits = np.asarray(d_y, dtype=np.float64).view(np.int64)
     for v, dv in zip(_quarters(x, h2, w2), _quarters(d_x, h2, w2)):
         np.equal(v, y, out=hit)
@@ -181,8 +197,11 @@ def gap_forward(x: np.ndarray) -> np.ndarray:
 
 
 def gap_backward(d_y: np.ndarray, in_shape) -> np.ndarray:
-    _, h, w, _ = in_shape
-    return np.broadcast_to(d_y[:, None, None, :] / (h * w), in_shape).copy()
+    """Spreads d_y / (H*W) over each map; channel-major, like the maps it feeds back to."""
+    b, h, w, c = in_shape
+    d_x = np.empty((c, b, h, w))
+    d_x[...] = (d_y.T / (h * w))[:, :, None, None]
+    return d_x.transpose(1, 2, 3, 0)
 
 
 def softmax_xent(logits: np.ndarray, onehot: np.ndarray):

@@ -20,9 +20,15 @@ sees every call.
 
 A forward that keeps no trace (`network_forward(..., trace=False)`, eval
 mode only) runs the network depth-first: it cuts the batch into blocks of
-whole images, runs each block through both chains and the join, writes the
-block's logits into the batch's result and drops the block's caches before
-the next block starts. A block holds `_EVAL_BLOCK_BYTES // (8 * widest)`
+whole images, runs each block through each chain up to its block stop,
+keeps the block's activations there and drops its caches before the next
+block starts. A chain's block stop is its first layer that has weights and
+a vector output (an fc) or reads the joined vector; the rest of both
+chains, and the join, then run once over the whole batch. So an fc weight
+is read once per batch, not once per block (baseline's 2.4 MB fc(64)
+weight was streamed 52 times per 256-image batch of 64-px crops), while
+GAP, which turns a volume into a vector, still runs inside the blocks.
+A block holds `_EVAL_BLOCK_BYTES // (8 * widest)`
 images, at least one, where `widest` is the largest per-image activation on
 the shape walk. So each layer's output for a block is at most 4 MiB, and
 the allocator serves it from freed heap memory: an eval pass of 1024 64-px
@@ -35,9 +41,9 @@ the 64-px HLAC net ran fastest with 4-8 images per block and at 58% of
 that rate with the whole batch, while the 32-px dhlac net ran fastest with
 16-48 and slower with 8 than with the whole batch. The blocked logits can
 differ from the traced forward's in the last bits (relative 3e-13 at most
-on the shipped nets), because OpenBLAS sums a GEMM in an order that depends
-on its shape and the block sets the shape; the traced forward already
-differs the same way between batch sizes.
+on the shipped nets), because OpenBLAS may sum a GEMM in an order that
+depends on its shape and the block sets the shape; the traced forward
+already differs the same way between batch sizes.
 """
 
 from __future__ import annotations
@@ -343,27 +349,34 @@ KINDS = {
 
 
 def _chain_shapes(layers: list[LayerSpec], shape, join_at=None, side_out=None):
-    """Each layer's parameter shapes, the chain's output shape and the largest
-    per-image activation size on the way, the input included; at `join_at`
-    the side chain's (d,) output is prepended to the flattened activation."""
+    """Each layer's parameter shapes, the chain's output shape, the largest
+    per-image activation size on the way (the input included) and the chain's
+    block stop: the index of the first layer that has weights and a vector
+    output or reads the joined vector (len(layers) if none). At `join_at` the
+    side chain's (d,) output is prepended to the flattened activation."""
     param_shapes = []
     widest = math.prod(shape)
+    stop = len(layers)
     for i, layer in enumerate(layers):
         if i == join_at:
             shape = (side_out[0] + math.prod(shape),)
         kind = KINDS[layer.kind]
         out = kind.out_shape(layer, shape)
         param_shapes.append(kind.param_shapes(layer, shape))
+        if stop == len(layers) and (i == join_at or (len(out) == 1 and param_shapes[-1])):
+            stop = i
         shape = out
         widest = max(widest, math.prod(shape))
-    return param_shapes, shape, widest
+    return param_shapes, shape, widest, stop
 
 
 def validate_network(spec: NetworkSpec):
     """Walk both chains, checking shape compatibility and head placement.
 
-    Returns (main_param_shapes, side_param_shapes, widest), where widest is
-    the largest per-image activation size (values) on either chain.
+    Returns (main_param_shapes, side_param_shapes, widest, stops), where
+    widest is the largest per-image activation size (values) on either chain
+    and stops the (side, main) block stops of a trace-free forward (see
+    `network_forward`); the main stop is at most the head's index.
     """
     if not spec.layers:
         raise ValueError("network has no layers")
@@ -375,18 +388,21 @@ def validate_network(spec: NetworkSpec):
     if (spec.join_at is None) != (not spec.side_layers):
         raise ValueError("side_layers and join_at must be set together")
 
-    side_shapes, side_out, side_widest = _chain_shapes(spec.side_layers, spec.input_shape)
+    side_shapes, side_out, side_widest, side_stop = _chain_shapes(
+        spec.side_layers, spec.input_shape
+    )
     if spec.side_layers:
         if len(side_out) != 1:
             raise ValueError(f"side chain must end in a vector, got shape {side_out}")
         if not 0 <= spec.join_at < len(spec.layers) - 1:
             raise ValueError(f"join_at {spec.join_at} must precede the loss head")
-    main_shapes, shape, widest = _chain_shapes(
+    main_shapes, shape, widest, main_stop = _chain_shapes(
         spec.layers, spec.input_shape, spec.join_at, side_out
     )
     if shape != (spec.num_classes,):
         raise ValueError(f"head expects ({spec.num_classes},) logits, chain produces {shape}")
-    return main_shapes, side_shapes, max(widest, side_widest)
+    stops = (side_stop, min(main_stop, len(spec.layers) - 1))
+    return main_shapes, side_shapes, max(widest, side_widest), stops
 
 
 def init_params(spec: NetworkSpec, rng: np.random.Generator) -> NetworkSpec:
@@ -397,7 +413,7 @@ def init_params(spec: NetworkSpec, rng: np.random.Generator) -> NetworkSpec:
     chain initializes first, then the main chain, so a given seed always
     produces the same parameter stream.
     """
-    main_shapes, side_shapes, _ = validate_network(spec)
+    main_shapes, side_shapes, *_ = validate_network(spec)
     for attr, specs, shapes in (
         ("side_params", spec.side_layers, side_shapes),
         ("params", spec.layers, main_shapes),
@@ -419,9 +435,10 @@ def network_forward(spec: NetworkSpec, xb, train_mode: bool = False, rng=None, t
     """Run a batch through the network; returns (logits, ForwardTrace).
 
     `trace=False` says the caller needs only the logits: the batch then runs
-    depth-first over blocks of whole images (see the module docstring) and
-    the call returns (logits, None). It is eval-mode only, since blocked
-    dropout would draw other masks than the whole batch.
+    depth-first over blocks of whole images up to each chain's block stop,
+    and the rest of both chains runs once over the whole batch (see the
+    module docstring); the call returns (logits, None). It is eval-mode only,
+    since blocked dropout would draw other masks than the whole batch.
 
     The loss head itself computes nothing here: the returned activations are
     the logits it consumes (see layers.softmax_xent).
@@ -436,38 +453,59 @@ def network_forward(spec: NetworkSpec, xb, train_mode: bool = False, rng=None, t
     if not spec.params:
         raise ValueError("network parameters not initialized")
     if trace:
-        return _forward_chains(spec, xb, train_mode, rng)
+        (_, logits), forward_trace = _forward_chains(spec, xb, train_mode, rng)
+        forward_trace.caches.append(None)  # head slot
+        return logits, forward_trace
 
-    block = max(1, _EVAL_BLOCK_BYTES // (8 * validate_network(spec)[2]))
-    logits = np.empty((len(xb), spec.num_classes))
-    for start in range(0, len(xb), block):
-        logits[start : start + block] = _forward_chains(
-            spec, xb[start : start + block], False, rng
-        )[0]
-    return logits, None
+    _, _, widest, stops = validate_network(spec)
+    block = max(1, _EVAL_BLOCK_BYTES // (8 * widest))
+    parts = [
+        _forward_chains(spec, xb[start : start + block], False, rng, stops)[0]
+        for start in range(0, len(xb), block)
+    ]
+    # in C order, which the fc reading the main chain's activation flattens
+    # without a copy; np.concatenate would keep the blocks' channel-major order
+    s, a = (
+        None if chain[0] is None
+        else np.concatenate(chain, out=np.empty((len(xb), *chain[0].shape[1:])))
+        for chain in zip(*parts)
+    )
+    ends = (len(spec.side_layers), len(spec.layers) - 1)
+    return _run_chains(spec, s, a, stops, ends, False, rng)[1], None
 
 
-def _forward_chains(spec: NetworkSpec, xb, train_mode, rng):
-    """Both chains and the join over a checked batch; returns (logits, ForwardTrace)."""
-    side_caches = []
-    join_info = None
-    s = None
-    if spec.join_at is not None:
-        s = xb
-        for i, layer in enumerate(spec.side_layers):
-            s, cache = KINDS[layer.kind].forward(layer, spec.side_params[i], s, train_mode, rng)
-            side_caches.append(cache)
+def _forward_chains(spec: NetworkSpec, xb, train_mode, rng, stops=None):
+    """Both chains over a checked batch, each up to its layer index in `stops`
+    (default: all of the side chain and the main chain up to the head).
 
-    a = xb
-    caches = []
-    for i, layer in enumerate(spec.layers[:-1]):
-        if spec.join_at is not None and i == spec.join_at:
-            join_info = (s.shape[1], a.shape)
+    Returns the (side, main) activations there (side None without a side
+    chain) and a ForwardTrace of the layers run.
+    """
+    forward_trace = ForwardTrace([], [], None)
+    side = xb if spec.join_at is not None else None
+    ends = stops or (len(spec.side_layers), len(spec.layers) - 1)
+    return _run_chains(spec, side, xb, (0, 0), ends, train_mode, rng, forward_trace), forward_trace
+
+
+def _run_chains(spec: NetworkSpec, s, a, starts, ends, train_mode, rng, forward_trace=None):
+    """Side layers [starts[0], ends[0]) on s, then main layers [starts[1],
+    ends[1]) on a, with the side vector joined in at `join_at`; returns
+    (s, a). Caches and the join's shapes go to `forward_trace` when given."""
+    for i in range(starts[0], ends[0]):
+        layer = spec.side_layers[i]
+        s, cache = KINDS[layer.kind].forward(layer, spec.side_params[i], s, train_mode, rng)
+        if forward_trace is not None:
+            forward_trace.side_caches.append(cache)
+    for i in range(starts[1], ends[1]):
+        layer = spec.layers[i]
+        if i == spec.join_at:
+            if forward_trace is not None:
+                forward_trace.join_info = (s.shape[1], a.shape)
             a = np.concatenate([s, a.reshape(a.shape[0], -1)], axis=1)
         a, cache = KINDS[layer.kind].forward(layer, spec.params[i], a, train_mode, rng)
-        caches.append(cache)
-    caches.append(None)  # head slot
-    return a, ForwardTrace(caches, side_caches, join_info)
+        if forward_trace is not None:
+            forward_trace.caches.append(cache)
+    return s, a
 
 
 def network_backward(spec: NetworkSpec, trace: ForwardTrace, d_logits) -> Gradients:
@@ -679,7 +717,7 @@ def load_network(path) -> NetworkSpec:
         side_layers=side,
         join_at=join_at,
     )
-    main_shapes, side_shapes, _ = validate_network(spec)
+    main_shapes, side_shapes, *_ = validate_network(spec)
 
     with open(str(path) + ".bin", "rb") as f:
         blob = f.read()
@@ -691,6 +729,9 @@ def load_network(path) -> NetworkSpec:
     values = np.frombuffer(blob[16:], dtype="<f8")
     if values.size != total:
         raise ValueError(f"{path}.bin: expected {total} values, found {values.size}")
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise ValueError(f"{path}.bin: {bad} non-finite parameter value(s)")
 
     cursor = 0
     filled = []

@@ -66,12 +66,12 @@ class TmlConfig:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValueError(f"TmlConfig.{name} must be a positive integer, got {v!r}")
-        if not (self.c1 > 0 and self.c2 > 0):
-            raise ValueError("c1 and c2 must be positive")
+        if not (0 < self.c1 < np.inf and 0 < self.c2 < np.inf):
+            raise ValueError("c1 and c2 must be positive and finite")
         if self.c2 > self.c1:
             raise ValueError(f"c2 ({self.c2}) must not exceed c1 ({self.c1})")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not (np.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
         if self.c1 / self.c2 > self.weight_count:
             raise ValueError(
                 f"constraints infeasible: c1/c2 = {self.c1 / self.c2} exceeds "

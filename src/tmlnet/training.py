@@ -40,13 +40,14 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
-        # zero is allowed so a no-op update still exercises the projection
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be nonnegative")
-        if self.momentum < 0:
-            raise ValueError("momentum must be nonnegative")
+        # a zero learning rate is allowed so a no-op update still exercises the projection
+        for name, value in (
+            ("lambda", self.lam),
+            ("learning rate", self.learning_rate),
+            ("momentum", self.momentum),
+        ):
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be at least 1")
 
@@ -173,7 +174,8 @@ def train_step(
 def evaluate(spec: NetworkSpec, ds: Dataset, batch_size: int = 256) -> float:
     """Fraction of samples whose arg-max logit matches the label (eval mode).
 
-    Raises ValueError on an empty dataset.
+    Raises ValueError on an empty dataset or non-finite logits, whose argmax
+    would be a meaningless class.
     """
     if len(ds) == 0:
         raise ValueError("empty dataset")
@@ -182,6 +184,8 @@ def evaluate(spec: NetworkSpec, ds: Dataset, batch_size: int = 256) -> float:
         xb = ds.images[start : start + batch_size]
         yb = ds.labels[start : start + batch_size]
         logits, _ = network_forward(spec, xb, train_mode=False, trace=False)
+        if not np.isfinite(logits).all():
+            raise ValueError(f"non-finite logits in the batch at sample {start}")
         hits += int((logits.argmax(axis=1) == yb).sum())
     return hits / len(ds)
 

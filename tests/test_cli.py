@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,41 @@ def test_zero_crop_rejected_before_writing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "crop" in err
     assert not out.exists()
+
+
+def tiny_checkpoint(tmp_path):
+    """A trained 1-epoch dhlac checkpoint and its 2-class dataset."""
+    data = tiny_stripes(tmp_path)
+    train = ["train", "--arch", "dhlac", "--dataset", str(data), "--out", str(tmp_path / "run"),
+             "--epochs", "1", "--num-kernels", "2"]
+    assert cli_dispatch(train) == 0
+    return tmp_path / "run.net", data
+
+
+def test_nan_weight_in_blob_rejected(tmp_path, capsys):
+    ckpt, data = tiny_checkpoint(tmp_path)
+    blob = Path(str(ckpt) + ".bin")
+    raw = bytearray(blob.read_bytes())
+    raw[16:24] = np.float64(np.nan).tobytes()  # the first value after the header
+    blob.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert cli_dispatch(["eval", "--ckpt", str(ckpt), "--dataset", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {blob}: 1 non-finite parameter value")
+    assert "accuracy" not in captured.out
+
+
+def test_nan_eps_in_layer_line_rejected(tmp_path, capsys):
+    ckpt, data = tiny_checkpoint(tmp_path)
+    text = ckpt.read_text()
+    assert " eps=1e-06 " in text
+    ckpt.write_text(text.replace(" eps=1e-06 ", " eps=nan "))
+    capsys.readouterr()
+    assert cli_dispatch(["eval", "--ckpt", str(ckpt), "--dataset", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {ckpt}: malformed line")
+    assert "eps must be positive and finite" in captured.err
+    assert "accuracy" not in captured.out
 
 
 def test_binary_file_is_not_a_checkpoint(tmp_path, capsys):

@@ -40,6 +40,19 @@ def einsum_conv(x, w, b):
     return y, backward
 
 
+def channel_major(a):
+    """a's values with each channel's (B, H, W) plane one contiguous run, as
+    the conv, TML, ReLU and pooling layers hand them on."""
+    return np.ascontiguousarray(a.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+
+
+def is_channel_major(a):
+    return a.transpose(3, 0, 1, 2).flags.c_contiguous
+
+
+LAYOUTS = {"nhwc": np.ascontiguousarray, "channel_major": channel_major}
+
+
 # (B, H, W, Cin, kh, kw, Cout): kh != kw, several channels, non-square inputs,
 # and the 5x5 single-channel and 3x3 eight-channel kernels of the shipped nets
 CONV_SHAPES = [
@@ -77,6 +90,19 @@ class TestConv:
         assert _rel_err(d_w, _central_diff(loss, w, DEFAULT_STEP)) < 1e-5
         assert _rel_err(d_b, _central_diff(loss, b, DEFAULT_STEP)) < 1e-5
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
+    def test_window_matrix_rows_are_kernel_cells(self, shape, layout):
+        # row (p, q, k), column (b, i, j) holds x[b, i+p, j+q, k]
+        bsz, h, w_, cin, kh, kw, _ = shape
+        x = LAYOUTS[layout](np.random.default_rng(sum(shape)).normal(size=(bsz, h, w_, cin)))
+        oh, ow = h - kh + 1, w_ - kw + 1
+        cols = layers._cols(x, kh, kw)
+        assert cols.shape == (kh * kw * cin, bsz * oh * ow)
+        cells = cols.reshape(kh, kw, cin, bsz, oh, ow)
+        for p, q, k, b in np.ndindex(kh, kw, cin, bsz):
+            np.testing.assert_array_equal(cells[p, q, k, b], x[b, p : p + oh, q : q + ow, k])
+
     @pytest.mark.parametrize("shape", CONV_SHAPES)
     def test_matches_einsum_reference(self, shape):
         bsz, h, w_, cin, kh, kw, cout = shape
@@ -85,11 +111,13 @@ class TestConv:
         w = rng.normal(size=(kh, kw, cin, cout))
         b = rng.normal(size=cout)
         ref_y, ref_backward = einsum_conv(x, w, b)
-        np.testing.assert_array_equal(conv2d_forward(x, w, b), ref_y)
         d_y = rng.normal(size=ref_y.shape)
-        for got, ref in zip(conv2d_backward(x, w, d_y), ref_backward(d_y)):
-            assert got.shape == ref.shape
-            assert _rel_err(got, ref) < 1e-12
+        ref_grads = ref_backward(d_y)
+        for layout in LAYOUTS.values():
+            np.testing.assert_array_equal(conv2d_forward(layout(x), w, b), ref_y)
+            for got, ref in zip(conv2d_backward(layout(x), w, layout(d_y)), ref_grads):
+                assert got.shape == ref.shape
+                assert _rel_err(got, ref) < 1e-12
 
     def test_blocked_forward_matches_einsum_reference(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -117,20 +145,32 @@ class TestConv:
         rng = np.random.default_rng(sum(shape))
         x = rng.normal(size=(bsz, h, w_, cin))
         y = conv2d_forward(x, rng.normal(size=(kh, kw, cin, cout)), rng.normal(size=cout))
-        assert y.transpose(3, 0, 1, 2).flags.c_contiguous
+        assert is_channel_major(y)
+
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
+    def test_input_gradient_is_channel_major(self, shape):
+        # so the ReLU and pooling backwards below it read and write one layout
+        bsz, h, w_, cin, kh, kw, cout = shape
+        rng = np.random.default_rng(sum(shape))
+        w = rng.normal(size=(kh, kw, cin, cout))
+        for layout in LAYOUTS.values():
+            d_y = layout(rng.normal(size=(bsz, h - kh + 1, w_ - kw + 1, cout)))
+            d_x = layers.correlate_grad_input(w, d_y, (bsz, h, w_, cin))
+            assert d_x.shape == (bsz, h, w_, cin) and is_channel_major(d_x)
 
     @pytest.mark.parametrize("shape", CONV_SHAPES)
     def test_weights_only_call_matches_full_call(self, shape):
         bsz, h, w_, cin, kh, kw, cout = shape
         rng = np.random.default_rng(sum(shape))
-        x = rng.normal(size=(bsz, h, w_, cin))
         w = rng.normal(size=(kh, kw, cin, cout))
-        d_y = rng.normal(size=(bsz, h - kh + 1, w_ - kw + 1, cout))
-        _, d_w, d_b = conv2d_backward(x, w, d_y)
-        no_dx, d_w_only, d_b_only = conv2d_backward(x, w, d_y, need_dx=False)
-        assert no_dx is None
-        np.testing.assert_array_equal(d_w_only, d_w)
-        np.testing.assert_array_equal(d_b_only, d_b)
+        for layout in LAYOUTS.values():
+            x = layout(rng.normal(size=(bsz, h, w_, cin)))
+            d_y = layout(rng.normal(size=(bsz, h - kh + 1, w_ - kw + 1, cout)))
+            _, d_w, d_b = conv2d_backward(x, w, d_y)
+            no_dx, d_w_only, d_b_only = conv2d_backward(x, w, d_y, need_dx=False)
+            assert no_dx is None
+            np.testing.assert_array_equal(d_w_only, d_w)
+            np.testing.assert_array_equal(d_b_only, d_b)
 
     def test_gradcheck_names_a_computed_dx(self, monkeypatch):
         from tmlnet import gradcheck
@@ -209,11 +249,17 @@ class TestMaxpool:
         x = relu_forward(rng.integers(-3, 3, size=shape).astype(np.float64))
         x[0, :2, :2] = 0.0  # an all-zero block in every channel
         ref_y, ref_backward = argmax_maxpool(x)
-        y = maxpool_forward(x)
-        assert y.shape == ref_y.shape and y.tobytes() == ref_y.tobytes()
-        d_y = rng.normal(size=y.shape)  # negative entries too: no -0.0 may leak
-        d_x = maxpool_backward(d_y, x, y)
-        assert d_x.shape == x.shape and d_x.tobytes() == ref_backward(d_y).tobytes()
+        d_y = rng.normal(size=ref_y.shape)  # negative entries too: no -0.0 may leak
+        ref_d_x = ref_backward(d_y)
+        for layout in LAYOUTS.values():
+            x_l = layout(x)
+            y = maxpool_forward(x_l)
+            assert y.shape == ref_y.shape and y.tobytes() == ref_y.tobytes()
+            d_x = maxpool_backward(layout(d_y), x_l, y)
+            assert d_x.shape == x.shape and d_x.tobytes() == ref_d_x.tobytes()
+            # d_x has x's layout, so the ReLU backward below reads one layout
+            assert is_channel_major(d_x) == is_channel_major(x_l)
+            assert d_x.flags.c_contiguous == x_l.flags.c_contiguous
 
     def test_nan_block_gets_no_gradient(self):
         x = np.array([[1.0, np.nan], [3.0, 2.0]]).reshape(1, 2, 2, 1)
@@ -314,6 +360,13 @@ class TestGap:
     def test_backward_spreads_uniformly(self):
         d = gap_backward(np.array([[2.0]]), (1, 2, 2, 1))
         np.testing.assert_array_equal(d.reshape(2, 2), np.full((2, 2), 0.5))
+
+    def test_backward_is_channel_major(self):
+        # like the TML and conv outputs it feeds back to
+        d_y = np.arange(6.0).reshape(2, 3)
+        d = gap_backward(d_y, (2, 4, 5, 3))
+        assert is_channel_major(d)
+        np.testing.assert_array_equal(d, np.broadcast_to(d_y[:, None, None, :] / 20, d.shape))
 
 
 class TestSoftmaxXent:

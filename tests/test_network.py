@@ -242,6 +242,30 @@ class TestTraceFreeForward:
         np.testing.assert_allclose(blocked, traced, rtol=1e-12)
         np.testing.assert_array_equal(blocked.argmax(axis=1), traced.argmax(axis=1))
 
+    @pytest.mark.parametrize("arch", sorted(SHIPPED_NETS))
+    def test_fc_runs_once_per_batch(self, monkeypatch, arch):
+        # an fc reads its whole weight for every call, so it runs on the
+        # whole batch; GAP turns the large maps into a vector inside the blocks
+        spec = init_params(SHIPPED_NETS[arch](), np.random.default_rng(0))
+        xb = np.random.default_rng(1).uniform(size=(7, *spec.input_shape))
+        blocks_of_three(monkeypatch, spec)
+        calls = {"fc_forward": [], "gap_forward": []}
+
+        def recording(kernel, seen):
+            def call(x, *args):
+                seen.append(len(x))
+                return kernel(x, *args)
+
+            return call
+
+        for name, seen in calls.items():
+            monkeypatch.setattr(layers, name, recording(getattr(layers, name), seen))
+        network_forward(spec, xb, trace=False)
+        fcs = sum(layer.kind == "fc" for layer in spec.layers + spec.side_layers)
+        gaps = sum(layer.kind == "gap" for layer in spec.layers + spec.side_layers)
+        assert calls["fc_forward"] == [7] * fcs
+        assert sorted(calls["gap_forward"]) == sorted([3, 3, 1] * gaps)
+
     def test_train_mode_rejected(self):
         spec = tiny_branched_net()
         xb = np.ones((2, 6, 6, 1))

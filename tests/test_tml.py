@@ -60,6 +60,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             TmlConfig(3, 3, 1, 2, eps=0.0)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_rejects_nonfinite_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            TmlConfig(3, 3, 1, 2, eps=eps)
+
+    def test_rejects_nonfinite_constraints(self):
+        # inf / inf is NaN, which no ratio or order check catches
+        with pytest.raises(ValueError, match="c1 and c2 must be positive and finite"):
+            TmlConfig(3, 3, 1, 2, c1=np.inf, c2=np.inf)
+
     def test_weight_count(self):
         assert TmlConfig(3, 4, 2, 5).weight_count == 24
 

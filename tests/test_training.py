@@ -308,6 +308,14 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty dataset"):
             train_loop(spec, ds, TrainConfig(epochs=1), test_ds=ds.subset(0))
 
+    def test_nonfinite_logits_rejected(self):
+        # the argmax of NaN logits is class 0, which would read as an accuracy
+        spec = fc_toy_net()
+        spec.params[0]["b"][1] = np.nan
+        ds = Dataset(np.ones((5, 1, 1, 1)), np.zeros(5, dtype=int))
+        with pytest.raises(ValueError, match="non-finite logits"):
+            evaluate(spec, ds)
+
     def test_previous_batch_trace_is_freed(self, monkeypatch):
         import gc
         import weakref
@@ -398,6 +406,12 @@ class TestConfigValidation:
     def test_negative_learning_rate_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-0.1)
+
+    @pytest.mark.parametrize("key", ["lam", "learning_rate", "momentum"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_rates_rejected(self, key, value):
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            TrainConfig(**{key: value})
 
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError):
