@@ -3,8 +3,11 @@ texture generator, and batch iteration.
 
 IDX files are parsed bit-exactly: big-endian magic (0x00000803 for image
 files, 0x00000801 for label files), big-endian u32 dimensions, then raw u8
-payload. Pixels map to [0, 1] by dividing by 255; the writer inverts that
-mapping with round-half-up so load -> write reproduces a file byte for byte.
+payload. A file is read whole and must be exactly as long as its header and
+the product of its dimensions, so a header cannot ask for more memory than
+the file holds. Pixels map to [0, 1] by dividing by 255; the writer inverts
+that mapping with round-half-up so load -> write reproduces a file byte for
+byte.
 
 The stripe set draws one periodic line pattern per class on a large black
 canvas, adds uniform noise, clamps to [0, 1], and cuts random crops; test
@@ -14,6 +17,7 @@ positions over the same pattern).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -61,38 +65,35 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _read_exact(f, n, path):
-    data = f.read(n)
-    if len(data) != n:
-        raise ValueError(f"{path}: truncated IDX file")
-    return data
-
-
-def load_idx_images(path) -> list[np.ndarray]:
-    """Parse an IDX image file into a list of (rows, cols, 1) tensors in [0, 1]."""
+def _read_idx(path, magic: int, ndim: int, what: str) -> np.ndarray:
+    """The u8 payload of an IDX file, shaped by its `ndim` dimensions."""
     with open(path, "rb") as f:
-        magic, n, rows, cols = struct.unpack(">4I", _read_exact(f, 16, path))
-        if magic != IDX_IMAGE_MAGIC:
-            raise ValueError(f"{path}: bad IDX image magic 0x{magic:08x}")
-        if rows < 1 or cols < 1 or n * rows * cols > 2**40:
-            raise ValueError(f"{path}: implausible IDX dimensions {n}x{rows}x{cols}")
-        payload = _read_exact(f, n * rows * cols, path)
-        if f.read(1):
-            raise ValueError(f"{path}: trailing bytes after IDX payload")
-    raw = np.frombuffer(payload, dtype=np.uint8).reshape(n, rows, cols)
-    scaled = raw.astype(np.float64) / 255.0
-    return [scaled[i][:, :, None] for i in range(n)]
+        blob = f.read()
+    header = 4 * (1 + ndim)
+    if len(blob) < header:
+        raise ValueError(f"{path}: truncated IDX header")
+    found, *dims = struct.unpack(f">{1 + ndim}I", blob[:header])
+    if found != magic:
+        raise ValueError(f"{path}: bad IDX {what} magic 0x{found:08x}")
+    if len(blob) != header + math.prod(dims):
+        raise ValueError(
+            f"{path}: IDX dimensions {'x'.join(map(str, dims))} need "
+            f"{header + math.prod(dims)} bytes, the file has {len(blob)}"
+        )
+    return np.frombuffer(blob, dtype=np.uint8, offset=header).reshape(dims)
 
 
-def load_idx_labels(path) -> list[int]:
-    with open(path, "rb") as f:
-        magic, n = struct.unpack(">2I", _read_exact(f, 8, path))
-        if magic != IDX_LABEL_MAGIC:
-            raise ValueError(f"{path}: bad IDX label magic 0x{magic:08x}")
-        payload = _read_exact(f, n, path)
-        if f.read(1):
-            raise ValueError(f"{path}: trailing bytes after IDX payload")
-    return [int(b) for b in payload]
+def load_idx_images(path) -> np.ndarray:
+    """Parse an IDX image file into (N, rows, cols, 1) float64 in [0, 1]."""
+    raw = _read_idx(path, IDX_IMAGE_MAGIC, 3, "image")
+    if 0 in raw.shape[1:]:
+        raise ValueError(f"{path}: empty IDX image size {raw.shape[1]}x{raw.shape[2]}")
+    return (raw.astype(np.float64) / 255.0)[..., None]
+
+
+def load_idx_labels(path) -> np.ndarray:
+    """Parse an IDX label file into int64 (N,)."""
+    return _read_idx(path, IDX_LABEL_MAGIC, 1, "label").astype(np.int64)
 
 
 def to_u8(values: np.ndarray) -> np.ndarray:
@@ -131,7 +132,7 @@ def load_dataset_dir(directory) -> tuple[Dataset, Dataset]:
         labels = load_idx_labels(os.path.join(directory, f"{split}-labels.idx"))
         if len(images) != len(labels):
             raise ValueError(f"{directory}: {split} image/label counts differ")
-        return Dataset(np.stack(images), np.asarray(labels))
+        return Dataset(images, labels)
 
     return one("train"), one("test")
 

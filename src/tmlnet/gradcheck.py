@@ -124,12 +124,10 @@ def tiny_network():
             fc(5),
             LayerSpec("sigmoid"),
             fc(3),
-            LayerSpec("softmax_xent_head"),
         ],
         input_shape=(6, 6, 1),
         num_classes=3,
         side_layers=[tml_layer(cfg), LayerSpec("gap")],
-        join_at=3,
     )
 
 

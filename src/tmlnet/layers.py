@@ -176,19 +176,24 @@ def fc_backward(x, w, d_y):
 
 
 def dropout_forward(x, rate: float, rng: np.random.Generator, train: bool):
-    """Returns (y, mask); eval mode and rate 0 are exact identities."""
+    """Returns (y, mask); eval mode and rate 0 are exact identities. The mask
+    is drawn in C order; y (and d_x) keep x's layout, channel-major after a conv."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
         return x, None
     mask = rng.random(x.shape) >= rate
-    return x * mask / (1.0 - rate), mask
+    y = np.multiply(x, mask, out=np.empty_like(x))
+    y /= 1.0 - rate
+    return y, mask
 
 
 def dropout_backward(d_y, mask, rate: float):
     if mask is None:
         return d_y
-    return d_y * mask / (1.0 - rate)
+    d_x = np.multiply(d_y, mask, out=np.empty_like(d_y))
+    d_x /= 1.0 - rate
+    return d_x
 
 
 def gap_forward(x: np.ndarray) -> np.ndarray:

@@ -2,11 +2,12 @@
 two multiplication-layer topologies (input-side auto-correlation extractor
 and mid-network co-occurrence extractor), plus a plain baseline CNN.
 
-A network is a main chain of layers ending in a softmax cross-entropy head,
-optionally joined by a side chain that also reads the network input (the
-multiplication layer + average pooling of the auto-correlation topology).
-Where the chains meet, the main activation is flattened and the side vector
-is concatenated in front of it; the joint vector feeds the remaining layers.
+A network is a main chain of layers whose last layer emits the logits that
+training scores with `layers.softmax_xent`, optionally joined by a side
+chain that also reads the network input (the multiplication layer + average
+pooling of the auto-correlation topology). The chains meet at the main
+chain's last layer: the main activation is flattened and the side vector is
+concatenated in front of it.
 
 Activation volumes are (B, rows, cols, channels); vectors are (B, dims).
 
@@ -23,7 +24,8 @@ mode only) runs the network depth-first: it cuts the batch into blocks of
 whole images, runs each block through each chain up to its block stop,
 keeps the block's activations there and drops its caches before the next
 block starts. A chain's block stop is its first layer that has weights and
-a vector output (an fc) or reads the joined vector; the rest of both
+a vector output (an fc), and with a side chain at the latest the main
+chain's last layer, which reads the joined vector; the rest of both
 chains, and the join, then run once over the whole batch. So an fc weight
 is read once per batch, not once per block (baseline's 2.4 MB fc(64)
 weight was streamed 52 times per 256-image batch of 64-px crops), while
@@ -61,7 +63,7 @@ from . import tml as T
 from .hlac import default_mask_set, masks_to_binary_kernels
 
 NET_MAGIC = b"TMLP"
-NET_FORMAT = "tmlnet-net-v1"
+NET_FORMAT = "tmlnet-net-v2"
 NET_BLOB_VERSION = 1
 
 _EVAL_BLOCK_BYTES = 4 << 20  # widest activation of one trace-free eval block
@@ -108,7 +110,6 @@ class NetworkSpec:
     input_shape: tuple[int, int, int]
     num_classes: int
     side_layers: list[LayerSpec] = field(default_factory=list)
-    join_at: int | None = None
     params: list[dict] = field(default_factory=list)
     side_params: list[dict] = field(default_factory=list)
 
@@ -247,9 +248,7 @@ class Kind:
     """What one layer kind does; every function takes the LayerSpec first.
 
     Conv and tml backwards return d_input None when `need_dx` is False. Param
-    grads hold only the arrays that train: a frozen tml bank returns {}. The
-    loss head has no forward or backward: the network's last activations are
-    the logits it consumes (see layers.softmax_xent).
+    grads hold only the arrays that train: a frozen tml bank returns {}.
 
     The cache a forward returns for its backward: conv and fc keep their
     input x; relu and sigmoid their output y; maxpool (x, y), where an x made
@@ -258,8 +257,8 @@ class Kind:
     (x, y, z) with z = log(x + eps).
     """
 
-    forward: Callable | None  # (layer, params, a, train_mode, rng) -> (y, cache)
-    backward: Callable | None  # (layer, params, cache, d_y, need_dx) -> (d_x, param grads)
+    forward: Callable  # (layer, params, a, train_mode, rng) -> (y, cache)
+    backward: Callable  # (layer, params, cache, d_y, need_dx) -> (d_x, param grads)
     out_shape: Callable = lambda layer, shape: shape  # (h, w, c) volume or (d,) vector
     param_shapes: Callable = lambda layer, in_shape: {}
     init: Callable = lambda layer, shapes, rng: {}  # (layer, param shapes, rng) -> params
@@ -344,26 +343,26 @@ KINDS = {
         ),
         make=_tml_from_fields,
     ),
-    "softmax_xent_head": Kind(forward=None, backward=None),
 }
 
 
-def _chain_shapes(layers: list[LayerSpec], shape, join_at=None, side_out=None):
+def _chain_shapes(layers: list[LayerSpec], shape, side_out=None):
     """Each layer's parameter shapes, the chain's output shape, the largest
     per-image activation size on the way (the input included) and the chain's
     block stop: the index of the first layer that has weights and a vector
-    output or reads the joined vector (len(layers) if none). At `join_at` the
-    side chain's (d,) output is prepended to the flattened activation."""
+    output (len(layers) if none). Given a side chain's (d,) output
+    `side_out`, the last layer reads it prepended to the flattened
+    activation, and the block stop is at most that layer."""
     param_shapes = []
     widest = math.prod(shape)
-    stop = len(layers)
+    stop = len(layers) - (side_out is not None)
     for i, layer in enumerate(layers):
-        if i == join_at:
+        if side_out is not None and i == len(layers) - 1:
             shape = (side_out[0] + math.prod(shape),)
         kind = KINDS[layer.kind]
         out = kind.out_shape(layer, shape)
         param_shapes.append(kind.param_shapes(layer, shape))
-        if stop == len(layers) and (i == join_at or (len(out) == 1 and param_shapes[-1])):
+        if i < stop and len(out) == 1 and param_shapes[-1]:
             stop = i
         shape = out
         widest = max(widest, math.prod(shape))
@@ -371,38 +370,26 @@ def _chain_shapes(layers: list[LayerSpec], shape, join_at=None, side_out=None):
 
 
 def validate_network(spec: NetworkSpec):
-    """Walk both chains, checking shape compatibility and head placement.
+    """Walk both chains, checking shape compatibility.
 
     Returns (main_param_shapes, side_param_shapes, widest, stops), where
     widest is the largest per-image activation size (values) on either chain
     and stops the (side, main) block stops of a trace-free forward (see
-    `network_forward`); the main stop is at most the head's index.
+    `network_forward`).
     """
     if not spec.layers:
         raise ValueError("network has no layers")
-    heads = [i for i, l in enumerate(spec.layers) if l.kind == "softmax_xent_head"]
-    if heads != [len(spec.layers) - 1]:
-        raise ValueError("network must end with exactly one softmax_xent_head")
-    if any(l.kind == "softmax_xent_head" for l in spec.side_layers):
-        raise ValueError("side chain must not contain a loss head")
-    if (spec.join_at is None) != (not spec.side_layers):
-        raise ValueError("side_layers and join_at must be set together")
-
     side_shapes, side_out, side_widest, side_stop = _chain_shapes(
         spec.side_layers, spec.input_shape
     )
-    if spec.side_layers:
-        if len(side_out) != 1:
-            raise ValueError(f"side chain must end in a vector, got shape {side_out}")
-        if not 0 <= spec.join_at < len(spec.layers) - 1:
-            raise ValueError(f"join_at {spec.join_at} must precede the loss head")
+    if spec.side_layers and len(side_out) != 1:
+        raise ValueError(f"side chain must end in a vector, got shape {side_out}")
     main_shapes, shape, widest, main_stop = _chain_shapes(
-        spec.layers, spec.input_shape, spec.join_at, side_out
+        spec.layers, spec.input_shape, side_out if spec.side_layers else None
     )
     if shape != (spec.num_classes,):
-        raise ValueError(f"head expects ({spec.num_classes},) logits, chain produces {shape}")
-    stops = (side_stop, min(main_stop, len(spec.layers) - 1))
-    return main_shapes, side_shapes, max(widest, side_widest), stops
+        raise ValueError(f"expected ({spec.num_classes},) logits, chain produces {shape}")
+    return main_shapes, side_shapes, max(widest, side_widest), (side_stop, main_stop)
 
 
 def init_params(spec: NetworkSpec, rng: np.random.Generator) -> NetworkSpec:
@@ -439,9 +426,6 @@ def network_forward(spec: NetworkSpec, xb, train_mode: bool = False, rng=None, t
     and the rest of both chains runs once over the whole batch (see the
     module docstring); the call returns (logits, None). It is eval-mode only,
     since blocked dropout would draw other masks than the whole batch.
-
-    The loss head itself computes nothing here: the returned activations are
-    the logits it consumes (see layers.softmax_xent).
     """
     if train_mode and not trace:
         raise ValueError("a forward without trace runs in eval mode only")
@@ -454,7 +438,6 @@ def network_forward(spec: NetworkSpec, xb, train_mode: bool = False, rng=None, t
         raise ValueError("network parameters not initialized")
     if trace:
         (_, logits), forward_trace = _forward_chains(spec, xb, train_mode, rng)
-        forward_trace.caches.append(None)  # head slot
         return logits, forward_trace
 
     _, _, widest, stops = validate_network(spec)
@@ -470,27 +453,28 @@ def network_forward(spec: NetworkSpec, xb, train_mode: bool = False, rng=None, t
         else np.concatenate(chain, out=np.empty((len(xb), *chain[0].shape[1:])))
         for chain in zip(*parts)
     )
-    ends = (len(spec.side_layers), len(spec.layers) - 1)
+    ends = (len(spec.side_layers), len(spec.layers))
     return _run_chains(spec, s, a, stops, ends, False, rng)[1], None
 
 
 def _forward_chains(spec: NetworkSpec, xb, train_mode, rng, stops=None):
     """Both chains over a checked batch, each up to its layer index in `stops`
-    (default: all of the side chain and the main chain up to the head).
+    (default: both chains whole).
 
     Returns the (side, main) activations there (side None without a side
     chain) and a ForwardTrace of the layers run.
     """
     forward_trace = ForwardTrace([], [], None)
-    side = xb if spec.join_at is not None else None
-    ends = stops or (len(spec.side_layers), len(spec.layers) - 1)
+    side = xb if spec.side_layers else None
+    ends = stops or (len(spec.side_layers), len(spec.layers))
     return _run_chains(spec, side, xb, (0, 0), ends, train_mode, rng, forward_trace), forward_trace
 
 
 def _run_chains(spec: NetworkSpec, s, a, starts, ends, train_mode, rng, forward_trace=None):
     """Side layers [starts[0], ends[0]) on s, then main layers [starts[1],
-    ends[1]) on a, with the side vector joined in at `join_at`; returns
-    (s, a). Caches and the join's shapes go to `forward_trace` when given."""
+    ends[1]) on a, with the side vector s joined in ahead of the last main
+    layer; returns (s, a). Caches and the join's shapes go to `forward_trace`
+    when given."""
     for i in range(starts[0], ends[0]):
         layer = spec.side_layers[i]
         s, cache = KINDS[layer.kind].forward(layer, spec.side_params[i], s, train_mode, rng)
@@ -498,7 +482,7 @@ def _run_chains(spec: NetworkSpec, s, a, starts, ends, train_mode, rng, forward_
             forward_trace.side_caches.append(cache)
     for i in range(starts[1], ends[1]):
         layer = spec.layers[i]
-        if i == spec.join_at:
+        if s is not None and i == len(spec.layers) - 1:
             if forward_trace is not None:
                 forward_trace.join_info = (s.shape[1], a.shape)
             a = np.concatenate([s, a.reshape(a.shape[0], -1)], axis=1)
@@ -512,7 +496,8 @@ def network_backward(spec: NetworkSpec, trace: ForwardTrace, d_logits) -> Gradie
     """Backpropagate d(loss)/d(logits) through the trace; one use per trace.
 
     The first layer of each chain reads the network input, whose gradient
-    nothing uses, so it computes none (unless the side chain joins there).
+    nothing uses, so it computes none (unless the side chain joins there,
+    in a main chain of one layer).
     """
     if trace.consumed:
         raise ValueError("forward trace already consumed by a backward pass")
@@ -521,23 +506,21 @@ def network_backward(spec: NetworkSpec, trace: ForwardTrace, d_logits) -> Gradie
     side_grads = [dict() for _ in spec.side_layers]
 
     d = np.asarray(d_logits, dtype=np.float64)
-    d_side = None
-    for i in range(len(spec.layers) - 2, -1, -1):
+    join = len(spec.layers) - 1 if spec.side_layers else None
+    for i in range(len(spec.layers) - 1, -1, -1):
         layer = spec.layers[i]
-        need_dx = i > 0 or spec.join_at == 0
         d, main_grads[i] = KINDS[layer.kind].backward(
-            layer, spec.params[i], trace.caches[i], d, need_dx
+            layer, spec.params[i], trace.caches[i], d, i > 0 or i == join
         )
-        if spec.join_at is not None and i == spec.join_at:
+        if i == join:
             side_dim, pre_shape = trace.join_info
             d_side = d[:, :side_dim]
             d = d[:, side_dim:].reshape(pre_shape)
-    if spec.join_at is not None:
-        for i in range(len(spec.side_layers) - 1, -1, -1):
-            layer = spec.side_layers[i]
-            d_side, side_grads[i] = KINDS[layer.kind].backward(
-                layer, spec.side_params[i], trace.side_caches[i], d_side, i > 0
-            )
+    for i in range(len(spec.side_layers) - 1, -1, -1):
+        layer = spec.side_layers[i]
+        d_side, side_grads[i] = KINDS[layer.kind].backward(
+            layer, spec.side_params[i], trace.side_caches[i], d_side, i > 0
+        )
     return Gradients(main_grads, side_grads)
 
 
@@ -567,13 +550,11 @@ def build_dhlac_net(input_shape, num_classes: int, tml_cfg: T.TmlConfig) -> Netw
     image, average pooling turns its maps into a vector, and that vector is
     concatenated with the convolutional branch's last hidden features ahead
     of the classifying layer."""
-    branch = _lenet_branch()
     spec = NetworkSpec(
-        layers=branch + [fc(num_classes), LayerSpec("softmax_xent_head")],
+        layers=_lenet_branch() + [fc(num_classes)],
         input_shape=tuple(input_shape),
         num_classes=num_classes,
         side_layers=[tml_layer(tml_cfg), LayerSpec("gap")],
-        join_at=len(branch),
     )
     validate_network(spec)
     return spec
@@ -585,8 +566,7 @@ def build_cooc_net(input_shape, num_classes: int, tml_cfg: T.TmlConfig) -> Netwo
     classifying layer directly (required by the co-occurrence tracing tools).
     The bank reads conv2's 16 maps: the LeNet branch up to conv2's ReLU."""
     spec = NetworkSpec(
-        layers=_lenet_branch()[:5]
-        + [tml_layer(tml_cfg), LayerSpec("gap"), fc(num_classes), LayerSpec("softmax_xent_head")],
+        layers=_lenet_branch()[:5] + [tml_layer(tml_cfg), LayerSpec("gap"), fc(num_classes)],
         input_shape=tuple(input_shape),
         num_classes=num_classes,
     )
@@ -613,7 +593,6 @@ def build_baseline_net(input_shape, num_classes: int) -> NetworkSpec:
             LayerSpec("relu"),
             dropout(0.5),
             fc(num_classes),
-            LayerSpec("softmax_xent_head"),
         ],
         input_shape=tuple(input_shape),
         num_classes=num_classes,
@@ -634,7 +613,6 @@ def build_baseline_hlac_net(input_shape, num_classes: int, eps: float = 1e-6) ->
         input_shape=tuple(input_shape),
         num_classes=num_classes,
         side_layers=[tml_layer(bank.config, trainable=False), LayerSpec("gap")],
-        join_at=len(base.layers) - 2,  # ahead of the classifying fc
         side_params=[{"w": bank.weights}, {}],
     )
     validate_network(spec)
@@ -659,8 +637,6 @@ def save_network(spec: NetworkSpec, path) -> None:
         f"input={h}x{w}x{c}",
         f"classes={spec.num_classes}",
     ]
-    if spec.join_at is not None:
-        lines.append(f"join={spec.join_at}")
     for chain, specs in (("main", spec.layers), ("side", spec.side_layers)):
         for layer in specs:
             fields = [
@@ -686,6 +662,9 @@ def load_network(path) -> NetworkSpec:
             lines = [ln.strip() for ln in f if ln.strip()]
     except UnicodeDecodeError as err:
         raise ValueError(f"{path}: not a network checkpoint (not text)") from err
+    fmt = next((ln.split("=", 1)[1] for ln in lines if ln.startswith("format=")), None)
+    if fmt != NET_FORMAT:
+        raise ValueError(f"{path}: unsupported network format {fmt!r}")
     kv = {}
     main, side = [], []
     chains = {"main": main, "side": side}
@@ -702,12 +681,9 @@ def load_network(path) -> NetworkSpec:
                 kv[k] = v
         except (KeyError, ValueError) as err:
             raise ValueError(f"{path}: malformed line {ln!r}: {err!r}") from err
-    if kv.get("format") != NET_FORMAT:
-        raise ValueError(f"{path}: unsupported network format {kv.get('format')!r}")
     try:
         h, w, c = (int(v) for v in kv["input"].split("x"))
         num_classes = int(kv["classes"])
-        join_at = int(kv["join"]) if "join" in kv else None
     except (KeyError, ValueError) as err:
         raise ValueError(f"{path}: malformed header: {err!r}") from err
     spec = NetworkSpec(
@@ -715,7 +691,6 @@ def load_network(path) -> NetworkSpec:
         input_shape=(h, w, c),
         num_classes=num_classes,
         side_layers=side,
-        join_at=join_at,
     )
     main_shapes, side_shapes, *_ = validate_network(spec)
 

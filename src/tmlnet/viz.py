@@ -1,6 +1,9 @@
 """Grayscale renderers for kernels, feature maps, and co-occurrence overlays,
 plus a byte-exact binary PGM writer.
 
+An image is a (height, width) uint8 array; the renderers return one and
+`write_pgm` / `read_pgm` write and read one.
+
 Kernel heatmaps normalize weights by the clip bound C2, so black is 0 and
 white is a weight at (or above) the bound. Feature maps are rescaled from
 [0, 1] to [0, 255] with clamping. All quantization uses round-half-up so the
@@ -9,8 +12,6 @@ mapping is reproducible across platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .datasets import to_u8
@@ -18,44 +19,24 @@ from .network import NetworkSpec, network_forward
 from .tml import TmlKernels
 
 
-@dataclass
-class GrayImage:
-    width: int
-    height: int
-    pixels: np.ndarray  # uint8, shape (height, width)
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.uint8)
-        if self.pixels.shape != (self.height, self.width):
-            raise ValueError(
-                f"pixel array {self.pixels.shape} does not match "
-                f"{self.height}x{self.width}"
-            )
-
-
-def _gray(values: np.ndarray) -> GrayImage:
-    px = to_u8(values)
-    return GrayImage(width=px.shape[1], height=px.shape[0], pixels=px)
-
-
-def render_kernel_heatmap(kernels: TmlKernels, m: int, channel: int = 0) -> GrayImage:
+def render_kernel_heatmap(kernels: TmlKernels, m: int, channel: int = 0) -> np.ndarray:
     """One kernel slice as a heatmap: pixel = round(255 * clamp(w / c2, 0, 1))."""
     cfg = kernels.config
     if not 0 <= m < cfg.num_kernels:
         raise IndexError(f"kernel index {m} out of range 0..{cfg.num_kernels - 1}")
     if not 0 <= channel < cfg.in_channels:
         raise IndexError(f"channel {channel} out of range 0..{cfg.in_channels - 1}")
-    return _gray(kernels.weights[:, :, channel, m] / cfg.c2)
+    return to_u8(kernels.weights[:, :, channel, m] / cfg.c2)
 
 
-def render_feature_map(y: np.ndarray, m: int) -> GrayImage:
+def render_feature_map(y: np.ndarray, m: int) -> np.ndarray:
     """Output map m rescaled from [0, 1] to [0, 255] (values above 1 clamp)."""
     y = np.asarray(y)
     if y.ndim != 3:
         raise ValueError("feature volume must be (rows, cols, maps)")
     if not 0 <= m < y.shape[2]:
         raise IndexError(f"feature map {m} out of range 0..{y.shape[2] - 1}")
-    return _gray(y[:, :, m])
+    return to_u8(y[:, :, m])
 
 
 def upsample_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -71,17 +52,14 @@ def _coocc_structure(spec: NetworkSpec):
     procedure needs the pooled kernel outputs wired straight into the
     classifier."""
     kinds = [l.kind for l in spec.layers]
-    if spec.join_at is not None:
+    if spec.side_layers:
         raise ValueError("co-occurrence tracing needs a single-chain network")
     try:
         t = kinds.index("tml")
     except ValueError:
         raise ValueError("network has no multiplication layer") from None
-    if kinds[t + 1 :] != ["gap", "fc", "softmax_xent_head"]:
-        raise ValueError(
-            "co-occurrence tracing expects ... -> tml -> gap -> fc -> head, "
-            f"got {kinds[t:]}"
-        )
+    if kinds[t + 1 :] != ["gap", "fc"]:
+        raise ValueError(f"co-occurrence tracing expects ... -> tml -> gap -> fc, got {kinds[t:]}")
     return t, t + 2
 
 
@@ -127,14 +105,14 @@ def cooc_highlight(
     image: np.ndarray,
     target_class: int,
     nonzero_frac: float = 0.05,
-) -> GrayImage:
+) -> np.ndarray:
     """Alpha-blend the traced co-occurrence heat over the input image:
     out = clamp(0.5 * input + 0.5 * heat)."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[2] != 1:
         raise ValueError("overlay rendering expects a single-channel input image")
     heat, _m, _channels = cooc_heat(spec, image, target_class, nonzero_frac)
-    return _gray(0.5 * image[:, :, 0] + 0.5 * heat)
+    return to_u8(0.5 * image[:, :, 0] + 0.5 * heat)
 
 
 def count_active_cells(kernels: TmlKernels, nonzero_frac: float = 0.05) -> np.ndarray:
@@ -151,14 +129,14 @@ def count_active_cells(kernels: TmlKernels, nonzero_frac: float = 0.05) -> np.nd
 # b"P5\n1 1\n255\n\xff".
 
 
-def write_pgm(img: GrayImage, path) -> None:
-    header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
+def write_pgm(pixels: np.ndarray, path) -> None:
+    height, width = pixels.shape
     with open(path, "wb") as f:
-        f.write(header)
-        f.write(img.pixels.tobytes())
+        f.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
+        f.write(np.asarray(pixels, dtype=np.uint8).tobytes())
 
 
-def read_pgm(path) -> GrayImage:
+def read_pgm(path) -> np.ndarray:
     with open(path, "rb") as f:
         blob = f.read()
     if not blob.startswith(b"P5"):
@@ -179,5 +157,4 @@ def read_pgm(path) -> GrayImage:
     payload = blob[pos:]
     if len(payload) != width * height:
         raise ValueError(f"{path}: expected {width * height} pixels, found {len(payload)}")
-    px = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return GrayImage(width=width, height=height, pixels=px.copy())
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()

@@ -36,7 +36,7 @@ def test_stripes_train_eval_round_trip(tmp_path, capsys):
     assert cli_dispatch(["viz-kernels", str(ckpt), "--out", str(kernels)]) == 0
     heatmaps = sorted(p.name for p in kernels.iterdir())
     assert heatmaps == [f"kernel_{m:02d}.pgm" for m in range(4)]
-    assert all(read_pgm(kernels / name).width > 0 for name in heatmaps)
+    assert all(read_pgm(kernels / name).shape[1] > 0 for name in heatmaps)
 
     csv = tmp_path / "hlac.csv"
     images = ["hlac-extract", "--images", str(data / "test-images.idx"), "--out", str(csv)]
@@ -161,4 +161,19 @@ def test_binary_file_is_not_a_checkpoint(tmp_path, capsys):
     assert cli_dispatch(["viz-kernels", str(bank), "--out", str(tmp_path / "k")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bank}: not a network checkpoint")
+    assert not (tmp_path / "k").exists()
+
+
+def test_checkpoint_of_an_older_format_named(tmp_path, capsys):
+    # v1 listed a loss-head layer and a join index; its layer lines are not parsed
+    ckpt = tmp_path / "old.net"
+    ckpt.write_text(
+        "format=tmlnet-net-v1\ninput=6x6x1\nclasses=3\njoin=0\n"
+        "layer chain=main kind=fc units=3\nlayer chain=main kind=softmax_xent_head\n"
+        "layer chain=side kind=tml kh=2 kw=2 kc=1 km=2 c1=1.0 c2=0.6 eps=1e-06 trainable=1\n"
+        "layer chain=side kind=gap\n"
+    )
+    assert cli_dispatch(["viz-kernels", str(ckpt), "--out", str(tmp_path / "k")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: unsupported network format 'tmlnet-net-v1'")
     assert not (tmp_path / "k").exists()

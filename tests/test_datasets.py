@@ -72,6 +72,27 @@ class TestIdxLoad:
             load_idx_images(p)
 
 
+    def test_header_larger_than_the_file_rejected(self, tmp_path):
+        # a 26-byte file claiming 2^20 images of 1024x1024 (1 TiB) must not
+        # be read into memory
+        p = tmp_path / "huge.idx"
+        p.write_bytes(struct.pack(">4I", 0x00000803, 2**20, 1024, 1024) + bytes(10))
+        with pytest.raises(ValueError, match="1048576x1024x1024 need"):
+            load_idx_images(p)
+        p.write_bytes(struct.pack(">2I", 0x00000801, 2**32 - 1) + bytes(10))
+        with pytest.raises(ValueError, match="4294967295 need"):
+            load_idx_labels(p)
+
+    def test_loaders_return_arrays(self, tmp_path):
+        images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+        make_idx_image_file(images, np.arange(12, dtype=np.uint8).reshape(2, 3, 2))
+        make_idx_label_file(labels, [4, 1])
+        x, y = load_idx_images(images), load_idx_labels(labels)
+        assert x.shape == (2, 3, 2, 1) and x.dtype == np.float64
+        np.testing.assert_array_equal(x[..., 0] * 255, np.arange(12).reshape(2, 3, 2))
+        assert y.dtype == np.int64 and y.tolist() == [4, 1]
+
+
 class TestIdxRoundTrip:
     def test_images_byte_exact(self, tmp_path):
         rng = np.random.default_rng(0)

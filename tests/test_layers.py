@@ -347,6 +347,16 @@ class TestDropout:
         with pytest.raises(ValueError):
             dropout_forward(np.ones(3), 1.0, np.random.default_rng(0), train=True)
 
+    def test_channel_major_input_keeps_its_layout(self):
+        # a conv's output is a (B, H, W, C) view of (C, B, H, W) memory
+        x = np.random.default_rng(7).normal(size=(3, 2, 5, 4)).transpose(1, 2, 3, 0)
+        y, mask = dropout_forward(x, 0.5, np.random.default_rng(8), train=True)
+        d_y = np.random.default_rng(9).normal(size=(3, 2, 5, 4)).transpose(1, 2, 3, 0)
+        d_x = dropout_backward(d_y, mask, 0.5)
+        for got, given in ((y, x), (d_x, d_y)):
+            assert got.transpose(3, 0, 1, 2).flags.c_contiguous
+            np.testing.assert_array_equal(got, given * mask / (1 - 0.5))
+
 
 class TestGap:
     def test_constant_map(self):

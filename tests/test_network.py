@@ -38,12 +38,10 @@ def tiny_branched_net(seed=0):
             fc(5),
             LayerSpec("sigmoid"),
             fc(3),
-            LayerSpec("softmax_xent_head"),
         ],
         input_shape=(6, 6, 1),
         num_classes=3,
         side_layers=[tml_layer(cfg), LayerSpec("gap")],
-        join_at=3,
     )
     return init_params(spec, np.random.default_rng(seed))
 
@@ -103,21 +101,17 @@ class TestShapeChain:
 
     def test_missized_chain_rejected(self):
         spec = NetworkSpec(
-            layers=[fc(4), LayerSpec("softmax_xent_head")],
+            layers=[fc(4)],
             input_shape=(4, 4, 1),
-            num_classes=3,  # fc emits 4, head expects 3
+            num_classes=3,  # fc emits 4 logits, not 3
         )
         with pytest.raises(ValueError):
             validate_network(spec)
 
-    def test_head_placement_enforced(self):
-        spec = NetworkSpec(
-            layers=[LayerSpec("softmax_xent_head"), fc(3)],
-            input_shape=(4, 4, 1),
-            num_classes=3,
-        )
-        with pytest.raises(ValueError):
-            validate_network(spec)
+    def test_loss_head_is_not_a_layer_kind(self):
+        # the main chain ends in the layer that emits the logits
+        with pytest.raises(ValueError, match="unknown layer kind 'softmax_xent_head'"):
+            LayerSpec("softmax_xent_head")
 
     @pytest.mark.parametrize(
         "make",
@@ -143,7 +137,7 @@ class TestShapeChain:
 class TestForward:
     def test_single_layer_net_equals_layer_op(self):
         spec = NetworkSpec(
-            layers=[fc(3), LayerSpec("softmax_xent_head")],
+            layers=[fc(3)],
             input_shape=(2, 2, 1),
             num_classes=3,
         )
@@ -322,11 +316,10 @@ class TestBackward:
         # main layer 0 reads [side vector, flattened input], so it must pass
         # an input gradient back to the side chain
         spec = NetworkSpec(
-            layers=[fc(3), LayerSpec("softmax_xent_head")],
+            layers=[fc(3)],
             input_shape=(4, 4, 1),
             num_classes=3,
             side_layers=[tml_layer(TmlConfig(2, 2, 1, 2, c1=1.0, c2=0.6)), LayerSpec("gap")],
-            join_at=0,
         )
         spec = init_params(spec, np.random.default_rng(12))
         xb = np.random.default_rng(13).uniform(0.1, 2.0, size=(2, 4, 4, 1))
@@ -421,29 +414,26 @@ class TestBackward:
         assert np.any(grads.main[0]["w"] != 0.0)
 
 
-# Between them the two pinned checkpoints hold all nine layer kinds and a
+# Between them the two pinned checkpoints hold all eight layer kinds and a
 # frozen bank.
 TINY_NET_TEXT = """\
-format=tmlnet-net-v1
+format=tmlnet-net-v2
 input=6x6x1
 classes=3
-join=3
 layer chain=main kind=conv out=2 kh=3 kw=3
 layer chain=main kind=relu
 layer chain=main kind=maxpool
 layer chain=main kind=fc units=5
 layer chain=main kind=sigmoid
 layer chain=main kind=fc units=3
-layer chain=main kind=softmax_xent_head
 layer chain=side kind=tml kh=2 kw=2 kc=1 km=2 c1=1.0 c2=0.6 eps=1e-06 trainable=1
 layer chain=side kind=gap
 """
 
 HLAC_NET_TEXT = """\
-format=tmlnet-net-v1
+format=tmlnet-net-v2
 input=20x20x1
 classes=3
-join=13
 layer chain=main kind=conv out=8 kh=3 kw=3
 layer chain=main kind=relu
 layer chain=main kind=maxpool
@@ -458,7 +448,6 @@ layer chain=main kind=fc units=64
 layer chain=main kind=relu
 layer chain=main kind=dropout rate=0.5
 layer chain=main kind=fc units=3
-layer chain=main kind=softmax_xent_head
 layer chain=side kind=tml kh=3 kw=3 kc=1 km=25 c1=1.0 c2=1.0 eps=1e-06 trainable=0
 layer chain=side kind=gap
 """
@@ -472,7 +461,7 @@ class TestSerialization:
         back = load_network(path)
         assert back.input_shape == spec.input_shape
         assert back.num_classes == spec.num_classes
-        assert back.join_at == spec.join_at
+        assert len(back.side_layers) == len(spec.side_layers)
         assert [l.kind for l in back.layers] == [l.kind for l in spec.layers]
         for a, b in zip(spec.params + spec.side_params, back.params + back.side_params):
             assert sorted(a) == sorted(b)
@@ -575,12 +564,11 @@ class TestSerialization:
 
     def test_numpy_scalar_hyperparameters_save_as_plain_numbers(self, tmp_path):
         spec = NetworkSpec(
-            layers=[conv(np.int64(2), 3, 3), fc(np.int64(3)), LayerSpec("softmax_xent_head")],
+            layers=[conv(np.int64(2), 3, 3), fc(np.int64(3))],
             input_shape=(6, 6, 1),
             num_classes=3,
             side_layers=[tml_layer(TmlConfig(2, 2, 1, 2, c1=np.float64(1.0), c2=np.float64(0.6))),
                          LayerSpec("gap")],
-            join_at=1,
         )
         path = tmp_path / "ckpt.net"
         save_network(init_params(spec, np.random.default_rng(0)), path)

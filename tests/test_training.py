@@ -30,7 +30,7 @@ from tmlnet.training import (
 
 def fc_toy_net(num_classes=2, seed=0):
     spec = NetworkSpec(
-        layers=[fc(num_classes), LayerSpec("softmax_xent_head")],
+        layers=[fc(num_classes)],
         input_shape=(1, 1, 1),
         num_classes=num_classes,
     )
@@ -44,7 +44,6 @@ def tml_toy_net(seed=0, m=4, c1=1.0, c2=0.5):
             tml_layer(cfg),
             LayerSpec("gap"),
             fc(2),
-            LayerSpec("softmax_xent_head"),
         ],
         input_shape=(4, 4, 1),
         num_classes=2,

@@ -12,7 +12,7 @@ from tmlnet.datasets import (
 )
 from tmlnet.network import build_cooc_net, build_dhlac_net, init_params, save_network
 from tmlnet.tml import TmlConfig
-from tmlnet.viz import cooc_heat, cooc_highlight, read_pgm, render_feature_map
+from tmlnet.viz import cooc_heat, cooc_highlight, read_pgm, render_feature_map, write_pgm
 
 NUM_CLASSES = 3
 
@@ -52,7 +52,7 @@ class TestCoocTracing:
         assert 0 <= m < 4
         assert channels.size >= 1 and np.all((0 <= channels) & (channels < 16))
         overlay = cooc_highlight(spec, image, target_class=1)
-        assert (overlay.height, overlay.width) == (16, 16)
+        assert overlay.shape == (16, 16) and overlay.dtype == np.uint8
 
     def test_viz_cooc_cli(self, tmp_path, dataset_dir):
         ckpt = tmp_path / "cooc.net"
@@ -61,7 +61,7 @@ class TestCoocTracing:
         argv = ["viz-cooc", str(ckpt), "--dataset", str(dataset_dir), "--out", str(out)]
         assert cli_dispatch(argv) == 0
         img = read_pgm(out)
-        assert (img.height, img.width) == (16, 16)
+        assert img.shape == (16, 16)
 
 
 def test_viz_features_cli_writes_tml_maps(tmp_path, dataset_dir):
@@ -78,7 +78,7 @@ def test_viz_features_cli_writes_tml_maps(tmp_path, dataset_dir):
     y = tml.forward_batch(test.images[1][None], kernels)[0]
     for m in range(4):
         written = read_pgm(out / f"feature_{m:02d}.pgm")
-        np.testing.assert_array_equal(written.pixels, render_feature_map(y, m).pixels)
+        np.testing.assert_array_equal(written, render_feature_map(y, m))
 
 
 @pytest.mark.parametrize("target", ["99", "-1"])
@@ -91,3 +91,13 @@ def test_viz_cooc_cli_rejects_out_of_range_class(tmp_path, dataset_dir, capsys, 
     assert cli_dispatch(argv) == 1
     assert f"error: class {target} out of range" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_pgm_bytes_pinned(tmp_path):
+    # header "P5\n<width> <height>\n255\n", then the rows top to bottom
+    pixels = np.array([[0, 255, 7], [1, 2, 3]], dtype=np.uint8)
+    write_pgm(pixels, tmp_path / "a.pgm")
+    assert (tmp_path / "a.pgm").read_bytes() == b"P5\n3 2\n255\n\x00\xff\x07\x01\x02\x03"
+    np.testing.assert_array_equal(read_pgm(tmp_path / "a.pgm"), pixels)
+    write_pgm(pixels.T.copy().T, tmp_path / "b.pgm")  # a column-major copy
+    assert (tmp_path / "b.pgm").read_bytes() == (tmp_path / "a.pgm").read_bytes()
