@@ -34,6 +34,7 @@ from .network import (
     load_network,
     network_forward,
     save_network,
+    tml_layer,
 )
 from .tml import TmlConfig, TmlKernels
 from .training import TrainConfig, evaluate, train_loop
@@ -123,18 +124,13 @@ def _limited(ds, limit):
 
 
 def build_network(arch: str, input_shape, num_classes: int, cfg: dict):
-    if arch == "dhlac":
-        tml_cfg = TmlConfig(
-            cfg["kernel_h"], cfg["kernel_w"], input_shape[2], cfg["num_kernels"],
-            c1=cfg["c1"], c2=cfg["c2"], eps=cfg["eps"],
+    if arch in ("dhlac", "cooc"):
+        bank = tml_layer(
+            cfg["num_kernels"], cfg["kernel_h"], cfg["kernel_w"],
+            TmlConfig(c1=cfg["c1"], c2=cfg["c2"], eps=cfg["eps"]),
         )
-        return build_dhlac_net(input_shape, num_classes, tml_cfg)
-    if arch == "cooc":
-        tml_cfg = TmlConfig(
-            cfg["kernel_h"], cfg["kernel_w"], 16, cfg["num_kernels"],
-            c1=cfg["c1"], c2=cfg["c2"], eps=cfg["eps"],
-        )
-        return build_cooc_net(input_shape, num_classes, tml_cfg)
+        build = build_dhlac_net if arch == "dhlac" else build_cooc_net
+        return build(input_shape, num_classes, bank)
     if arch == "baseline":
         return build_baseline_net(input_shape, num_classes)
     if arch == "baseline+hlac":
@@ -212,29 +208,26 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
-def _load_checkpoint_kernels(path) -> TmlKernels:
-    """A checkpoint's multiplication-layer bank, a trainable one first."""
-    spec = load_network(path)
-    banks = list(spec.tml_entries())
+def _checkpoint_bank(spec, path):
+    """(chain, index, layer) of a checkpoint's multiplication layer, a trainable one first."""
+    banks = sorted(spec.tml_entries(), key=lambda entry: not entry[2].trainable)
     if not banks:
         raise ValueError(f"{path}: network has no multiplication layer")
-    banks.sort(key=lambda entry: not entry[2].trainable)
-    chain, i, layer = banks[0]
-    return TmlKernels(layer.tml, spec.param_dict(chain, i)["w"])
+    return banks[0]
 
 
 def cmd_viz_kernels(args) -> int:
-    kernels = _load_checkpoint_kernels(args.ckpt)
+    spec = load_network(args.ckpt)
+    chain, i, layer = _checkpoint_bank(spec, args.ckpt)
+    kernels = TmlKernels(layer.tml, spec.param_dict(chain, i)["w"])
     os.makedirs(args.out, exist_ok=True)
-    cfg = kernels.config
-    written = 0
-    for m in range(cfg.num_kernels):
-        for k in range(cfg.in_channels):
-            suffix = f"_c{k}" if cfg.in_channels > 1 else ""
+    _kh, _kw, channels, num_kernels = kernels.weights.shape
+    for m in range(num_kernels):
+        for k in range(channels):
+            suffix = f"_c{k}" if channels > 1 else ""
             name = os.path.join(args.out, f"kernel_{m:02d}{suffix}.pgm")
             write_pgm(render_kernel_heatmap(kernels, m, k), name)
-            written += 1
-    print(f"wrote {written} kernel heatmaps to {args.out}")
+    print(f"wrote {num_kernels * channels} kernel heatmaps to {args.out}")
     return 0
 
 
@@ -250,10 +243,7 @@ def cmd_viz_features(args) -> int:
     spec = load_network(args.ckpt)
     image, label = _image_from_dataset(args)
     _logits, trace = network_forward(spec, image[None], train_mode=False)
-    banks = list(spec.tml_entries())
-    if not banks:
-        raise ValueError(f"{args.ckpt}: network has no multiplication layer")
-    chain, i, _layer = banks[0]
+    chain, i, _layer = _checkpoint_bank(spec, args.ckpt)
     caches = trace.side_caches if chain == "side" else trace.caches
     _x, y, _z = caches[i]
     os.makedirs(args.out, exist_ok=True)
@@ -271,8 +261,7 @@ def cmd_viz_cooc(args) -> int:
         logits, _ = network_forward(spec, image[None], train_mode=False, trace=False)
         target = int(logits[0].argmax())
     heat, m, channels = cooc_heat(spec, image, target, nonzero_frac=args.threshold)
-    overlay = cooc_highlight(spec, image, target, nonzero_frac=args.threshold)
-    write_pgm(overlay, args.out)
+    write_pgm(cooc_highlight(image, heat), args.out)
     print(f"class {target} (label {label}): kernel {m}, "
           f"feature maps {channels.tolist()} -> {args.out}")
     return 0

@@ -160,8 +160,10 @@ class StripeSpec:
             raise ValueError(f"num_classes must be in 1..{len(STRIPE_STYLES)}")
         if self.samples_per_class < 1:
             raise ValueError("samples_per_class must be positive")
-        if self.noise_amplitude < 0:
-            raise ValueError("noise_amplitude must be nonnegative")
+        if not 0 <= self.noise_amplitude < np.inf:  # also rejects NaN
+            raise ValueError(
+                f"noise_amplitude must be finite and nonnegative, got {self.noise_amplitude!r}"
+            )
 
 
 def stripe_pattern(cls: int, size: int) -> np.ndarray:

@@ -56,8 +56,8 @@ def check_tml_gradients(trials: int, seed: int, step: float = DEFAULT_STEP):
     for _ in range(trials):
         n1, n2 = rng.integers(3, 6, size=2)
         k = int(rng.integers(1, 3))
-        cfg = T.TmlConfig(2, 2, k, int(rng.integers(1, 4)), c1=1.0, c2=0.5)
-        kernels = T.init_kernels(cfg, rng)
+        shape = (2, 2, k, int(rng.integers(1, 4)))
+        kernels = T.init_kernels(T.TmlConfig(c1=1.0, c2=0.5), shape, rng)
         x = rng.uniform(0.1, 2.0, size=(1, int(n1), int(n2), k))  # a batch of one
         y = T.forward_batch(x, kernels)
         r = rng.normal(size=y.shape)
@@ -115,7 +115,6 @@ def check_conv_fc_gradients(seed: int, step: float = DEFAULT_STEP):
 
 def tiny_network():
     """Every differentiable layer kind in one small branched net."""
-    cfg = T.TmlConfig(2, 2, 1, 2, c1=1.0, c2=0.6)
     return NetworkSpec(
         layers=[
             conv(2, 3, 3),
@@ -127,7 +126,7 @@ def tiny_network():
         ],
         input_shape=(6, 6, 1),
         num_classes=3,
-        side_layers=[tml_layer(cfg), LayerSpec("gap")],
+        side_layers=[tml_layer(2, 2, 2, T.TmlConfig(c1=1.0, c2=0.6)), LayerSpec("gap")],
     )
 
 

@@ -43,12 +43,17 @@ class DisplacementSet:
         return ((0, 0),) + self.offsets
 
 
-def _canonical_points(d: DisplacementSet) -> tuple[Offset, ...]:
-    """Translation-normalized, sorted point multiset; equal iff masks are duplicates."""
+def _anchored(d: DisplacementSet) -> tuple[Offset, ...]:
+    """The mask's points in order, shifted so the smallest row and column are 0."""
     pts = d.points()
     r0 = min(p[0] for p in pts)
     c0 = min(p[1] for p in pts)
-    return tuple(sorted((p[0] - r0, p[1] - c0) for p in pts))
+    return tuple((r - r0, c - c0) for r, c in pts)
+
+
+def _canonical_points(d: DisplacementSet) -> tuple[Offset, ...]:
+    """Translation-normalized, sorted point multiset; equal iff masks are duplicates."""
+    return tuple(sorted(_anchored(d)))
 
 
 @dataclass(frozen=True)
@@ -104,19 +109,13 @@ def hlac_feature(img: np.ndarray, d: DisplacementSet) -> float:
         if img.shape[2] != 1:
             raise ValueError("hlac_feature expects a single-channel image")
         img = img[:, :, 0]
-    n1, n2 = img.shape
-    pts = d.points()
-    min_r = min(p[0] for p in pts)
-    max_r = max(p[0] for p in pts)
-    min_c = min(p[1] for p in pts)
-    max_c = max(p[1] for p in pts)
-    lo_r, hi_r = -min_r, n1 - max_r
-    lo_c, hi_c = -min_c, n2 - max_c
-    if hi_r <= lo_r or hi_c <= lo_c:
+    h, w = mask_extent(d)
+    out_h, out_w = img.shape[0] - h + 1, img.shape[1] - w + 1
+    if out_h < 1 or out_w < 1:
         return 0.0
-    prod = np.ones((hi_r - lo_r, hi_c - lo_c))
-    for dr, dc in pts:
-        prod *= img[lo_r + dr : hi_r + dr, lo_c + dc : hi_c + dc]
+    prod = np.ones((out_h, out_w))
+    for r, c in _anchored(d):
+        prod *= img[r : r + out_h, c : c + out_w]
     return float(prod.sum())
 
 
@@ -143,29 +142,22 @@ def masks_to_binary_kernels(
     kernel_h x kernel_w. The bank is returned unprojected; it is meant for
     fixed-pattern use, not for constrained training.
     """
-    cfg = TmlConfig(kernel_h, kernel_w, 1, len(masks), c1=1.0, c2=1.0, eps=eps)
-    weights = np.zeros(cfg.weights_shape())
+    weights = np.zeros((kernel_h, kernel_w, 1, len(masks)))
     for m, d in enumerate(masks.masks):
-        pts = d.points()
-        r0 = min(p[0] for p in pts)
-        c0 = min(p[1] for p in pts)
-        for pr, pc in pts:
-            rr, cc = pr - r0, pc - c0
-            if rr >= kernel_h or cc >= kernel_w:
-                raise ValueError(
-                    f"mask {d.offsets} spans {rr + 1}x{cc + 1}, exceeding "
-                    f"kernel {kernel_h}x{kernel_w}"
-                )
-            weights[rr, cc, 0, m] += 1.0
-    return TmlKernels(cfg, weights)
+        h, w = mask_extent(d)
+        if h > kernel_h or w > kernel_w:
+            raise ValueError(
+                f"mask {d.offsets} spans {h}x{w}, exceeding kernel {kernel_h}x{kernel_w}"
+            )
+        for r, c in _anchored(d):
+            weights[r, c, 0, m] += 1.0
+    return TmlKernels(TmlConfig(c1=1.0, c2=1.0, eps=eps), weights)
 
 
 def mask_extent(d: DisplacementSet) -> tuple[int, int]:
     """Tight bounding-box size (h, w) of the mask's points."""
-    pts = d.points()
-    h = max(p[0] for p in pts) - min(p[0] for p in pts) + 1
-    w = max(p[1] for p in pts) - min(p[1] for p in pts) + 1
-    return h, w
+    pts = _anchored(d)
+    return max(r for r, _c in pts) + 1, max(c for _r, c in pts) + 1
 
 
 def write_features_csv(rows, path) -> None:

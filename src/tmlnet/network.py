@@ -63,7 +63,7 @@ from . import tml as T
 from .hlac import default_mask_set, masks_to_binary_kernels
 
 NET_MAGIC = b"TMLP"
-NET_FORMAT = "tmlnet-net-v2"
+NET_FORMAT = "tmlnet-net-v3"
 NET_BLOB_VERSION = 1
 
 _EVAL_BLOCK_BYTES = 4 << 20  # widest activation of one trace-free eval block
@@ -72,9 +72,9 @@ _EVAL_BLOCK_BYTES = 4 << 20  # widest activation of one trace-free eval block
 @dataclass
 class LayerSpec:
     kind: str
-    out_channels: int | None = None  # conv
-    kernel_h: int | None = None  # conv
-    kernel_w: int | None = None  # conv
+    out_channels: int | None = None  # conv, tml
+    kernel_h: int | None = None  # conv, tml
+    kernel_w: int | None = None  # conv, tml
     units: int | None = None  # fc
     rate: float | None = None  # dropout
     tml: T.TmlConfig | None = None  # tml
@@ -98,8 +98,11 @@ def dropout(rate):
     return LayerSpec("dropout", rate=rate)
 
 
-def tml_layer(cfg: T.TmlConfig, trainable: bool = True):
-    return LayerSpec("tml", tml=cfg, trainable=trainable)
+def tml_layer(out_channels, kernel_h, kernel_w, cfg: T.TmlConfig, trainable: bool = True):
+    """A multiplication layer: a conv's geometry (its input channels come from
+    the input) with the bank's constraint constants `cfg`."""
+    return LayerSpec("tml", out_channels=out_channels, kernel_h=kernel_h, kernel_w=kernel_w,
+                     tml=cfg, trainable=trainable)
 
 
 @dataclass
@@ -151,13 +154,14 @@ def _volume(layer: LayerSpec, shape):
     return shape
 
 
-def _valid_shape(layer: LayerSpec, shape, kh: int, kw: int, out_channels: int):
-    """Output shape of a valid-padding stride-1 correlation with a kh x kw kernel."""
+def _valid_shape(layer: LayerSpec, shape):
+    """Output shape of a conv or tml layer: valid-padding stride-1 correlation."""
     h, w, _c = _volume(layer, shape)
-    oh, ow = h - kh + 1, w - kw + 1
-    if oh < 1 or ow < 1:
+    kh, kw = layer.kernel_h, layer.kernel_w
+    if h < kh or w < kw:
         raise ValueError(f"{layer.kind} kernel {kh}x{kw} exceeds input {h}x{w}")
-    return (oh, ow, out_channels)
+    return (h - kh + 1, w - kw + 1, layer.out_channels)
+
 
 
 def _pool_shape(layer: LayerSpec, shape):
@@ -168,10 +172,13 @@ def _pool_shape(layer: LayerSpec, shape):
 
 
 def _tml_shape(layer: LayerSpec, shape):
-    cfg = layer.tml
-    if _volume(layer, shape)[2] != cfg.in_channels:
-        raise ValueError(f"tml config expects {cfg.in_channels} channels, input has {shape[2]}")
-    return _valid_shape(layer, shape, cfg.kernel_h, cfg.kernel_w, cfg.num_kernels)
+    """A conv's output shape, once c1/c2 fits the kh * kw * channels cells of a kernel."""
+    out = _valid_shape(layer, shape)
+    cells = layer.kernel_h * layer.kernel_w * shape[2]
+    ratio = layer.tml.c1 / layer.tml.c2
+    if ratio > cells:
+        raise ValueError(f"constraints infeasible: c1/c2 = {ratio} exceeds kernel cell count {cells}")
+    return out
 
 
 def _fan_in_normal(gain: float):
@@ -239,13 +246,16 @@ def _tml_backward(layer, p, cache, d_y, need_dx):
     return d_x, {"w": T.backward_weights_batch(x, y, d_y, kernels, z=z)}
 
 
-def _tml_from_fields(kh, kw, kc, km, c1, c2, eps, trainable):
-    return tml_layer(T.TmlConfig(kh, kw, kc, km, c1=c1, c2=c2, eps=eps), trainable)
+def _tml_from_fields(out_channels, kh, kw, c1, c2, eps, trainable):
+    return tml_layer(out_channels, kh, kw, T.TmlConfig(c1, c2, eps), trainable)
 
 
 @dataclass(frozen=True)
 class Kind:
     """What one layer kind does; every function takes the LayerSpec first.
+
+    Conv and tml share their geometry: out_channels kernels of kernel_h x
+    kernel_w cells over every input channel, a (kh, kw, in, out) weight.
 
     Conv and tml backwards return d_input None when `need_dx` is False. Param
     grads hold only the arrays that train: a frozen tml bank returns {}.
@@ -273,9 +283,7 @@ KINDS = {
         backward=lambda layer, p, x, d_y, need_dx: _weight_grads(
             *L.conv2d_backward(x, p["w"], d_y, need_dx=need_dx)
         ),
-        out_shape=lambda layer, shape: _valid_shape(
-            layer, shape, layer.kernel_h, layer.kernel_w, layer.out_channels
-        ),
+        out_shape=_valid_shape,
         param_shapes=lambda layer, in_shape: {
             "w": (layer.kernel_h, layer.kernel_w, in_shape[2], layer.out_channels),
             "b": (layer.out_channels,),
@@ -325,25 +333,24 @@ KINDS = {
         fields=(("rate", "rate", float),),
         make=dropout,
     ),
-    "tml": Kind(
-        forward=_tml_forward,
-        backward=_tml_backward,
-        out_shape=_tml_shape,
-        param_shapes=lambda layer, in_shape: {"w": layer.tml.weights_shape()},
-        init=lambda layer, shapes, rng: {"w": T.init_kernels(layer.tml, rng).weights},
-        fields=(
-            ("kh", "tml.kernel_h", int),
-            ("kw", "tml.kernel_w", int),
-            ("kc", "tml.in_channels", int),
-            ("km", "tml.num_kernels", int),
-            ("c1", "tml.c1", float),
-            ("c2", "tml.c2", float),
-            ("eps", "tml.eps", float),
-            ("trainable", "trainable", lambda text: bool(int(text))),
-        ),
-        make=_tml_from_fields,
-    ),
 }
+
+# a conv without bias whose weights are exponents: conv geometry, checks and fields
+KINDS["tml"] = Kind(
+    forward=_tml_forward,
+    backward=_tml_backward,
+    out_shape=_tml_shape,
+    param_shapes=lambda layer, shape: {"w": KINDS["conv"].param_shapes(layer, shape)["w"]},
+    init=lambda layer, shapes, rng: {"w": T.init_kernels(layer.tml, shapes["w"], rng).weights},
+    check=KINDS["conv"].check,
+    fields=KINDS["conv"].fields + (
+        ("c1", "tml.c1", float),
+        ("c2", "tml.c2", float),
+        ("eps", "tml.eps", float),
+        ("trainable", "trainable", lambda text: bool(int(text))),
+    ),
+    make=_tml_from_fields,
+)
 
 
 def _chain_shapes(layers: list[LayerSpec], shape, side_out=None):
@@ -396,9 +403,9 @@ def init_params(spec: NetworkSpec, rng: np.random.Generator) -> NetworkSpec:
     """Fill in every unset parameter array with its kind's init (He-style for
     conv, scaled normal for fc, uniform-then-project for exponent kernels).
 
-    Pre-seeded entries (e.g. frozen binary kernel banks) are kept. The side
-    chain initializes first, then the main chain, so a given seed always
-    produces the same parameter stream.
+    Pre-seeded entries (e.g. frozen binary kernel banks) are kept; their
+    shapes must fit the layer. The side chain initializes first, then the
+    main chain, so a given seed always produces the same parameter stream.
     """
     main_shapes, side_shapes, *_ = validate_network(spec)
     for attr, specs, shapes in (
@@ -409,6 +416,8 @@ def init_params(spec: NetworkSpec, rng: np.random.Generator) -> NetworkSpec:
         for i, layer in enumerate(specs):
             if params[i] is None:
                 params[i] = KINDS[layer.kind].init(layer, shapes[i], rng)
+            elif {key: a.shape for key, a in params[i].items()} != shapes[i]:
+                raise ValueError(f"{layer.kind} layer {i} parameters do not have shapes {shapes[i]}")
         setattr(spec, attr, params)
     return spec
 
@@ -545,28 +554,29 @@ def _lenet_branch() -> list[LayerSpec]:
     ]
 
 
-def build_dhlac_net(input_shape, num_classes: int, tml_cfg: T.TmlConfig) -> NetworkSpec:
-    """Auto-correlation topology: the multiplication layer reads the input
-    image, average pooling turns its maps into a vector, and that vector is
-    concatenated with the convolutional branch's last hidden features ahead
-    of the classifying layer."""
+def build_dhlac_net(input_shape, num_classes: int, bank: LayerSpec) -> NetworkSpec:
+    """Auto-correlation topology: the multiplication layer `bank` (a
+    `tml_layer`) reads the input image, average pooling turns its maps into a
+    vector, and that vector is concatenated with the convolutional branch's
+    last hidden features ahead of the classifying layer."""
     spec = NetworkSpec(
         layers=_lenet_branch() + [fc(num_classes)],
         input_shape=tuple(input_shape),
         num_classes=num_classes,
-        side_layers=[tml_layer(tml_cfg), LayerSpec("gap")],
+        side_layers=[bank, LayerSpec("gap")],
     )
     validate_network(spec)
     return spec
 
 
-def build_cooc_net(input_shape, num_classes: int, tml_cfg: T.TmlConfig) -> NetworkSpec:
-    """Co-occurrence topology: the multiplication layer consumes the second
-    convolution's rectified feature maps, and its pooled outputs feed the
-    classifying layer directly (required by the co-occurrence tracing tools).
-    The bank reads conv2's 16 maps: the LeNet branch up to conv2's ReLU."""
+def build_cooc_net(input_shape, num_classes: int, bank: LayerSpec) -> NetworkSpec:
+    """Co-occurrence topology: the multiplication layer `bank` (a `tml_layer`)
+    consumes the second convolution's rectified feature maps, and its pooled
+    outputs feed the classifying layer directly (required by the
+    co-occurrence tracing tools). The LeNet branch up to conv2's ReLU feeds
+    the bank 16 channels."""
     spec = NetworkSpec(
-        layers=_lenet_branch()[:5] + [tml_layer(tml_cfg), LayerSpec("gap"), fc(num_classes)],
+        layers=_lenet_branch()[:5] + [bank, LayerSpec("gap"), fc(num_classes)],
         input_shape=tuple(input_shape),
         num_classes=num_classes,
     )
@@ -608,11 +618,12 @@ def build_baseline_hlac_net(input_shape, num_classes: int, eps: float = 1e-6) ->
     takes single-channel input."""
     base = build_baseline_net(input_shape, num_classes)
     bank = masks_to_binary_kernels(default_mask_set(), 3, 3, eps=eps)
+    frozen = tml_layer(bank.weights.shape[3], 3, 3, bank.config, trainable=False)
     spec = NetworkSpec(
         layers=base.layers,
         input_shape=tuple(input_shape),
         num_classes=num_classes,
-        side_layers=[tml_layer(bank.config, trainable=False), LayerSpec("gap")],
+        side_layers=[frozen, LayerSpec("gap")],
         side_params=[{"w": bank.weights}, {}],
     )
     validate_network(spec)
@@ -692,7 +703,10 @@ def load_network(path) -> NetworkSpec:
         num_classes=num_classes,
         side_layers=side,
     )
-    main_shapes, side_shapes, *_ = validate_network(spec)
+    try:
+        main_shapes, side_shapes, *_ = validate_network(spec)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
 
     with open(str(path) + ".bin", "rb") as f:
         blob = f.read()

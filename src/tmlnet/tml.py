@@ -22,6 +22,7 @@ above C2 until the next step's clip.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,69 +47,41 @@ class DegenerateKernelError(RuntimeError):
 
 @dataclass(frozen=True)
 class TmlConfig:
-    """Kernel-bank geometry plus the constraint constants.
+    """The constraint constants of a kernel bank. The bank's geometry, H x W x
+    K cells per kernel and M kernels, is its weight array's shape, as for a
+    convolution; the layer spec that owns the bank checks that c1 / c2 fits
+    its H * W * K cells (`network`'s shape walk).
 
     c1: target sum of each kernel's weights (after projection).
     c2: per-weight upper bound used by the clip step.
     eps: offset added inside the logarithm so zero inputs stay finite.
     """
 
-    kernel_h: int
-    kernel_w: int
-    in_channels: int
-    num_kernels: int
     c1: float = 1.0
     c2: float = 0.5
     eps: float = 1e-6
 
     def __post_init__(self):
-        for name in ("kernel_h", "kernel_w", "in_channels", "num_kernels"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValueError(f"TmlConfig.{name} must be a positive integer, got {v!r}")
         if not (0 < self.c1 < np.inf and 0 < self.c2 < np.inf):
             raise ValueError("c1 and c2 must be positive and finite")
         if self.c2 > self.c1:
             raise ValueError(f"c2 ({self.c2}) must not exceed c1 ({self.c1})")
         if not (np.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
-        if self.c1 / self.c2 > self.weight_count:
-            raise ValueError(
-                f"constraints infeasible: c1/c2 = {self.c1 / self.c2} exceeds "
-                f"kernel cell count {self.weight_count}"
-            )
-
-    @property
-    def weight_count(self) -> int:
-        """Cells per kernel: H * W * K."""
-        return self.kernel_h * self.kernel_w * self.in_channels
-
-    def weights_shape(self) -> tuple[int, int, int, int]:
-        return (self.kernel_h, self.kernel_w, self.in_channels, self.num_kernels)
 
 
 @dataclass
 class TmlKernels:
-    """Exponent-weight bank: weights[p, q, k, m] is cell (p, q) of kernel m for channel k."""
+    """A bank's constraint constants and its weights: weights[p, q, k, m] is
+    cell (p, q) of kernel m for channel k."""
 
     config: TmlConfig
     weights: np.ndarray
 
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.shape != self.config.weights_shape():
-            raise ValueError(
-                f"weights shape {self.weights.shape} does not match config "
-                f"{self.config.weights_shape()}"
-            )
 
-    def copy(self) -> "TmlKernels":
-        return TmlKernels(self.config, self.weights.copy())
-
-
-def init_kernels(config: TmlConfig, rng: np.random.Generator) -> TmlKernels:
-    """Draw weights uniformly from [0, c2], then project once so the bank starts feasible."""
-    w = rng.uniform(0.0, config.c2, size=config.weights_shape())
+def init_kernels(config: TmlConfig, shape, rng: np.random.Generator) -> TmlKernels:
+    """Draw a (H, W, K, M) bank uniformly from [0, c2], then project once so it starts feasible."""
+    w = rng.uniform(0.0, config.c2, size=shape)
     return project_kernels(TmlKernels(config, w))
 
 
@@ -117,16 +90,12 @@ def init_kernels(config: TmlConfig, rng: np.random.Generator) -> TmlKernels:
 # ---------------------------------------------------------------------------
 
 
-def _check_input(xb: np.ndarray, config: TmlConfig) -> None:
-    if xb.shape[-1] != config.in_channels:
-        raise ValueError(
-            f"input has {xb.shape[-1]} channels, kernels expect {config.in_channels}"
-        )
-    if xb.shape[-3] < config.kernel_h or xb.shape[-2] < config.kernel_w:
-        raise ValueError(
-            f"input {xb.shape[-3]}x{xb.shape[-2]} smaller than kernel "
-            f"{config.kernel_h}x{config.kernel_w}"
-        )
+def _check_input(xb: np.ndarray, weights: np.ndarray) -> None:
+    kh, kw, channels, _m = weights.shape
+    if xb.shape[-1] != channels:
+        raise ValueError(f"input has {xb.shape[-1]} channels, kernels expect {channels}")
+    if xb.shape[-3] < kh or xb.shape[-2] < kw:
+        raise ValueError(f"input {xb.shape[-3]}x{xb.shape[-2]} smaller than kernel {kh}x{kw}")
     if not xb.min() >= 0:  # also catches NaN, which min() propagates
         raise ValueError("multiplication layer requires nonnegative inputs, got NaN or < 0")
 
@@ -134,7 +103,7 @@ def _check_input(xb: np.ndarray, config: TmlConfig) -> None:
 def forward_batch(xb: np.ndarray, kernels: TmlKernels, return_log: bool = False):
     """Batched forward: xb (B, N1, N2, K) -> y (B, N1-H+1, N2-W+1, M), or (y, z)
     with z = log(xb + eps) for `backward_weights_batch` when `return_log`."""
-    _check_input(xb, kernels.config)
+    _check_input(xb, kernels.weights)
     z = xb + kernels.config.eps
     np.log(z, out=z)
     y = L.correlate(z, kernels.weights)
@@ -154,9 +123,8 @@ def backward_weights_batch(
 ) -> np.ndarray:
     """Gradient w.r.t. weights, summed over batch and output positions; `z` is
     log(xb + eps) when the caller kept it from the forward pass."""
-    cfg = kernels.config
-    z = np.log(xb + cfg.eps) if z is None else z
-    return L.correlate_grad_weights(z, _log_grad(yb, d_yb), cfg.kernel_h, cfg.kernel_w)
+    z = np.log(xb + kernels.config.eps) if z is None else z
+    return L.correlate_grad_weights(z, _log_grad(yb, d_yb), *kernels.weights.shape[:2])
 
 
 def backward_input_batch(
@@ -204,6 +172,6 @@ def project_kernels(kernels: TmlKernels) -> TmlKernels:
 
 def reinit_kernels(kernels: TmlKernels, kernel_indices) -> TmlKernels:
     """Replace the listed kernels with the uniform feasible bank value c1 / (H*W*K)."""
-    out = kernels.copy()
-    out.weights[..., list(kernel_indices)] = kernels.config.c1 / kernels.config.weight_count
-    return out
+    w = kernels.weights.copy()
+    w[..., list(kernel_indices)] = kernels.config.c1 / math.prod(w.shape[:3])
+    return TmlKernels(kernels.config, w)

@@ -21,12 +21,12 @@ from .tml import TmlKernels
 
 def render_kernel_heatmap(kernels: TmlKernels, m: int, channel: int = 0) -> np.ndarray:
     """One kernel slice as a heatmap: pixel = round(255 * clamp(w / c2, 0, 1))."""
-    cfg = kernels.config
-    if not 0 <= m < cfg.num_kernels:
-        raise IndexError(f"kernel index {m} out of range 0..{cfg.num_kernels - 1}")
-    if not 0 <= channel < cfg.in_channels:
-        raise IndexError(f"channel {channel} out of range 0..{cfg.in_channels - 1}")
-    return to_u8(kernels.weights[:, :, channel, m] / cfg.c2)
+    _kh, _kw, channels, num_kernels = kernels.weights.shape
+    if not 0 <= m < num_kernels:
+        raise IndexError(f"kernel index {m} out of range 0..{num_kernels - 1}")
+    if not 0 <= channel < channels:
+        raise IndexError(f"channel {channel} out of range 0..{channels - 1}")
+    return to_u8(kernels.weights[:, :, channel, m] / kernels.config.c2)
 
 
 def render_feature_map(y: np.ndarray, m: int) -> np.ndarray:
@@ -100,25 +100,13 @@ def cooc_heat(
     return heat, m, channels
 
 
-def cooc_highlight(
-    spec: NetworkSpec,
-    image: np.ndarray,
-    target_class: int,
-    nonzero_frac: float = 0.05,
-) -> np.ndarray:
-    """Alpha-blend the traced co-occurrence heat over the input image:
+def cooc_highlight(image: np.ndarray, heat: np.ndarray) -> np.ndarray:
+    """Alpha-blend a `cooc_heat` map over the input image:
     out = clamp(0.5 * input + 0.5 * heat)."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[2] != 1:
         raise ValueError("overlay rendering expects a single-channel input image")
-    heat, _m, _channels = cooc_heat(spec, image, target_class, nonzero_frac)
     return to_u8(0.5 * image[:, :, 0] + 0.5 * heat)
-
-
-def count_active_cells(kernels: TmlKernels, nonzero_frac: float = 0.05) -> np.ndarray:
-    """Above-threshold cell count per kernel (threshold nonzero_frac * c2)."""
-    threshold = nonzero_frac * kernels.config.c2
-    return (kernels.weights > threshold).sum(axis=(0, 1, 2))
 
 
 # ---------------------------------------------------------------------------

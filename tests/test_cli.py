@@ -177,3 +177,46 @@ def test_checkpoint_of_an_older_format_named(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {ckpt}: unsupported network format 'tmlnet-net-v1'")
     assert not (tmp_path / "k").exists()
+
+
+def test_checkpoint_of_format_v2_named(tmp_path, capsys):
+    # v2 stated a bank's input channels and kernel count in its own fields
+    ckpt = tmp_path / "old.net"
+    ckpt.write_text(
+        "format=tmlnet-net-v2\ninput=6x6x1\nclasses=3\n"
+        "layer chain=main kind=fc units=3\n"
+        "layer chain=side kind=tml kh=2 kw=2 kc=1 km=2 c1=1.0 c2=0.6 eps=1e-06 trainable=1\n"
+        "layer chain=side kind=gap\n"
+    )
+    assert cli_dispatch(["viz-kernels", str(ckpt), "--out", str(tmp_path / "k")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: unsupported network format 'tmlnet-net-v2'")
+    assert not (tmp_path / "k").exists()
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("classes=2", "classes=3", "expected (3,) logits, chain produces (2,)"),
+        ("c2=0.5", "c2=0.1", "constraints infeasible: c1/c2 = 10.0 exceeds kernel cell count 9"),
+    ],
+    ids=["classes", "infeasible-bank"],
+)
+def test_checkpoint_shape_walk_error_names_the_file(tmp_path, capsys, old, new, message):
+    ckpt, _data = tiny_checkpoint(tmp_path)
+    text = ckpt.read_text()
+    assert old in text
+    ckpt.write_text(text.replace(old, new))
+    capsys.readouterr()
+    assert cli_dispatch(["viz-kernels", str(ckpt), "--out", str(tmp_path / "k")]) == 1
+    assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
+    assert not (tmp_path / "k").exists()
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_nonfinite_noise_rejected_before_writing(tmp_path, capsys, noise):
+    out = tmp_path / "data"
+    assert cli_dispatch(["gen-stripes", "--out", str(out), "--noise", noise]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: noise_amplitude must be finite and nonnegative")
+    assert not out.exists()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tmlnet import layers, network, tml
+from tmlnet.cli import DEFAULTS, build_network
 from tmlnet.datasets import Dataset
 from tmlnet.gradcheck import _central_diff, _rel_err
 from tmlnet.layers import fc_forward, softmax_xent
@@ -29,7 +30,6 @@ from tmlnet.training import evaluate
 
 def tiny_branched_net(seed=0):
     """6x6 input, every differentiable layer kind, side multiplication branch."""
-    cfg = TmlConfig(2, 2, 1, 2, c1=1.0, c2=0.6)
     spec = NetworkSpec(
         layers=[
             conv(2, 3, 3),
@@ -41,7 +41,7 @@ def tiny_branched_net(seed=0):
         ],
         input_shape=(6, 6, 1),
         num_classes=3,
-        side_layers=[tml_layer(cfg), LayerSpec("gap")],
+        side_layers=[tml_layer(2, 2, 2, TmlConfig(c1=1.0, c2=0.6)), LayerSpec("gap")],
     )
     return init_params(spec, np.random.default_rng(seed))
 
@@ -60,8 +60,7 @@ def batch_loss(spec, xb, labels):
 
 class TestShapeChain:
     def test_dhlac_mnist_shapes(self):
-        cfg = TmlConfig(3, 3, 1, 8, c1=1.0, c2=0.5)
-        spec = build_dhlac_net((28, 28, 1), 10, cfg)
+        spec = build_dhlac_net((28, 28, 1), 10, tml_layer(8, 3, 3, TmlConfig(c1=1.0, c2=0.5)))
         spec = init_params(spec, np.random.default_rng(0))
         xb = np.random.default_rng(1).uniform(0, 1, size=(2, 28, 28, 1))
         logits, trace = network_forward(spec, xb)
@@ -71,21 +70,18 @@ class TestShapeChain:
         assert trace.join_info[0] == 8  # pooled vector length
 
     def test_dhlac_stripes_shapes(self):
-        cfg = TmlConfig(9, 9, 1, 4, c1=1.0, c2=0.5)
-        spec = build_dhlac_net((32, 32, 1), 6, cfg)
+        spec = build_dhlac_net((32, 32, 1), 6, tml_layer(4, 9, 9, TmlConfig(c1=1.0, c2=0.5)))
         spec = init_params(spec, np.random.default_rng(0))
         xb = np.random.default_rng(1).uniform(0, 1, size=(1, 32, 32, 1))
         _, trace = network_forward(spec, xb)
         assert trace.side_caches[0][1].shape == (1, 24, 24, 4)
 
     def test_minimal_single_kernel_net(self):
-        cfg = TmlConfig(3, 3, 1, 1, c1=1.0, c2=1.0)
-        spec = build_dhlac_net((16, 16, 1), 2, cfg)
+        spec = build_dhlac_net((16, 16, 1), 2, tml_layer(1, 3, 3, TmlConfig(c1=1.0, c2=1.0)))
         validate_network(spec)
 
     def test_cooc_shapes(self):
-        cfg = TmlConfig(1, 1, 16, 5, c1=1.0, c2=0.5)
-        spec = build_cooc_net((28, 28, 1), 10, cfg)
+        spec = build_cooc_net((28, 28, 1), 10, tml_layer(5, 1, 1, TmlConfig(c1=1.0, c2=0.5)))
         spec = init_params(spec, np.random.default_rng(0))
         xb = np.random.default_rng(1).uniform(0, 1, size=(2, 28, 28, 1))
         logits, trace = network_forward(spec, xb)
@@ -94,10 +90,36 @@ class TestShapeChain:
         assert x_tml.shape == (2, 8, 8, 16)
         assert y_tml.shape == (2, 8, 8, 5)
 
-    def test_channel_mismatch_rejected(self):
-        cfg = TmlConfig(3, 3, 2, 4)
-        with pytest.raises(ValueError):
-            build_dhlac_net((28, 28, 1), 10, cfg)
+    def test_bank_reads_every_input_channel(self):
+        # a bank's channel count is its input's, so it cannot disagree with it
+        spec = init_params(
+            build_dhlac_net((16, 16, 2), 3, tml_layer(4, 3, 3, TmlConfig())),
+            np.random.default_rng(0),
+        )
+        assert spec.side_params[0]["w"].shape == (3, 3, 2, 4)
+        cooc = build_network("cooc", (28, 28, 1), 10, dict(DEFAULTS, kernel_h=1, kernel_w=1))
+        cooc = init_params(cooc, np.random.default_rng(0))
+        assert cooc.params[5]["w"].shape == (1, 1, 16, 8)
+
+    def test_rejects_infeasible_ratio(self):
+        # c1/c2 = 8 > 2*2*1 cells: constraint set is empty; with 2 channels it fits
+        bank = tml_layer(1, 2, 2, TmlConfig(c1=8.0, c2=1.0))
+        with pytest.raises(ValueError, match="c1/c2 = 8.0 exceeds kernel cell count 4"):
+            build_dhlac_net((16, 16, 1), 2, bank)
+        build_dhlac_net((16, 16, 2), 2, bank)
+
+    def test_preseeded_bank_must_fit_its_layer(self):
+        # a 3x3 bank seeded for a layer that declares 2x2 kernels
+        spec = NetworkSpec(
+            layers=[fc(3)],
+            input_shape=(6, 6, 1),
+            num_classes=3,
+            side_layers=[tml_layer(2, 2, 2, TmlConfig(c1=1.0, c2=1.0)), LayerSpec("gap")],
+            side_params=[{"w": np.full((3, 3, 1, 2), 1 / 9)}, {}],
+        )
+        with pytest.raises(ValueError, match="tml layer 0 parameters do not have shapes") as err:
+            init_params(spec, np.random.default_rng(0))
+        assert str(err.value).endswith("{'w': (2, 2, 1, 2)}")
 
     def test_missized_chain_rejected(self):
         spec = NetworkSpec(
@@ -184,7 +206,7 @@ class TestForward:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: build_dhlac_net((28, 28, 1), 10, TmlConfig(3, 3, 1, 8)),
+            lambda: build_dhlac_net((28, 28, 1), 10, tml_layer(8, 3, 3, TmlConfig())),
             lambda: build_baseline_net((20, 20, 1), 4),
         ],
     )
@@ -203,8 +225,8 @@ class TestForward:
 
 
 SHIPPED_NETS = {
-    "dhlac": lambda: build_dhlac_net((16, 16, 1), 4, TmlConfig(3, 3, 1, 4, c1=1.0, c2=0.5)),
-    "cooc": lambda: build_cooc_net((16, 16, 1), 4, TmlConfig(1, 1, 16, 4, c1=1.0, c2=0.5)),
+    "dhlac": lambda: build_dhlac_net((16, 16, 1), 4, tml_layer(4, 3, 3, TmlConfig(c1=1.0, c2=0.5))),
+    "cooc": lambda: build_cooc_net((16, 16, 1), 4, tml_layer(4, 1, 1, TmlConfig(c1=1.0, c2=0.5))),
     "baseline": lambda: build_baseline_net((20, 20, 1), 4),
     "baseline+hlac": lambda: build_baseline_hlac_net((20, 20, 1), 4),
 }
@@ -319,7 +341,7 @@ class TestBackward:
             layers=[fc(3)],
             input_shape=(4, 4, 1),
             num_classes=3,
-            side_layers=[tml_layer(TmlConfig(2, 2, 1, 2, c1=1.0, c2=0.6)), LayerSpec("gap")],
+            side_layers=[tml_layer(2, 2, 2, TmlConfig(c1=1.0, c2=0.6)), LayerSpec("gap")],
         )
         spec = init_params(spec, np.random.default_rng(12))
         xb = np.random.default_rng(13).uniform(0.1, 2.0, size=(2, 4, 4, 1))
@@ -335,9 +357,11 @@ class TestBackward:
         "build,conv_need_dx,tml_dx_calls",
         [
             # backward order: the last conv first; main layer 0 computes no d_x
-            (lambda: build_dhlac_net((32, 32, 1), 6, TmlConfig(3, 3, 1, 4)), [True, False], 0),
+            (lambda: build_dhlac_net((32, 32, 1), 6, tml_layer(4, 3, 3, TmlConfig())),
+             [True, False], 0),
             (lambda: build_baseline_hlac_net((20, 20, 1), 3), [True, True, False], 0),
-            (lambda: build_cooc_net((28, 28, 1), 10, TmlConfig(1, 1, 16, 4)), [True, False], 1),
+            (lambda: build_cooc_net((28, 28, 1), 10, tml_layer(4, 1, 1, TmlConfig())),
+             [True, False], 1),
         ],
         ids=["dhlac", "baseline+hlac", "cooc"],
     )
@@ -386,7 +410,7 @@ class TestBackward:
                     return _kernel(*args, **kwargs)
 
                 monkeypatch.setattr(module, name, record)
-        cooc = build_cooc_net((28, 28, 1), 10, TmlConfig(1, 1, 16, 4))
+        cooc = build_cooc_net((28, 28, 1), 10, tml_layer(4, 1, 1, TmlConfig()))
         rng = np.random.default_rng(0)
         for spec in (tiny_branched_net(), hlac_net(), init_params(cooc, rng)):
             xb = rng.uniform(0.1, 1.0, size=(2, *spec.input_shape))
@@ -417,7 +441,7 @@ class TestBackward:
 # Between them the two pinned checkpoints hold all eight layer kinds and a
 # frozen bank.
 TINY_NET_TEXT = """\
-format=tmlnet-net-v2
+format=tmlnet-net-v3
 input=6x6x1
 classes=3
 layer chain=main kind=conv out=2 kh=3 kw=3
@@ -426,12 +450,12 @@ layer chain=main kind=maxpool
 layer chain=main kind=fc units=5
 layer chain=main kind=sigmoid
 layer chain=main kind=fc units=3
-layer chain=side kind=tml kh=2 kw=2 kc=1 km=2 c1=1.0 c2=0.6 eps=1e-06 trainable=1
+layer chain=side kind=tml out=2 kh=2 kw=2 c1=1.0 c2=0.6 eps=1e-06 trainable=1
 layer chain=side kind=gap
 """
 
 HLAC_NET_TEXT = """\
-format=tmlnet-net-v2
+format=tmlnet-net-v3
 input=20x20x1
 classes=3
 layer chain=main kind=conv out=8 kh=3 kw=3
@@ -448,7 +472,7 @@ layer chain=main kind=fc units=64
 layer chain=main kind=relu
 layer chain=main kind=dropout rate=0.5
 layer chain=main kind=fc units=3
-layer chain=side kind=tml kh=3 kw=3 kc=1 km=25 c1=1.0 c2=1.0 eps=1e-06 trainable=0
+layer chain=side kind=tml out=25 kh=3 kw=3 c1=1.0 c2=1.0 eps=1e-06 trainable=0
 layer chain=side kind=gap
 """
 
@@ -518,7 +542,7 @@ class TestSerialization:
         [
             (tiny_branched_net, "kind=conv out=2", "kind=conv"),  # missing key
             (tiny_branched_net, "units=5", "units=five"),  # bad int
-            (tiny_branched_net, "kh=2 kw=2 kc=1", "kh=2 kw=2 kc"),  # field without "="
+            (tiny_branched_net, "kw=2 c1=1.0", "kw=2 c1"),  # field without "="
             (tiny_branched_net, "chain=side kind=gap", "chain=sid kind=gap"),
             (tiny_branched_net, "out=2", "out=0"),
             (tiny_branched_net, "units=5", "units=-5"),
@@ -567,7 +591,7 @@ class TestSerialization:
             layers=[conv(np.int64(2), 3, 3), fc(np.int64(3))],
             input_shape=(6, 6, 1),
             num_classes=3,
-            side_layers=[tml_layer(TmlConfig(2, 2, 1, 2, c1=np.float64(1.0), c2=np.float64(0.6))),
+            side_layers=[tml_layer(2, 2, 2, TmlConfig(c1=np.float64(1.0), c2=np.float64(0.6))),
                          LayerSpec("gap")],
         )
         path = tmp_path / "ckpt.net"

@@ -23,25 +23,24 @@ TINY_EPS = 1e-300  # numerically exact for inputs >= 0.1
 
 def direct_product_forward(x, kernels):
     """Independent oracle: literal product of (x+eps)**w, no log transform."""
-    cfg = kernels.config
-    h, w = cfg.kernel_h, cfg.kernel_w
+    eps = kernels.config.eps
+    h, w, channels, num_kernels = kernels.weights.shape
     n1, n2, _ = x.shape
-    out = np.empty((n1 - h + 1, n2 - w + 1, cfg.num_kernels))
+    out = np.empty((n1 - h + 1, n2 - w + 1, num_kernels))
     for i in range(out.shape[0]):
         for j in range(out.shape[1]):
-            for m in range(cfg.num_kernels):
+            for m in range(num_kernels):
                 prod = 1.0
                 for p in range(h):
                     for q in range(w):
-                        for k in range(cfg.in_channels):
-                            prod *= (x[i + p, j + q, k] + cfg.eps) ** kernels.weights[p, q, k, m]
+                        for k in range(channels):
+                            prod *= (x[i + p, j + q, k] + eps) ** kernels.weights[p, q, k, m]
                 out[i, j, m] = prod
     return out
 
 
 def random_instance(rng, n1=4, n2=4, k=1, h=2, w=2, m=2, lo=0.1, hi=2.0, eps=1e-6):
-    cfg = TmlConfig(h, w, k, m, c1=1.0, c2=0.5, eps=eps)
-    kernels = init_kernels(cfg, rng)
+    kernels = init_kernels(TmlConfig(c1=1.0, c2=0.5, eps=eps), (h, w, k, m), rng)
     x = rng.uniform(lo, hi, size=(n1, n2, k))
     return x, kernels
 
@@ -49,54 +48,43 @@ def random_instance(rng, n1=4, n2=4, k=1, h=2, w=2, m=2, lo=0.1, hi=2.0, eps=1e-
 class TestConfig:
     def test_rejects_c2_above_c1(self):
         with pytest.raises(ValueError):
-            TmlConfig(3, 3, 1, 2, c1=0.5, c2=1.0)
-
-    def test_rejects_infeasible_ratio(self):
-        # c1/c2 = 8 > 2*2*1 cells: constraint set is empty
-        with pytest.raises(ValueError):
-            TmlConfig(2, 2, 1, 1, c1=8.0, c2=1.0)
+            TmlConfig(c1=0.5, c2=1.0)
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
-            TmlConfig(3, 3, 1, 2, eps=0.0)
+            TmlConfig(eps=0.0)
 
     @pytest.mark.parametrize("eps", [np.nan, np.inf])
     def test_rejects_nonfinite_eps(self, eps):
         with pytest.raises(ValueError, match="eps must be positive and finite"):
-            TmlConfig(3, 3, 1, 2, eps=eps)
+            TmlConfig(eps=eps)
 
     def test_rejects_nonfinite_constraints(self):
         # inf / inf is NaN, which no ratio or order check catches
         with pytest.raises(ValueError, match="c1 and c2 must be positive and finite"):
-            TmlConfig(3, 3, 1, 2, c1=np.inf, c2=np.inf)
-
-    def test_weight_count(self):
-        assert TmlConfig(3, 4, 2, 5).weight_count == 24
+            TmlConfig(c1=np.inf, c2=np.inf)
 
 
 class TestForward:
     def test_zero_weights_give_ones(self):
-        cfg = TmlConfig(2, 2, 1, 3, c1=1.0, c2=1.0)
-        kernels = TmlKernels(cfg, np.zeros(cfg.weights_shape()))
+        kernels = TmlKernels(TmlConfig(c1=1.0, c2=1.0), np.zeros((2, 2, 1, 3)))
         x = np.random.default_rng(0).uniform(0, 5, size=(4, 5, 1))
         y = forward_batch(x[None], kernels)[0]
         assert y.shape == (3, 4, 3)
         assert np.all(y == 1.0)
 
     def test_single_unit_weight_is_identity_shift(self):
-        cfg = TmlConfig(1, 1, 1, 1, c1=1.0, c2=1.0, eps=1e-8)
-        kernels = TmlKernels(cfg, np.ones((1, 1, 1, 1)))
+        kernels = TmlKernels(TmlConfig(c1=1.0, c2=1.0, eps=1e-8), np.ones((1, 1, 1, 1)))
         x = np.random.default_rng(1).uniform(0, 2, size=(3, 3, 1))
         y = forward_batch(x[None], kernels)[0]
         np.testing.assert_allclose(y[:, :, 0], x[:, :, 0] + 1e-8, rtol=1e-12)
 
     def test_half_exponents_sqrt_product(self):
         # One 2x2 kernel [[0.5, 0.5], [0, 0]] over [[1,2],[3,4]] -> sqrt(1*2)
-        cfg = TmlConfig(2, 2, 1, 1, c1=1.0, c2=1.0, eps=TINY_EPS)
-        w = np.zeros(cfg.weights_shape())
+        w = np.zeros((2, 2, 1, 1))
         w[0, 0, 0, 0] = 0.5
         w[0, 1, 0, 0] = 0.5
-        kernels = TmlKernels(cfg, w)
+        kernels = TmlKernels(TmlConfig(c1=1.0, c2=1.0, eps=TINY_EPS), w)
         x = np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None]
         y = forward_batch(x[None], kernels)[0]
         assert y.shape == (1, 1, 1)
@@ -154,9 +142,10 @@ class TestForward:
 def einsum_tml(xb, kernels):
     """Window-einsum log-domain forward and backward, the reference for the
     TML's use of the shared correlation kernels."""
-    cfg = kernels.config
-    z = np.log(xb + cfg.eps)
-    win = sliding_window_view(z, (cfg.kernel_h, cfg.kernel_w), axis=(1, 2))
+    eps = kernels.config.eps
+    kh, kw = kernels.weights.shape[:2]
+    z = np.log(xb + eps)
+    win = sliding_window_view(z, (kh, kw), axis=(1, 2))
     y = np.exp(np.einsum("bijkpq,pqkm->bijm", win, kernels.weights, optimize=True))
 
     def backward(d_y):
@@ -164,12 +153,12 @@ def einsum_tml(xb, kernels):
         d_w = np.einsum("bijkpq,bijm->pqkm", win, g, optimize=True)
         d_x = np.zeros_like(xb)
         oh, ow = g.shape[1], g.shape[2]
-        for p in range(cfg.kernel_h):
-            for q in range(cfg.kernel_w):
+        for p in range(kh):
+            for q in range(kw):
                 d_x[:, p : p + oh, q : q + ow, :] += np.einsum(
                     "bijm,km->bijk", g, kernels.weights[p, q], optimize=True
                 )
-        return d_w, d_x / (xb + cfg.eps)
+        return d_w, d_x / (xb + eps)
 
     return y, backward
 
@@ -178,7 +167,7 @@ class TestMatchesEinsumReference:
     @pytest.mark.parametrize("h,w,k,m", [(3, 2, 3, 5), (1, 1, 16, 8), (2, 4, 1, 3)])
     def test_forward_and_gradients(self, h, w, k, m):
         rng = np.random.default_rng(h * 100 + w * 10 + k + m)
-        kernels = init_kernels(TmlConfig(h, w, k, m, c1=1.0, c2=1.0), rng)
+        kernels = init_kernels(TmlConfig(c1=1.0, c2=1.0), (h, w, k, m), rng)
         xb = rng.uniform(0.0, 2.0, size=(3, 7, 6, k))
         xb[xb < 0.3] = 0.0  # exact zeros, as after a ReLU
         ref_y, ref_backward = einsum_tml(xb, kernels)
@@ -197,8 +186,8 @@ class TestMatchesEinsumReference:
 
 class TestBackwardWeights:
     def test_log_one_inputs_give_zero_gradient(self):
-        cfg = TmlConfig(2, 2, 1, 2, eps=1e-6)
-        kernels = init_kernels(cfg, np.random.default_rng(0))
+        cfg = TmlConfig(eps=1e-6)
+        kernels = init_kernels(cfg, (2, 2, 1, 2), np.random.default_rng(0))
         x = np.full((4, 4, 1), 1.0 - cfg.eps)
         y = forward_batch(x[None], kernels)[0]
         d_w = backward_weights_batch(x[None], y[None], np.ones_like(y)[None], kernels)
@@ -235,16 +224,14 @@ class TestBackwardWeights:
 
 class TestBackwardInput:
     def test_zero_weights_give_zero_gradient(self):
-        cfg = TmlConfig(2, 2, 1, 2)
-        kernels = TmlKernels(cfg, np.zeros(cfg.weights_shape()))
+        kernels = TmlKernels(TmlConfig(), np.zeros((2, 2, 1, 2)))
         x = np.random.default_rng(0).uniform(0.1, 2, size=(4, 4, 1))
         y = forward_batch(x[None], kernels)[0]
         d_x = backward_input_batch(x[None], y[None], np.ones_like(y)[None], kernels)[0]
         assert np.all(d_x == 0.0)
 
     def test_identity_kernel_routes_gradient(self):
-        cfg = TmlConfig(1, 1, 1, 1, c1=1.0, c2=1.0, eps=1e-12)
-        kernels = TmlKernels(cfg, np.ones((1, 1, 1, 1)))
+        kernels = TmlKernels(TmlConfig(c1=1.0, c2=1.0, eps=1e-12), np.ones((1, 1, 1, 1)))
         rng = np.random.default_rng(1)
         x = rng.uniform(0.5, 2.0, size=(3, 4, 1))
         y = forward_batch(x[None], kernels)[0]
@@ -268,8 +255,7 @@ class TestBackwardInput:
 class TestProjection:
     def kernels_from_flat(self, flat, c1=1.0, c2=0.5):
         flat = np.asarray(flat, dtype=np.float64)
-        cfg = TmlConfig(1, flat.size, 1, 1, c1=c1, c2=c2)
-        return TmlKernels(cfg, flat.reshape(cfg.weights_shape()))
+        return TmlKernels(TmlConfig(c1=c1, c2=c2), flat.reshape(1, flat.size, 1, 1))
 
     def test_feasible_bank_unchanged(self):
         k = self.kernels_from_flat([0.5, 0.5])
@@ -296,9 +282,9 @@ class TestProjection:
 
     def test_idempotent_on_feasible_output(self):
         rng = np.random.default_rng(11)
-        cfg = TmlConfig(3, 3, 2, 4, c1=1.0, c2=0.5)
+        cfg = TmlConfig(c1=1.0, c2=0.5)
         for _ in range(20):
-            k = TmlKernels(cfg, rng.uniform(-0.2, 0.7, size=cfg.weights_shape()))
+            k = TmlKernels(cfg, rng.uniform(-0.2, 0.7, size=(3, 3, 2, 4)))
             once = project_kernels(k)
             if once.weights.max() <= cfg.c2:
                 twice = project_kernels(once)
@@ -306,18 +292,17 @@ class TestProjection:
 
     def test_postconditions(self):
         rng = np.random.default_rng(12)
-        cfg = TmlConfig(3, 3, 1, 5, c1=2.0, c2=1.0)
-        k = TmlKernels(cfg, rng.normal(size=cfg.weights_shape()))
+        cfg = TmlConfig(c1=2.0, c2=1.0)
+        k = TmlKernels(cfg, rng.normal(size=(3, 3, 1, 5)))
         out = project_kernels(k)
         assert out.weights.min() >= 0.0
         np.testing.assert_allclose(out.weights.sum(axis=(0, 1, 2)), cfg.c1, atol=1e-9)
 
     def test_degenerate_kernel_signaled_and_reinit(self):
-        cfg = TmlConfig(1, 2, 1, 2, c1=1.0, c2=0.5)
-        w = np.zeros(cfg.weights_shape())
+        w = np.zeros((1, 2, 1, 2))
         w[0, :, 0, 0] = [-1.0, -2.0]  # clips to all zero
         w[0, :, 0, 1] = [0.5, 0.5]
-        k = TmlKernels(cfg, w)
+        k = TmlKernels(TmlConfig(c1=1.0, c2=0.5), w)
         with pytest.raises(DegenerateKernelError) as exc:
             rescale_step(clip_step(k))
         assert exc.value.kernel_indices == (0,)
@@ -337,8 +322,7 @@ class TestKernelL1:
     def test_zero_bank(self):
         # an all-zero bank has no direction to rescale; every kernel restarts
         # uniform and the bank's L1 norm comes back to M * c1
-        cfg = TmlConfig(2, 2, 1, 3, c1=1.0, c2=1.0)
-        k = TmlKernels(cfg, np.zeros(cfg.weights_shape()))
+        k = TmlKernels(TmlConfig(c1=1.0, c2=1.0), np.zeros((2, 2, 1, 3)))
         assert np.abs(k.weights).sum() == 0.0
         with pytest.raises(DegenerateKernelError) as err:
             project_kernels(k)
@@ -349,8 +333,7 @@ class TestKernelL1:
     def test_absolute_values(self):
         # |0.3| + |-0.2| = 0.5 before projection; the clip drops the negative
         # weight, so afterwards the L1 norm is the plain sum c1
-        cfg = TmlConfig(1, 2, 1, 1, c1=1.0, c2=1.0)
-        k = TmlKernels(cfg, np.array([0.3, -0.2]).reshape(cfg.weights_shape()))
+        k = TmlKernels(TmlConfig(c1=1.0, c2=1.0), np.array([0.3, -0.2]).reshape(1, 2, 1, 1))
         assert np.abs(k.weights).sum() == pytest.approx(0.5)
         out = project_kernels(k)
         np.testing.assert_allclose(out.weights.ravel(), [1.0, 0.0], atol=1e-12)
@@ -358,24 +341,22 @@ class TestKernelL1:
 
     def test_projected_bank_is_m_times_c1(self):
         rng = np.random.default_rng(13)
-        cfg = TmlConfig(3, 3, 2, 6, c1=1.5, c2=0.75)
-        k = project_kernels(TmlKernels(cfg, rng.uniform(0, 1, cfg.weights_shape())))
+        k = project_kernels(TmlKernels(TmlConfig(c1=1.5, c2=0.75), rng.uniform(0, 1, (3, 3, 2, 6))))
         assert np.abs(k.weights).sum() == pytest.approx(6 * 1.5, abs=1e-9)
 
 
 class TestInit:
     def test_init_is_feasible_and_seeded(self):
-        cfg = TmlConfig(3, 3, 1, 4)
-        a = init_kernels(cfg, np.random.default_rng(99))
-        b = init_kernels(cfg, np.random.default_rng(99))
+        cfg = TmlConfig()
+        a = init_kernels(cfg, (3, 3, 1, 4), np.random.default_rng(99))
+        b = init_kernels(cfg, (3, 3, 1, 4), np.random.default_rng(99))
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_allclose(a.weights.sum(axis=(0, 1, 2)), cfg.c1, atol=1e-9)
         assert a.weights.min() >= 0.0
 
     def test_uniform_kernels(self):
         # reinit restarts the listed kernels at c1 / (H*W*K) and leaves the rest
-        cfg = TmlConfig(2, 2, 1, 3)
-        k = init_kernels(cfg, np.random.default_rng(0))
+        k = init_kernels(TmlConfig(), (2, 2, 1, 3), np.random.default_rng(0))
         one = reinit_kernels(k, [1])
         assert np.all(one.weights[..., 1] == 0.25)
         np.testing.assert_array_equal(one.weights[..., [0, 2]], k.weights[..., [0, 2]])

@@ -38,10 +38,9 @@ def fc_toy_net(num_classes=2, seed=0):
 
 
 def tml_toy_net(seed=0, m=4, c1=1.0, c2=0.5):
-    cfg = TmlConfig(2, 2, 1, m, c1=c1, c2=c2)
     spec = NetworkSpec(
         layers=[
-            tml_layer(cfg),
+            tml_layer(m, 2, 2, TmlConfig(c1=c1, c2=c2)),
             LayerSpec("gap"),
             fc(2),
         ],
@@ -368,8 +367,8 @@ class TestTrainLoop:
         for name in ("a.csv", "b.csv"):
             train, test = gen_stripe_dataset(StripeSpec(**spec_args))
             cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=8, rng_seed=12)
-            tml_cfg = TmlConfig(3, 3, 1, 2, c1=1.0, c2=0.5, eps=1e-6)
-            spec = build_dhlac_net((16, 16, 1), 6, tml_cfg)
+            bank = tml_layer(2, 3, 3, TmlConfig(c1=1.0, c2=0.5, eps=1e-6))
+            spec = build_dhlac_net((16, 16, 1), 6, bank)
             init_params(spec, np.random.default_rng(cfg.rng_seed))
             p = tmp_path / name
             train_loop(spec, train, cfg, test_ds=test, metrics_path=p)

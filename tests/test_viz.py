@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tmlnet import tml
+from tmlnet import tml, viz
 from tmlnet.cli import cli_dispatch
 from tmlnet.datasets import (
     StripeSpec,
@@ -10,7 +10,7 @@ from tmlnet.datasets import (
     write_idx_images,
     write_idx_labels,
 )
-from tmlnet.network import build_cooc_net, build_dhlac_net, init_params, save_network
+from tmlnet.network import build_cooc_net, build_dhlac_net, init_params, save_network, tml_layer
 from tmlnet.tml import TmlConfig
 from tmlnet.viz import cooc_heat, cooc_highlight, read_pgm, render_feature_map, write_pgm
 
@@ -18,14 +18,14 @@ NUM_CLASSES = 3
 
 
 def tiny_cooc_net(seed=0):
-    cfg = TmlConfig(1, 1, 16, 4, c1=1.0, c2=0.5)
-    spec = build_cooc_net((16, 16, 1), NUM_CLASSES, cfg)
+    bank = tml_layer(4, 1, 1, TmlConfig(c1=1.0, c2=0.5))
+    spec = build_cooc_net((16, 16, 1), NUM_CLASSES, bank)
     return init_params(spec, np.random.default_rng(seed))
 
 
 def tiny_dhlac_net(seed=0):
-    cfg = TmlConfig(3, 3, 1, 4, c1=1.0, c2=0.5)
-    spec = build_dhlac_net((16, 16, 1), NUM_CLASSES, cfg)
+    bank = tml_layer(4, 3, 3, TmlConfig(c1=1.0, c2=0.5))
+    spec = build_dhlac_net((16, 16, 1), NUM_CLASSES, bank)
     return init_params(spec, np.random.default_rng(seed))
 
 
@@ -51,15 +51,23 @@ class TestCoocTracing:
         assert np.all(np.isfinite(heat)) and heat.min() >= 0  # averaged ReLU maps
         assert 0 <= m < 4
         assert channels.size >= 1 and np.all((0 <= channels) & (channels < 16))
-        overlay = cooc_highlight(spec, image, target_class=1)
+        overlay = cooc_highlight(image, heat)
         assert overlay.shape == (16, 16) and overlay.dtype == np.uint8
 
-    def test_viz_cooc_cli(self, tmp_path, dataset_dir):
+    def test_viz_cooc_cli(self, tmp_path, dataset_dir, monkeypatch):
         ckpt = tmp_path / "cooc.net"
         save_network(tiny_cooc_net(), ckpt)
         out = tmp_path / "cooc.pgm"
         argv = ["viz-cooc", str(ckpt), "--dataset", str(dataset_dir), "--out", str(out)]
+        traced, forward = [], viz.network_forward
+
+        def counting(*args, **kwargs):
+            traced.append(kwargs.get("trace", True))
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(viz, "network_forward", counting)
         assert cli_dispatch(argv) == 0
+        assert traced == [True]  # the overlay blends the heat map; it does not trace again
         img = read_pgm(out)
         assert img.shape == (16, 16)
 
