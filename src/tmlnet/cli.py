@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import gradcheck
+from . import gradcheck, tml
 from .datasets import (
     StripeSpec,
     gen_stripe_dataset,
@@ -243,9 +243,13 @@ def cmd_viz_features(args) -> int:
     spec = load_network(args.ckpt)
     image, label = _image_from_dataset(args)
     _logits, trace = network_forward(spec, image[None], train_mode=False)
-    chain, i, _layer = _checkpoint_bank(spec, args.ckpt)
-    caches = trace.side_caches if chain == "side" else trace.caches
-    _x, y, _z = caches[i]
+    chain, i, layer = _checkpoint_bank(spec, args.ckpt)
+    cache = (trace.side_caches if chain == "side" else trace.caches)[i]
+    if cache is None:  # a frozen bank on the input keeps no maps in the trace
+        kernels = TmlKernels(layer.tml, spec.param_dict(chain, i)["w"])
+        y = tml.forward_batch(image[None], kernels)
+    else:
+        _x, y, _z = cache
     os.makedirs(args.out, exist_ok=True)
     for m in range(y.shape[3]):
         write_pgm(render_feature_map(y[0], m), os.path.join(args.out, f"feature_{m:02d}.pgm"))

@@ -15,10 +15,15 @@ and it writes channel-major memory: the (B, H', W', Cout) result is a view
 of a (Cout, B, H', W') array. An NHWC GEMM was measured slower end to end:
 ReLU, pooling and GAP downstream stream whole channel planes on this layout,
 and GAP's means sum in a different order on NHWC, which moves the logits'
-last bits. d_w is cols @ d_y over the whole batch. d_x is one GEMM, w as a
-(kh*kw*Cin, Cout) matrix times d_y transposed, whose row block for each
-kernel cell is added where that cell reads, into a channel-major d_x; it is
-skipped for a layer that reads the network input. Max pooling's backward
+last bits. d_w is cols @ d_y over the whole batch. d_x zero-pads d_y once
+into x's (Cout, B, H, W) planes; for each kernel cell (p, q) it multiplies
+w[p, q] (Cin x Cout) by those planes into one reused (Cin, B*H*W) buffer
+and adds the buffer into a channel-major d_x at flat offset p*W + q, so
+every add streams whole planes and a padded zero lands, adding nothing, in
+the next row or image. Adding each cell's share in runs of W' values, one
+per (channel, image, row), cost more than its GEMM; one GEMM into the
+padded planes gained nothing, as its result left L2. d_x is skipped for a
+layer that reads the network input. Max pooling's backward
 writes d_x in x's layout and GAP's writes it channel-major, so the ReLU and
 TML backwards beneath them multiply arrays of one layout. The logits are
 bit-for-bit those of the former NHWC-row window matrix. The conv bias
@@ -77,16 +82,26 @@ def correlate_grad_weights(x, d_y, kh: int, kw: int) -> np.ndarray:
 
 
 def correlate_grad_input(w, d_y, x_shape) -> np.ndarray:
-    """d(sum d_y * correlate(x, w)) / dx, channel-major: one GEMM gives every
-    window's share, and each kernel cell's row block is added where it reads."""
+    """d(sum d_y * correlate(x, w)) / dx, channel-major: d_y zero-padded to
+    x's (Cout, B, H, W) planes, and for each kernel cell w[p, q] times those
+    planes added into d_x at flat offset p*W + q."""
     b, oh, ow, c_out = d_y.shape
     kh, kw, c_in, _ = w.shape
-    d_cols = (w.reshape(-1, c_out) @ d_y.reshape(-1, c_out).T).reshape(kh, kw, c_in, b, oh, ow)
-    d_x = np.zeros((c_in, *x_shape[:3]))
+    _, h, wd, _ = x_shape
+    planes = np.zeros((c_out, b, h, wd))
+    planes[:, :, :oh, :ow] = d_y.transpose(3, 0, 1, 2)
+    planes = planes.reshape(c_out, -1)
+    n = planes.shape[1]
+    d_x = np.zeros((c_in, n))
+    part = np.empty((c_in, n))
     for p in range(kh):
         for q in range(kw):
-            d_x[:, :, p : p + oh, q : q + ow] += d_cols[p, q]
-    return d_x.transpose(1, 2, 3, 0)
+            np.matmul(w[p, q], planes, out=part)
+            # a padded position's share is a zero (w[p, q] @ 0), and adding a
+            # zero leaves a sum that started at +0.0 bit for bit as it was
+            off = p * wd + q
+            d_x[:, off:] += part[:, : n - off]
+    return d_x.reshape(c_in, b, h, wd).transpose(1, 2, 3, 0)
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -149,13 +164,11 @@ def relu_backward(d_y, y):
 
 
 def sigmoid_forward(x):
-    # split on sign to keep exp() in the underflow-safe range
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # each side of 0 takes the formula whose exp() cannot overflow; the
+    # other's inf and nan are computed and dropped
+    with np.errstate(over="ignore", invalid="ignore"):
+        ex = np.exp(x)
+        return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), ex / (1.0 + ex))
 
 
 def sigmoid_backward(d_y, y):

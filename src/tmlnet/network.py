@@ -211,33 +211,38 @@ def _weight_grads(d_x, d_w, d_b):
     return d_x, {"w": d_w, "b": d_b}
 
 
-def _sigmoid_forward(layer, p, a, train_mode, rng):
+def _sigmoid_forward(layer, p, a, train_mode, rng, need_dx):
     y = L.sigmoid_forward(a)
     return y, y
 
 
-def _maxpool_forward(layer, p, a, train_mode, rng):
+def _maxpool_forward(layer, p, a, train_mode, rng, need_dx):
     y = L.maxpool_forward(a)
     return y, (a, y)
 
 
-def _relu_forward(layer, p, a, train_mode, rng):
+def _relu_forward(layer, p, a, train_mode, rng, need_dx):
     y = L.relu_forward(a)
     return y, y
 
 
-def _dropout_forward(layer, p, a, train_mode, rng):
+def _dropout_forward(layer, p, a, train_mode, rng, need_dx):
     if train_mode and layer.rate > 0 and rng is None:
         raise ValueError("training forward through dropout needs an rng")
     return L.dropout_forward(a, layer.rate, rng, train_mode)
 
 
-def _tml_forward(layer, p, a, train_mode, rng):
-    y, z = T.forward_batch(a, T.TmlKernels(layer.tml, p["w"]), return_log=True)
+def _tml_forward(layer, p, a, train_mode, rng, need_dx):
+    kernels = T.TmlKernels(layer.tml, p["w"])
+    if not (layer.trainable or need_dx):
+        return T.forward_batch(a, kernels), None  # its backward reads nothing
+    y, z = T.forward_batch(a, kernels, return_log=True)
     return y, (a, y, z)
 
 
 def _tml_backward(layer, p, cache, d_y, need_dx):
+    if cache is None:
+        return None, {}
     x, y, z = cache
     kernels = T.TmlKernels(layer.tml, p["w"])
     d_x = T.backward_input_batch(x, y, d_y, kernels) if need_dx else None
@@ -257,17 +262,21 @@ class Kind:
     Conv and tml share their geometry: out_channels kernels of kernel_h x
     kernel_w cells over every input channel, a (kh, kw, in, out) weight.
 
-    Conv and tml backwards return d_input None when `need_dx` is False. Param
-    grads hold only the arrays that train: a frozen tml bank returns {}.
+    Forward and backward get the same `need_dx`: whether the layer's input
+    gradient is used (`_need_dx`). Conv and tml backwards return d_input None
+    when it is False. Param grads hold only the arrays that train: a frozen
+    tml bank returns {}.
 
     The cache a forward returns for its backward: conv and fc keep their
     input x; relu and sigmoid their output y; maxpool (x, y), where an x made
     by a relu is that relu's cached output itself, so the trace holds it once;
     gap the input shape; dropout its keep mask (None in eval mode); tml
-    (x, y, z) with z = log(x + eps).
+    (x, y, z) with z = log(x + eps), except a frozen bank whose input gradient
+    is not used, which has nothing to compute in its backward and keeps None
+    (baseline+hlac's 25 maps of 64-px crops are 197 MB at B=256).
     """
 
-    forward: Callable  # (layer, params, a, train_mode, rng) -> (y, cache)
+    forward: Callable  # (layer, params, a, train_mode, rng, need_dx) -> (y, cache)
     backward: Callable  # (layer, params, cache, d_y, need_dx) -> (d_x, param grads)
     out_shape: Callable = lambda layer, shape: shape  # (h, w, c) volume or (d,) vector
     param_shapes: Callable = lambda layer, in_shape: {}
@@ -279,7 +288,9 @@ class Kind:
 
 KINDS = {
     "conv": Kind(
-        forward=lambda layer, p, a, train_mode, rng: (L.conv2d_forward(a, p["w"], p["b"]), a),
+        forward=lambda layer, p, a, train_mode, rng, need_dx: (
+            L.conv2d_forward(a, p["w"], p["b"]), a
+        ),
         backward=lambda layer, p, x, d_y, need_dx: _weight_grads(
             *L.conv2d_backward(x, p["w"], d_y, need_dx=need_dx)
         ),
@@ -307,7 +318,7 @@ KINDS = {
         backward=lambda layer, p, y, d_y, need_dx: (L.sigmoid_backward(d_y, y), {}),
     ),
     "fc": Kind(
-        forward=lambda layer, p, a, train_mode, rng: (L.fc_forward(a, p["w"], p["b"]), a),
+        forward=lambda layer, p, a, train_mode, rng, need_dx: (L.fc_forward(a, p["w"], p["b"]), a),
         backward=lambda layer, p, x, d_y, need_dx: _weight_grads(*L.fc_backward(x, p["w"], d_y)),
         out_shape=lambda layer, shape: (layer.units,),
         param_shapes=lambda layer, in_shape: {
@@ -320,7 +331,7 @@ KINDS = {
         make=fc,
     ),
     "gap": Kind(
-        forward=lambda layer, p, a, train_mode, rng: (L.gap_forward(a), a.shape),
+        forward=lambda layer, p, a, train_mode, rng, need_dx: (L.gap_forward(a), a.shape),
         backward=lambda layer, p, in_shape, d_y, need_dx: (L.gap_backward(d_y, in_shape), {}),
         out_shape=lambda layer, shape: (_volume(layer, shape)[2],),
     ),
@@ -486,7 +497,9 @@ def _run_chains(spec: NetworkSpec, s, a, starts, ends, train_mode, rng, forward_
     when given."""
     for i in range(starts[0], ends[0]):
         layer = spec.side_layers[i]
-        s, cache = KINDS[layer.kind].forward(layer, spec.side_params[i], s, train_mode, rng)
+        s, cache = KINDS[layer.kind].forward(
+            layer, spec.side_params[i], s, train_mode, rng, _need_dx(spec, "side", i)
+        )
         if forward_trace is not None:
             forward_trace.side_caches.append(cache)
     for i in range(starts[1], ends[1]):
@@ -495,18 +508,26 @@ def _run_chains(spec: NetworkSpec, s, a, starts, ends, train_mode, rng, forward_
             if forward_trace is not None:
                 forward_trace.join_info = (s.shape[1], a.shape)
             a = np.concatenate([s, a.reshape(a.shape[0], -1)], axis=1)
-        a, cache = KINDS[layer.kind].forward(layer, spec.params[i], a, train_mode, rng)
+        a, cache = KINDS[layer.kind].forward(
+            layer, spec.params[i], a, train_mode, rng, _need_dx(spec, "main", i)
+        )
         if forward_trace is not None:
             forward_trace.caches.append(cache)
     return s, a
 
 
+def _need_dx(spec: NetworkSpec, chain: str, i: int) -> bool:
+    """Whether layer i of `chain` passes a gradient to its input. A chain's
+    first layer reads the network input, whose gradient nothing uses, unless
+    the side chain joins there (in a main chain of one layer)."""
+    return i > 0 or (chain == "main" and bool(spec.side_layers) and i == len(spec.layers) - 1)
+
+
 def network_backward(spec: NetworkSpec, trace: ForwardTrace, d_logits) -> Gradients:
     """Backpropagate d(loss)/d(logits) through the trace; one use per trace.
 
-    The first layer of each chain reads the network input, whose gradient
-    nothing uses, so it computes none (unless the side chain joins there,
-    in a main chain of one layer).
+    A layer computes its input's gradient only where `_need_dx` says it is
+    used, as its forward was told.
     """
     if trace.consumed:
         raise ValueError("forward trace already consumed by a backward pass")
@@ -519,7 +540,7 @@ def network_backward(spec: NetworkSpec, trace: ForwardTrace, d_logits) -> Gradie
     for i in range(len(spec.layers) - 1, -1, -1):
         layer = spec.layers[i]
         d, main_grads[i] = KINDS[layer.kind].backward(
-            layer, spec.params[i], trace.caches[i], d, i > 0 or i == join
+            layer, spec.params[i], trace.caches[i], d, _need_dx(spec, "main", i)
         )
         if i == join:
             side_dim, pre_shape = trace.join_info
@@ -528,7 +549,7 @@ def network_backward(spec: NetworkSpec, trace: ForwardTrace, d_logits) -> Gradie
     for i in range(len(spec.side_layers) - 1, -1, -1):
         layer = spec.side_layers[i]
         d_side, side_grads[i] = KINDS[layer.kind].backward(
-            layer, spec.side_params[i], trace.side_caches[i], d_side, i > 0
+            layer, spec.side_params[i], trace.side_caches[i], d_side, _need_dx(spec, "side", i)
         )
     return Gradients(main_grads, side_grads)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -54,13 +56,18 @@ LAYOUTS = {"nhwc": np.ascontiguousarray, "channel_major": channel_major}
 
 
 # (B, H, W, Cin, kh, kw, Cout): kh != kw, several channels, non-square inputs,
-# and the 5x5 single-channel and 3x3 eight-channel kernels of the shipped nets
+# the 5x5 single-channel and 3x3 eight-channel kernels of the shipped nets,
+# and outputs of one row (H'=1), one column (W'=1) and one image, where the
+# input gradient's per-cell adds reach the last row, column and image
 CONV_SHAPES = [
     (2, 9, 7, 3, 3, 2, 4),
     (3, 6, 11, 2, 2, 5, 3),
     (1, 4, 5, 1, 1, 1, 2),
     (3, 12, 10, 1, 5, 5, 6),
     (2, 8, 9, 8, 3, 3, 16),
+    (3, 3, 8, 2, 3, 2, 3),
+    (2, 7, 4, 3, 2, 4, 2),
+    (1, 7, 6, 2, 3, 3, 4),
 ]
 
 
@@ -289,6 +296,23 @@ class TestActivations:
         assert np.all((y >= 0) & (y <= 1))
         assert y[2] == 0.5
         np.testing.assert_allclose(y + sigmoid_forward(-x), 1.0, atol=1e-15)
+
+    def test_sigmoid_matches_the_two_branch_formula_bit_for_bit(self):
+        def two_branch(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        edges = np.array([0.0, -0.0, 745.0, -745.0, 1e3, -1e3])
+        x = np.concatenate([edges, np.random.default_rng(2).normal(scale=20.0, size=224)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow or invalid warning leaks out
+            y = sigmoid_forward(x)
+        assert y.tobytes() == two_branch(x).tobytes()
+        np.testing.assert_array_equal(y[:6], [0.5, 0.5, 1.0, 5e-324, 1.0, 0.0])
 
     def test_sigmoid_gradient(self):
         rng = np.random.default_rng(1)

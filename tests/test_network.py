@@ -437,6 +437,34 @@ class TestBackward:
         # conv gradients still flow
         assert np.any(grads.main[0]["w"] != 0.0)
 
+    def test_frozen_bank_on_the_input_keeps_no_cache(self):
+        # nothing uses its input gradient and it has no weight gradient, so
+        # its backward reads nothing; the trace holds none of its arrays
+        spec = hlac_net()
+        xb = np.random.default_rng(1).uniform(0.1, 1.0, size=(2, 20, 20, 1))
+        _, trace = network_forward(spec, xb)
+        assert trace.side_caches[0] is None
+
+    def test_frozen_bank_mid_chain_passes_its_input_gradient(self):
+        frozen = tml_layer(2, 2, 2, TmlConfig(c1=1.0, c2=0.6), trainable=False)
+        spec = NetworkSpec(
+            layers=[conv(3, 2, 2), LayerSpec("sigmoid"), frozen, LayerSpec("gap"), fc(3)],
+            input_shape=(5, 5, 1),
+            num_classes=3,
+        )
+        spec = init_params(spec, np.random.default_rng(14))
+        xb = np.random.default_rng(15).uniform(0.1, 1.0, size=(2, 5, 5, 1))
+        labels = np.array([2, 0])
+        logits, trace = network_forward(spec, xb)
+        x, y, _z = trace.caches[2]
+        assert x is trace.caches[1] and y.shape == (2, 3, 3, 2)
+        _, d_logits = softmax_xent(logits, np.eye(3)[labels])
+        grads = network_backward(spec, trace, d_logits / len(labels))
+        assert grads.main[2] == {}
+        for key in ("w", "b"):
+            numeric = _central_diff(lambda: batch_loss(spec, xb, labels), spec.params[0][key], 1e-6)
+            assert _rel_err(grads.main[0][key], numeric) < 1e-4
+
 
 # Between them the two pinned checkpoints hold all eight layer kinds and a
 # frozen bank.

@@ -10,7 +10,14 @@ from tmlnet.datasets import (
     write_idx_images,
     write_idx_labels,
 )
-from tmlnet.network import build_cooc_net, build_dhlac_net, init_params, save_network, tml_layer
+from tmlnet.network import (
+    build_baseline_hlac_net,
+    build_cooc_net,
+    build_dhlac_net,
+    init_params,
+    save_network,
+    tml_layer,
+)
 from tmlnet.tml import TmlConfig
 from tmlnet.viz import cooc_heat, cooc_highlight, read_pgm, render_feature_map, write_pgm
 
@@ -29,17 +36,21 @@ def tiny_dhlac_net(seed=0):
     return init_params(spec, np.random.default_rng(seed))
 
 
-@pytest.fixture
-def dataset_dir(tmp_path):
-    spec = StripeSpec(num_classes=NUM_CLASSES, canvas=64, crop=16, samples_per_class=2, rng_seed=3)
-    train, test = gen_stripe_dataset(spec)
-    d = tmp_path / "data"
+def write_dataset(d, crop):
+    train, test = gen_stripe_dataset(
+        StripeSpec(num_classes=NUM_CLASSES, canvas=64, crop=crop, samples_per_class=2, rng_seed=3)
+    )
     d.mkdir()
     write_idx_images(list(train.images), d / "train-images.idx")
     write_idx_labels(train.labels.tolist(), d / "train-labels.idx")
     write_idx_images(list(test.images), d / "test-images.idx")
     write_idx_labels(test.labels.tolist(), d / "test-labels.idx")
     return d
+
+
+@pytest.fixture
+def dataset_dir(tmp_path):
+    return write_dataset(tmp_path / "data", 16)
 
 
 class TestCoocTracing:
@@ -87,6 +98,25 @@ def test_viz_features_cli_writes_tml_maps(tmp_path, dataset_dir):
     for m in range(4):
         written = read_pgm(out / f"feature_{m:02d}.pgm")
         np.testing.assert_array_equal(written, render_feature_map(y, m))
+
+
+def test_viz_features_cli_on_a_frozen_bank(tmp_path):
+    # the trace keeps nothing of a frozen bank on the input; the maps are recomputed
+    dataset_dir = write_dataset(tmp_path / "data", 20)  # 16 px is too small for the baseline
+    spec = init_params(build_baseline_hlac_net((20, 20, 1), NUM_CLASSES), np.random.default_rng(0))
+    ckpt = tmp_path / "hlac.net"
+    save_network(spec, ckpt)
+    out = tmp_path / "features"
+    argv = ["viz-features", str(ckpt), "--dataset", str(dataset_dir), "--index", "1",
+            "--out", str(out)]
+    assert cli_dispatch(argv) == 0
+    _train, test = load_dataset_dir(dataset_dir)
+    bank = tml.TmlKernels(spec.side_layers[0].tml, spec.side_params[0]["w"])
+    y = tml.forward_batch(test.images[1][None], bank)[0]
+    assert sorted(p.name for p in out.iterdir()) == [f"feature_{m:02d}.pgm" for m in range(25)]
+    for m in range(25):
+        np.testing.assert_array_equal(read_pgm(out / f"feature_{m:02d}.pgm"),
+                                      render_feature_map(y, m))
 
 
 @pytest.mark.parametrize("target", ["99", "-1"])
