@@ -249,7 +249,7 @@ def cmd_viz_features(args) -> int:
         kernels = TmlKernels(layer.tml, spec.param_dict(chain, i)["w"])
         y = tml.forward_batch(image[None], kernels)
     else:
-        _x, y, _z = cache
+        y = cache[1]
     os.makedirs(args.out, exist_ok=True)
     for m in range(y.shape[3]):
         write_pgm(render_feature_map(y[0], m), os.path.join(args.out, f"feature_{m:02d}.pgm"))

@@ -88,6 +88,12 @@ def correlate_grad_input(w, d_y, x_shape) -> np.ndarray:
     b, oh, ow, c_out = d_y.shape
     kh, kw, c_in, _ = w.shape
     _, h, wd, _ = x_shape
+    if kh == kw == 1:
+        # d_y's own planes are the padded ones; adding the product to +0.0,
+        # as the sum over cells does, turns its -0.0 entries into +0.0
+        d_x = w[0, 0] @ np.ascontiguousarray(d_y.transpose(3, 0, 1, 2)).reshape(c_out, -1)
+        d_x += 0.0
+        return d_x.reshape(c_in, b, h, wd).transpose(1, 2, 3, 0)
     planes = np.zeros((c_out, b, h, wd))
     planes[:, :, :oh, :ow] = d_y.transpose(3, 0, 1, 2)
     planes = planes.reshape(c_out, -1)

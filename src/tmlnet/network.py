@@ -19,33 +19,42 @@ their kernels through the module at call time (`L.conv2d_forward`,
 code that replaces a module attribute (a tracer, a test's call recorder)
 sees every call.
 
-A forward that keeps no trace (`network_forward(..., trace=False)`, eval
-mode only) runs the network depth-first: it cuts the batch into blocks of
-whole images, runs each block through each chain up to its block stop,
-keeps the block's activations there and drops its caches before the next
-block starts. A chain's block stop is its first layer that has weights and
-a vector output (an fc), and with a side chain at the latest the main
-chain's last layer, which reads the joined vector; the rest of both
-chains, and the join, then run once over the whole batch. So an fc weight
-is read once per batch, not once per block (baseline's 2.4 MB fc(64)
-weight was streamed 52 times per 256-image batch of 64-px crops), while
-GAP, which turns a volume into a vector, still runs inside the blocks.
-A block holds `_EVAL_BLOCK_BYTES // (8 * widest)`
-images, at least one, where `widest` is the largest per-image activation on
-the shape walk. So each layer's output for a block is at most 4 MiB, and
-the allocator serves it from freed heap memory: an eval pass of 1024 64-px
-crops through the HLAC net takes no page faults. A whole-batch output (197
-MB for that net's 25-map bank at B=256) is fresh pages the kernel
-zero-fills on every batch, 4532 faults and a sixth of the pass's CPU time,
-and the next layer reads it back from memory. The size scales with the
-activation because no fixed image count fits every net: on a 2-core Xeon
-the 64-px HLAC net ran fastest with 4-8 images per block and at 58% of
-that rate with the whole batch, while the 32-px dhlac net ran fastest with
-16-48 and slower with 8 than with the whole batch. The blocked logits can
-differ from the traced forward's in the last bits (relative 3e-13 at most
-on the shipped nets), because OpenBLAS may sum a GEMM in an order that
-depends on its shape and the block sets the shape; the traced forward
-already differs the same way between batch sizes.
+A layer runs its backward only if it or a layer beneath it (towards the
+input; for the main chain's last layer, the side chain too) has weights that
+train: a conv, an fc or a trainable tml bank. Only such a layer keeps a
+cache in the trace, and it computes its input's gradient only if a layer
+beneath it runs its backward. baseline+hlac's side chain, the frozen HLAC
+bank and its GAP, runs none: the bank's 25 maps of 64-px crops are 197 MB at
+B=256, and the GAP gradient its backward would fill is as large.
+
+The leading layers of a chain whose caches nothing reads run depth-first:
+the batch is cut into blocks of whole images, each block runs through them
+up to the chain's block stop, keeps its activations there and drops its
+caches before the next block starts. Without a trace (`trace=False`, eval
+mode only) those are all layers; with one, the layers that run no backward,
+up to a train-mode dropout, whose masks are drawn for the whole batch in
+chain order. A chain's block stop is its first layer that has weights and a
+vector output (an fc), and with a side chain at the latest the main chain's
+last layer, which reads the joined vector; the rest of both chains, and the
+join, then run once over the whole batch. So an fc weight is read once per
+batch, not once per block (baseline's 2.4 MB fc(64) weight was streamed 52
+times per 256-image batch of 64-px crops), while GAP, which turns a volume
+into a vector, still runs inside the blocks. A block holds
+`_EVAL_BLOCK_BYTES // (8 * widest)` images, at least one, where `widest` is
+the largest per-image activation on the shape walk. So each layer's output
+for a block is at most 4 MiB, and the allocator serves it from freed heap
+memory: an eval pass of 1024 64-px crops through the HLAC net takes no page
+faults. A whole-batch output (197 MB for that net's 25-map bank at B=256)
+is fresh pages the kernel zero-fills on every batch, 4532 faults and a
+sixth of the pass's CPU time, and the next layer reads it back from memory.
+The size scales with the activation because no fixed image count fits
+every net: on a 2-core Xeon the 64-px HLAC net ran fastest with 4-8 images
+per block and at 58% of that rate with the whole batch, while the 32-px
+dhlac net ran fastest with 16-48 and slower with 8 than with the whole
+batch. Blocked logits can differ from whole-batch ones in the last bits
+(relative 3e-13 at most on the shipped nets), because OpenBLAS may sum a
+GEMM in an order that depends on its shape and the block sets the shape; a
+whole-batch forward already differs the same way between batch sizes.
 """
 
 from __future__ import annotations
@@ -211,44 +220,43 @@ def _weight_grads(d_x, d_w, d_b):
     return d_x, {"w": d_w, "b": d_b}
 
 
-def _sigmoid_forward(layer, p, a, train_mode, rng, need_dx):
+def _sigmoid_forward(layer, p, a, train_mode, rng):
     y = L.sigmoid_forward(a)
     return y, y
 
 
-def _maxpool_forward(layer, p, a, train_mode, rng, need_dx):
+def _maxpool_forward(layer, p, a, train_mode, rng):
     y = L.maxpool_forward(a)
     return y, (a, y)
 
 
-def _relu_forward(layer, p, a, train_mode, rng, need_dx):
+def _relu_forward(layer, p, a, train_mode, rng):
     y = L.relu_forward(a)
     return y, y
 
 
-def _dropout_forward(layer, p, a, train_mode, rng, need_dx):
+def _dropout_forward(layer, p, a, train_mode, rng):
     if train_mode and layer.rate > 0 and rng is None:
         raise ValueError("training forward through dropout needs an rng")
     return L.dropout_forward(a, layer.rate, rng, train_mode)
 
 
-def _tml_forward(layer, p, a, train_mode, rng, need_dx):
+def _tml_forward(layer, p, a, train_mode, rng):
     kernels = T.TmlKernels(layer.tml, p["w"])
-    if not (layer.trainable or need_dx):
-        return T.forward_batch(a, kernels), None  # its backward reads nothing
+    if not layer.trainable:  # its backward computes d_x alone, from x and y
+        y = T.forward_batch(a, kernels)
+        return y, (a, y)
     y, z = T.forward_batch(a, kernels, return_log=True)
     return y, (a, y, z)
 
 
 def _tml_backward(layer, p, cache, d_y, need_dx):
-    if cache is None:
-        return None, {}
-    x, y, z = cache
+    x, y = cache[:2]
     kernels = T.TmlKernels(layer.tml, p["w"])
     d_x = T.backward_input_batch(x, y, d_y, kernels) if need_dx else None
     if not layer.trainable:
         return d_x, {}
-    return d_x, {"w": T.backward_weights_batch(x, y, d_y, kernels, z=z)}
+    return d_x, {"w": T.backward_weights_batch(x, y, d_y, kernels, z=cache[2])}
 
 
 def _tml_from_fields(out_channels, kh, kw, c1, c2, eps, trainable):
@@ -262,21 +270,21 @@ class Kind:
     Conv and tml share their geometry: out_channels kernels of kernel_h x
     kernel_w cells over every input channel, a (kh, kw, in, out) weight.
 
-    Forward and backward get the same `need_dx`: whether the layer's input
-    gradient is used (`_need_dx`). Conv and tml backwards return d_input None
+    The network runs a layer's backward only if the layer or one beneath it
+    trains (`_backward_plan`), and passes it `need_dx`: whether a layer
+    beneath it runs its backward. Conv and tml backwards return d_input None
     when it is False. Param grads hold only the arrays that train: a frozen
     tml bank returns {}.
 
-    The cache a forward returns for its backward: conv and fc keep their
-    input x; relu and sigmoid their output y; maxpool (x, y), where an x made
-    by a relu is that relu's cached output itself, so the trace holds it once;
-    gap the input shape; dropout its keep mask (None in eval mode); tml
-    (x, y, z) with z = log(x + eps), except a frozen bank whose input gradient
-    is not used, which has nothing to compute in its backward and keeps None
-    (baseline+hlac's 25 maps of 64-px crops are 197 MB at B=256).
+    The cache a forward returns for its backward, which the trace keeps only
+    for a layer whose backward runs: conv and fc keep their input x; relu and
+    sigmoid their output y; maxpool (x, y), where an x made by a relu is that
+    relu's cached output itself, so the trace holds it once; gap the input
+    shape; dropout its keep mask (None in eval mode); tml (x, y, z) with
+    z = log(x + eps), which d_w reads, and a frozen bank (x, y).
     """
 
-    forward: Callable  # (layer, params, a, train_mode, rng, need_dx) -> (y, cache)
+    forward: Callable  # (layer, params, a, train_mode, rng) -> (y, cache)
     backward: Callable  # (layer, params, cache, d_y, need_dx) -> (d_x, param grads)
     out_shape: Callable = lambda layer, shape: shape  # (h, w, c) volume or (d,) vector
     param_shapes: Callable = lambda layer, in_shape: {}
@@ -288,9 +296,7 @@ class Kind:
 
 KINDS = {
     "conv": Kind(
-        forward=lambda layer, p, a, train_mode, rng, need_dx: (
-            L.conv2d_forward(a, p["w"], p["b"]), a
-        ),
+        forward=lambda layer, p, a, train_mode, rng: (L.conv2d_forward(a, p["w"], p["b"]), a),
         backward=lambda layer, p, x, d_y, need_dx: _weight_grads(
             *L.conv2d_backward(x, p["w"], d_y, need_dx=need_dx)
         ),
@@ -318,7 +324,7 @@ KINDS = {
         backward=lambda layer, p, y, d_y, need_dx: (L.sigmoid_backward(d_y, y), {}),
     ),
     "fc": Kind(
-        forward=lambda layer, p, a, train_mode, rng, need_dx: (L.fc_forward(a, p["w"], p["b"]), a),
+        forward=lambda layer, p, a, train_mode, rng: (L.fc_forward(a, p["w"], p["b"]), a),
         backward=lambda layer, p, x, d_y, need_dx: _weight_grads(*L.fc_backward(x, p["w"], d_y)),
         out_shape=lambda layer, shape: (layer.units,),
         param_shapes=lambda layer, in_shape: {
@@ -331,7 +337,7 @@ KINDS = {
         make=fc,
     ),
     "gap": Kind(
-        forward=lambda layer, p, a, train_mode, rng, need_dx: (L.gap_forward(a), a.shape),
+        forward=lambda layer, p, a, train_mode, rng: (L.gap_forward(a), a.shape),
         backward=lambda layer, p, in_shape, d_y, need_dx: (L.gap_backward(d_y, in_shape), {}),
         out_shape=lambda layer, shape: (_volume(layer, shape)[2],),
     ),
@@ -441,11 +447,9 @@ def init_params(spec: NetworkSpec, rng: np.random.Generator) -> NetworkSpec:
 def network_forward(spec: NetworkSpec, xb, train_mode: bool = False, rng=None, trace: bool = True):
     """Run a batch through the network; returns (logits, ForwardTrace).
 
-    `trace=False` says the caller needs only the logits: the batch then runs
-    depth-first over blocks of whole images up to each chain's block stop,
-    and the rest of both chains runs once over the whole batch (see the
-    module docstring); the call returns (logits, None). It is eval-mode only,
-    since blocked dropout would draw other masks than the whole batch.
+    `trace=False` says the caller needs only the logits: the call returns
+    (logits, None) and runs in eval mode only. The module docstring says
+    which layers run over blocks of images and which caches a trace keeps.
     """
     if train_mode and not trace:
         raise ValueError("a forward without trace runs in eval mode only")
@@ -456,100 +460,113 @@ def network_forward(spec: NetworkSpec, xb, train_mode: bool = False, rng=None, t
         raise ValueError(f"batch shape {xb.shape[1:]} != network input {spec.input_shape}")
     if not spec.params:
         raise ValueError("network parameters not initialized")
+    plan = _backward_plan(spec)
+    ends = starts = (len(spec.side_layers), len(spec.layers))
     if trace:
-        (_, logits), forward_trace = _forward_chains(spec, xb, train_mode, rng)
-        return logits, forward_trace
-
-    _, _, widest, stops = validate_network(spec)
-    block = max(1, _EVAL_BLOCK_BYTES // (8 * widest))
-    parts = [
-        _forward_chains(spec, xb[start : start + block], False, rng, stops)[0]
-        for start in range(0, len(xb), block)
-    ]
-    # in C order, which the fc reading the main chain's activation flattens
-    # without a copy; np.concatenate would keep the blocks' channel-major order
-    s, a = (
-        None if chain[0] is None
-        else np.concatenate(chain, out=np.empty((len(xb), *chain[0].shape[1:])))
-        for chain in zip(*parts)
-    )
-    ends = (len(spec.side_layers), len(spec.layers))
-    return _run_chains(spec, s, a, stops, ends, False, rng)[1], None
-
-
-def _forward_chains(spec: NetworkSpec, xb, train_mode, rng, stops=None):
-    """Both chains over a checked batch, each up to its layer index in `stops`
-    (default: both chains whole).
-
-    Returns the (side, main) activations there (side None without a side
-    chain) and a ForwardTrace of the layers run.
-    """
-    forward_trace = ForwardTrace([], [], None)
-    side = xb if spec.side_layers else None
-    ends = stops or (len(spec.side_layers), len(spec.layers))
-    return _run_chains(spec, side, xb, (0, 0), ends, train_mode, rng, forward_trace), forward_trace
+        starts = tuple(
+            next((i for i, (layer, (runs, _)) in enumerate(zip(chain, steps))
+                  if runs or train_mode and layer.kind == "dropout"), len(chain))
+            for chain, steps in zip((spec.side_layers, spec.layers), plan)
+        )
+    s, a = (xb if spec.side_layers else None), xb
+    if any(starts) or not trace:
+        _, _, widest, stops = validate_network(spec)
+        starts = tuple(map(min, starts, stops))
+        block = max(1, _EVAL_BLOCK_BYTES // (8 * widest))
+        parts = [
+            _forward_chains(spec, xb[i : i + block], train_mode, rng, starts, plan)[0]
+            for i in range(0, len(xb), block)
+        ]
+        # in C order, which the fc reading the main chain's activation flattens
+        # without a copy; np.concatenate would keep the blocks' channel-major order
+        s, a = (
+            whole if start == 0
+            else np.concatenate(chain, out=np.empty((len(xb), *chain[0].shape[1:])))
+            for whole, chain, start in zip((s, a), zip(*parts), starts)
+        )
+    forward_trace = ForwardTrace([None] * starts[1], [None] * starts[0], None) if trace else None
+    _, logits = _run_chains(spec, s, a, starts, ends, train_mode, rng, plan, forward_trace)
+    return logits, forward_trace
 
 
-def _run_chains(spec: NetworkSpec, s, a, starts, ends, train_mode, rng, forward_trace=None):
+def _forward_chains(spec: NetworkSpec, xb, train_mode, rng, stops, plan):
+    """Both chains over a block of images, each up to its layer index in
+    `stops`; returns the (side, main) activations there and the block's trace."""
+    block_trace = ForwardTrace([], [], None)
+    s = xb if spec.side_layers else None
+    return _run_chains(spec, s, xb, (0, 0), stops, train_mode, rng, plan, block_trace), block_trace
+
+
+def _run_chains(spec: NetworkSpec, s, a, starts, ends, train_mode, rng, plan, forward_trace=None):
     """Side layers [starts[0], ends[0]) on s, then main layers [starts[1],
     ends[1]) on a, with the side vector s joined in ahead of the last main
-    layer; returns (s, a). Caches and the join's shapes go to `forward_trace`
-    when given."""
+    layer; returns (s, a). The caches of layers whose backward runs and the
+    join's shapes go to `forward_trace` when given."""
     for i in range(starts[0], ends[0]):
         layer = spec.side_layers[i]
-        s, cache = KINDS[layer.kind].forward(
-            layer, spec.side_params[i], s, train_mode, rng, _need_dx(spec, "side", i)
-        )
+        s, cache = KINDS[layer.kind].forward(layer, spec.side_params[i], s, train_mode, rng)
         if forward_trace is not None:
-            forward_trace.side_caches.append(cache)
+            forward_trace.side_caches.append(cache if plan[0][i][0] else None)
     for i in range(starts[1], ends[1]):
         layer = spec.layers[i]
         if s is not None and i == len(spec.layers) - 1:
             if forward_trace is not None:
                 forward_trace.join_info = (s.shape[1], a.shape)
             a = np.concatenate([s, a.reshape(a.shape[0], -1)], axis=1)
-        a, cache = KINDS[layer.kind].forward(
-            layer, spec.params[i], a, train_mode, rng, _need_dx(spec, "main", i)
-        )
+        a, cache = KINDS[layer.kind].forward(layer, spec.params[i], a, train_mode, rng)
         if forward_trace is not None:
-            forward_trace.caches.append(cache)
+            forward_trace.caches.append(cache if plan[1][i][0] else None)
     return s, a
 
 
-def _need_dx(spec: NetworkSpec, chain: str, i: int) -> bool:
-    """Whether layer i of `chain` passes a gradient to its input. A chain's
-    first layer reads the network input, whose gradient nothing uses, unless
-    the side chain joins there (in a main chain of one layer)."""
-    return i > 0 or (chain == "main" and bool(spec.side_layers) and i == len(spec.layers) - 1)
+def _backward_plan(spec: NetworkSpec):
+    """Per chain (side, main), a (runs, need_dx) pair per layer, by the rule in
+    the module docstring: a layer runs its backward if it or a layer beneath
+    it trains, and needs d_x if a layer beneath it runs its backward."""
+    plan, below = [], False
+    for specs, params in ((spec.side_layers, spec.side_params), (spec.layers, spec.params)):
+        steps, side_below, below = [], below, False
+        for i, (layer, p) in enumerate(zip(specs, params)):
+            below |= i == len(specs) - 1 and side_below  # the join reads the side vector
+            trains = layer.trainable and bool(p)
+            steps.append((below or trains, below))
+            below |= trains
+        plan.append(steps)
+    return plan
 
 
 def network_backward(spec: NetworkSpec, trace: ForwardTrace, d_logits) -> Gradients:
     """Backpropagate d(loss)/d(logits) through the trace; one use per trace.
-
-    A layer computes its input's gradient only where `_need_dx` says it is
-    used, as its forward was told.
-    """
+    Each chain's walk stops at its first layer that runs no backward: no
+    layer beneath it runs one either (`_backward_plan`)."""
     if trace.consumed:
         raise ValueError("forward trace already consumed by a backward pass")
     trace.consumed = True
     main_grads = [dict() for _ in spec.layers]
     side_grads = [dict() for _ in spec.side_layers]
+    side_plan, main_plan = _backward_plan(spec)
 
     d = np.asarray(d_logits, dtype=np.float64)
     join = len(spec.layers) - 1 if spec.side_layers else None
     for i in range(len(spec.layers) - 1, -1, -1):
+        runs, need_dx = main_plan[i]
+        if not runs:
+            break
         layer = spec.layers[i]
         d, main_grads[i] = KINDS[layer.kind].backward(
-            layer, spec.params[i], trace.caches[i], d, _need_dx(spec, "main", i)
+            layer, spec.params[i], trace.caches[i], d, need_dx
         )
         if i == join:
             side_dim, pre_shape = trace.join_info
             d_side = d[:, :side_dim]
             d = d[:, side_dim:].reshape(pre_shape)
     for i in range(len(spec.side_layers) - 1, -1, -1):
+        runs, need_dx = side_plan[i]
+        if not runs:
+            break
         layer = spec.side_layers[i]
         d_side, side_grads[i] = KINDS[layer.kind].backward(
-            layer, spec.side_params[i], trace.side_caches[i], d_side, _need_dx(spec, "side", i)
+            layer, spec.side_params[i], trace.side_caches[i], d_side, need_dx
         )
     return Gradients(main_grads, side_grads)
 

@@ -83,7 +83,7 @@ def cooc_heat(
     if not 0 <= target_class < spec.num_classes:
         raise ValueError(f"class {target_class} out of range 0..{spec.num_classes - 1}")
     _logits, trace = network_forward(spec, np.asarray(image)[None], train_mode=False)
-    x_tml, _y_tml, _z_tml = trace.caches[t_idx]
+    x_tml = trace.caches[t_idx][0]  # (x, y, z), or (x, y) for a frozen bank
     fc_w = spec.params[fc_idx]["w"]  # (num_kernels, classes)
     m = int(np.argmax(fc_w[:, target_class]))
     bank = spec.params[t_idx]["w"]

@@ -57,8 +57,9 @@ LAYOUTS = {"nhwc": np.ascontiguousarray, "channel_major": channel_major}
 
 # (B, H, W, Cin, kh, kw, Cout): kh != kw, several channels, non-square inputs,
 # the 5x5 single-channel and 3x3 eight-channel kernels of the shipped nets,
-# and outputs of one row (H'=1), one column (W'=1) and one image, where the
-# input gradient's per-cell adds reach the last row, column and image
+# outputs of one row (H'=1), one column (W'=1) and one image, where the input
+# gradient's per-cell adds reach the last row, column and image, and cooc's
+# 1x1 sixteen-channel bank
 CONV_SHAPES = [
     (2, 9, 7, 3, 3, 2, 4),
     (3, 6, 11, 2, 2, 5, 3),
@@ -68,7 +69,18 @@ CONV_SHAPES = [
     (3, 3, 8, 2, 3, 2, 3),
     (2, 7, 4, 3, 2, 4, 2),
     (1, 7, 6, 2, 3, 3, 4),
+    (2, 5, 4, 16, 1, 1, 8),
 ]
+
+
+def cell_sum_grad_input(w, d_y, x_shape):
+    """A 1x1 kernel's input gradient as the sum over kernel cells forms it:
+    the product added into zeros, so a -0.0 product reads +0.0."""
+    b, h, w_, c_in = x_shape
+    planes = np.ascontiguousarray(d_y.transpose(3, 0, 1, 2)).reshape(d_y.shape[3], -1)
+    d_x = np.zeros((c_in, b * h * w_))
+    d_x += w[0, 0] @ planes
+    return d_x.reshape(c_in, b, h, w_).transpose(1, 2, 3, 0)
 
 
 class TestConv:
@@ -164,6 +176,22 @@ class TestConv:
             d_y = layout(rng.normal(size=(bsz, h - kh + 1, w_ - kw + 1, cout)))
             d_x = layers.correlate_grad_input(w, d_y, (bsz, h, w_, cin))
             assert d_x.shape == (bsz, h, w_, cin) and is_channel_major(d_x)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("b,h,w_,c_in,c_out", [(3, 5, 4, 16, 8), (2, 1, 6, 16, 19)])
+    def test_one_by_one_input_gradient_is_the_cell_sum_bytes(self, layout, b, h, w_, c_in, c_out):
+        # cooc's 16 -> 8 bank, and a shape whose GEMM on NHWC d_y read in
+        # place differs in the last bits from the GEMM on its copied planes
+        rng = np.random.default_rng(7)
+        w = rng.normal(size=(1, 1, c_in, c_out))
+        w[0, 0, 3], w[0, 0, 5] = -0.0, 0.0
+        d_y = rng.normal(size=(b, h, w_, c_out))
+        d_y[0, 0] = -0.0
+        d_y = LAYOUTS[layout](d_y)
+        got = layers.correlate_grad_input(w, d_y, (b, h, w_, c_in))
+        ref = cell_sum_grad_input(w, d_y, (b, h, w_, c_in))
+        assert is_channel_major(got) and not np.signbit(got[:, :, :, 3]).any()
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
     @pytest.mark.parametrize("shape", CONV_SHAPES)
     def test_weights_only_call_matches_full_call(self, shape):

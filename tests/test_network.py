@@ -246,6 +246,18 @@ def blocks_of_three(monkeypatch, spec):
     return sizes
 
 
+def record_batch_sizes(monkeypatch, module, *names):
+    """Replace kernels of `module` by recorders; returns {name: [batch size per call]}."""
+    calls = {}
+    for name in names:
+        def call(x, *args, _kernel=getattr(module, name), _seen=calls.setdefault(name, []), **kw):
+            _seen.append(len(x))
+            return _kernel(x, *args, **kw)
+
+        monkeypatch.setattr(module, name, call)
+    return calls
+
+
 class TestTraceFreeForward:
     @pytest.mark.parametrize("arch", sorted(SHIPPED_NETS))
     def test_blocks_match_traced_forward(self, monkeypatch, arch):
@@ -265,17 +277,7 @@ class TestTraceFreeForward:
         spec = init_params(SHIPPED_NETS[arch](), np.random.default_rng(0))
         xb = np.random.default_rng(1).uniform(size=(7, *spec.input_shape))
         blocks_of_three(monkeypatch, spec)
-        calls = {"fc_forward": [], "gap_forward": []}
-
-        def recording(kernel, seen):
-            def call(x, *args):
-                seen.append(len(x))
-                return kernel(x, *args)
-
-            return call
-
-        for name, seen in calls.items():
-            monkeypatch.setattr(layers, name, recording(getattr(layers, name), seen))
+        calls = record_batch_sizes(monkeypatch, layers, "fc_forward", "gap_forward")
         network_forward(spec, xb, trace=False)
         fcs = sum(layer.kind == "fc" for layer in spec.layers + spec.side_layers)
         gaps = sum(layer.kind == "gap" for layer in spec.layers + spec.side_layers)
@@ -297,6 +299,76 @@ class TestTraceFreeForward:
         sizes = blocks_of_three(monkeypatch, spec)
         assert evaluate(spec, ds, batch_size=4) == expected
         assert sizes == [3, 1, 3, 1, 3]  # batches of 4, 4, 3
+
+
+def traced_step(spec, xb, mode):
+    """Logits and every gradient of one traced forward and backward."""
+    rng = np.random.default_rng(5)
+    logits, trace = network_forward(spec, xb, train_mode=mode == "train", rng=rng)
+    grads = network_backward(spec, trace, np.cos(logits))
+    return logits, [g[key] for g in grads.main + grads.side for key in sorted(g)]
+
+
+def dropout_net():
+    """Dropout in both chains ahead of every layer that trains: in train mode
+    each chain's blocked run must end there."""
+    frozen = tml_layer(2, 2, 2, TmlConfig(c1=1.0, c2=0.6), trainable=False)
+    spec = NetworkSpec(
+        layers=[dropout(0.5), conv(2, 3, 3), LayerSpec("relu"), fc(3)],
+        input_shape=(8, 8, 1),
+        num_classes=3,
+        side_layers=[frozen, LayerSpec("gap"), dropout(0.5)],
+    )
+    return init_params(spec, np.random.default_rng(0))
+
+
+class TestTracedBlocks:
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("arch", sorted(SHIPPED_NETS))
+    def test_only_the_frozen_side_chain_runs_in_blocks(self, monkeypatch, arch, mode):
+        # baseline+hlac's side chain trains nothing, so its bank maps and GAP
+        # run per block; every other net takes the whole batch through
+        spec = init_params(SHIPPED_NETS[arch](), np.random.default_rng(0))
+        xb = np.random.default_rng(1).uniform(size=(7, *spec.input_shape))
+        sizes = blocks_of_three(monkeypatch, spec)
+        calls = record_batch_sizes(monkeypatch, tml, "forward_batch")
+        calls.update(record_batch_sizes(monkeypatch, layers, "gap_forward"))
+        network_forward(spec, xb, train_mode=mode == "train", rng=np.random.default_rng(2))
+        blocked = arch == "baseline+hlac"
+        expected = [3, 3, 1] if blocked else [7] * (arch != "baseline")
+        assert sizes == ([3, 3, 1] if blocked else [])
+        assert calls == {"forward_batch": expected, "gap_forward": expected}
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("arch", sorted(SHIPPED_NETS) + ["dropout"])
+    def test_blocks_keep_every_bit(self, monkeypatch, arch, mode):
+        spec = dropout_net() if arch == "dropout" else SHIPPED_NETS[arch]()
+        spec = init_params(spec, np.random.default_rng(0))
+        xb = np.random.default_rng(1).uniform(size=(7, *spec.input_shape))
+        widest = validate_network(spec)[2]
+        monkeypatch.setattr(network, "_EVAL_BLOCK_BYTES", 8 * widest * 7)
+        one_logits, one_grads = traced_step(spec, xb, mode)
+        blocks_of_three(monkeypatch, spec)
+        logits, grads = traced_step(spec, xb, mode)
+        np.testing.assert_array_equal(logits, one_logits)
+        assert len(grads) == len(one_grads) > 0
+        for got, want in zip(grads, one_grads):
+            np.testing.assert_array_equal(got, want)
+
+    def test_dropout_ends_a_blocked_run_in_train_mode(self, monkeypatch):
+        spec = dropout_net()
+        xb = np.random.default_rng(1).uniform(size=(7, 8, 8, 1))
+        sizes = blocks_of_three(monkeypatch, spec)
+        calls = record_batch_sizes(monkeypatch, layers, "gap_forward", "dropout_forward")
+        _, trace = network_forward(spec, xb, train_mode=True, rng=np.random.default_rng(2))
+        assert sizes == [3, 3, 1]
+        assert calls == {"gap_forward": [3, 3, 1], "dropout_forward": [7, 7]}
+        # nothing beneath either dropout trains: the trace keeps no cache of it
+        assert trace.side_caches == [None, None, None] and trace.caches[0] is None
+        # in eval mode both dropouts run in the blocks, side first in each
+        _, trace = network_forward(spec, xb)
+        assert sizes == [3, 3, 1] * 2 and calls["dropout_forward"][2:] == [3, 3, 3, 3, 1, 1]
+        assert calls["gap_forward"] == [3, 3, 1] * 2 and trace.caches[1].shape == (7, 8, 8, 1)
 
 
 class TestBackward:
@@ -437,6 +509,33 @@ class TestBackward:
         # conv gradients still flow
         assert np.any(grads.main[0]["w"] != 0.0)
 
+    @pytest.mark.parametrize(
+        "build",
+        [hlac_net, tiny_branched_net,
+         lambda: init_params(SHIPPED_NETS["dhlac"](), np.random.default_rng(0))],
+        ids=["baseline+hlac", "tiny_branched_net", "dhlac"],
+    )
+    def test_side_chain_backward_runs_only_where_the_bank_trains(self, monkeypatch, build):
+        spec = build()
+        xb = np.random.default_rng(1).uniform(0.1, 1.0, size=(3, *spec.input_shape))
+        logits, trace = network_forward(spec, xb)
+        calls = record_batch_sizes(
+            monkeypatch, tml, "backward_weights_batch", "backward_input_batch"
+        )
+        calls.update(record_batch_sizes(monkeypatch, layers, "gap_backward"))
+        grads = network_backward(spec, trace, np.cos(logits))
+        trains = spec.side_layers[0].trainable
+        assert calls == {
+            "backward_weights_batch": [3] * trains,
+            "backward_input_batch": [],
+            "gap_backward": [3] * trains,
+        }
+        if trains:
+            assert grads.side[0]["w"].shape == spec.side_params[0]["w"].shape
+            assert np.any(grads.side[0]["w"] != 0.0)
+        else:
+            assert trace.side_caches == [None, None] and grads.side == [{}, {}]
+
     def test_frozen_bank_on_the_input_keeps_no_cache(self):
         # nothing uses its input gradient and it has no weight gradient, so
         # its backward reads nothing; the trace holds none of its arrays
@@ -456,7 +555,7 @@ class TestBackward:
         xb = np.random.default_rng(15).uniform(0.1, 1.0, size=(2, 5, 5, 1))
         labels = np.array([2, 0])
         logits, trace = network_forward(spec, xb)
-        x, y, _z = trace.caches[2]
+        x, y = trace.caches[2]  # no z = log(x + eps): only d_w reads it
         assert x is trace.caches[1] and y.shape == (2, 3, 3, 2)
         _, d_logits = softmax_xent(logits, np.eye(3)[labels])
         grads = network_backward(spec, trace, d_logits / len(labels))

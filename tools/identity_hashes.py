@@ -1,0 +1,141 @@
+"""Print one sha256 per result of the four shipped nets, for byte-identity checks.
+
+For dhlac, cooc, baseline and baseline+hlac at 32-px crops in batches of 32
+and 64-px crops in batches of 256, it hashes the initial parameters, the
+logits and every parameter gradient of a traced forward in eval and in train
+mode, the logits of a trace-free forward, and the per-epoch metrics and
+parameters after a 2-epoch `train_loop`. It then runs the command line
+(gen-stripes, hlac-extract, gradcheck, and train, eval, viz-kernels,
+viz-features and viz-cooc for each net) in a scratch directory and hashes
+every output and every file written. Each line reads `<sha256>  <what>`.
+
+Two trees give the same bytes exactly when `diff` of their outputs is empty:
+
+    PYTHONPATH=src python tools/identity_hashes.py > change.txt
+    PYTHONPATH=<other tree>/src python tools/identity_hashes.py > parent.txt
+    diff parent.txt change.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import math
+import os
+import tempfile
+
+import numpy as np
+
+from tmlnet.cli import DEFAULTS, build_network, cli_dispatch
+from tmlnet.datasets import StripeSpec, gen_stripe_dataset
+from tmlnet.layers import softmax_xent
+from tmlnet.network import init_params, network_backward, network_forward
+from tmlnet.training import TrainConfig, train_loop
+
+ARCHS = ("dhlac", "cooc", "baseline", "baseline+hlac")
+SIZES = ((32, 32), (64, 256))  # (crop, batch)
+CLASSES = 6
+
+
+def sha(data) -> str:
+    if isinstance(data, np.ndarray):
+        data = np.ascontiguousarray(data).tobytes()
+    elif isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def emit(what: str, data) -> None:
+    print(f"{sha(data)}  {what}")
+
+
+def build(arch: str, crop: int, seed: int):
+    # a 1x1 bank for cooc, as `tmlnet train` builds it
+    cfg = dict(DEFAULTS, kernel_h=1, kernel_w=1) if arch == "cooc" else DEFAULTS
+    spec = build_network(arch, (crop, crop, 1), CLASSES, cfg)
+    return init_params(spec, np.random.default_rng(seed))
+
+
+def emit_params(tag: str, spec) -> None:
+    for chain, plist in (("main", spec.params), ("side", spec.side_params)):
+        for i, params in enumerate(plist):
+            for key in sorted(params):
+                emit(f"{tag} {chain}[{i}].{key}", params[key])
+
+
+def network_hashes(seed: int) -> None:
+    for crop, batch in SIZES:
+        stripes = StripeSpec(num_classes=CLASSES, canvas=128, crop=crop,
+                             samples_per_class=math.ceil(batch / CLASSES), rng_seed=seed)
+        train, _test = gen_stripe_dataset(stripes)
+        xb, labels = train.images[:batch], train.labels[:batch]
+        onehot = np.eye(CLASSES)[labels]
+        for arch in ARCHS:
+            tag = f"{arch} {crop}px B={batch}"
+            spec = build(arch, crop, seed)
+            emit_params(f"{tag} init", spec)
+            for mode in ("eval", "train"):
+                rng = np.random.default_rng(seed + 1)
+                logits, trace = network_forward(spec, xb, train_mode=mode == "train", rng=rng)
+                emit(f"{tag} {mode} logits", logits)
+                _, d_logits = softmax_xent(logits, onehot)
+                grads = network_backward(spec, trace, d_logits / batch)
+                for chain, glist in (("main", grads.main), ("side", grads.side)):
+                    for i, g in enumerate(glist):
+                        for key in sorted(g):
+                            emit(f"{tag} {mode} grad {chain}[{i}].{key}", g[key])
+            emit(f"{tag} trace-free logits", network_forward(spec, xb, trace=False)[0])
+            cfg = TrainConfig(epochs=2, batch_size=batch, rng_seed=seed)
+            metrics = train_loop(spec, train.subset(batch), cfg)
+            emit(f"{tag} train_loop metrics", repr(metrics))
+            emit_params(f"{tag} train_loop", spec)
+
+
+def run_cli(root: str, label: str, argv) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_dispatch(argv)
+    text = f"exit {code}\n{out.getvalue()}{err.getvalue()}".replace(root, "<dir>")
+    emit(f"cli {label} output", text)
+
+
+def cli_hashes(seed: int) -> None:
+    with tempfile.TemporaryDirectory() as root:
+        data = os.path.join(root, "data")
+        s = str(seed)
+        run_cli(root, "gen-stripes", ["gen-stripes", "--out", data, "--canvas", "96",
+                                      "--crop", "24", "--samples", "8", "--seed", s])
+        run_cli(root, "hlac-extract", ["hlac-extract", "--images",
+                                       os.path.join(data, "test-images.idx"),
+                                       "--out", os.path.join(root, "hlac.csv")])
+        run_cli(root, "gradcheck", ["gradcheck", "--trials", "3", "--seed", s])
+        for arch in ARCHS:
+            run = os.path.join(root, arch)
+            ckpt = run + ".net"
+            run_cli(root, f"{arch} train", ["train", "--arch", arch, "--dataset", data,
+                                            "--out", run, "--epochs", "2", "--seed", s])
+            run_cli(root, f"{arch} eval", ["eval", "--ckpt", ckpt, "--dataset", data])
+            for viz in ("viz-kernels", "viz-features", "viz-cooc"):
+                out = os.path.join(root, f"{arch}-{viz}")
+                dataset = [] if viz == "viz-kernels" else ["--dataset", data]
+                out = out + ".pgm" if viz == "viz-cooc" else out
+                run_cli(root, f"{arch} {viz}", [viz, ckpt, *dataset, "--out", out])
+        for folder, _dirs, files in sorted(os.walk(root)):
+            for name in sorted(files):
+                path = os.path.join(folder, name)
+                with open(path, "rb") as f:
+                    emit(f"file {os.path.relpath(path, root)}", f.read())
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+    network_hashes(args.seed)
+    cli_hashes(args.seed)
+
+
+if __name__ == "__main__":
+    main()
