@@ -229,23 +229,15 @@ def gap_backward(d_y: np.ndarray, in_shape) -> np.ndarray:
 
 
 def softmax_xent(logits: np.ndarray, onehot: np.ndarray):
-    """Softmax cross-entropy against one-hot teachers.
+    """Softmax cross-entropy of a batch of (B, C) logits against one-hot teachers.
 
-    Accepts a single (C,) vector or a batch (B, C). Returns per-sample losses
-    and the gradient of their sum: softmax(logits) - onehot.
+    Returns per-sample losses and the gradient of their sum: softmax(logits) - onehot.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise ValueError("non-finite logits")
-    single = logits.ndim == 1
-    lg = logits[None] if single else logits
     t = np.asarray(onehot, dtype=np.float64)
-    t = t[None] if single else t
-    shifted = lg - lg.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_p = shifted - log_z
-    losses = -(t * log_p).sum(axis=1)
-    d_logits = np.exp(log_p) - t
-    if single:
-        return float(losses[0]), d_logits[0]
-    return losses, d_logits
+    return -(t * log_p).sum(axis=1), np.exp(log_p) - t

@@ -23,34 +23,37 @@ A layer runs its backward only if it or a layer beneath it (towards the
 input; for the main chain's last layer, the side chain too) has weights that
 train: a conv, an fc or a trainable tml bank. Only such a layer keeps a
 cache in the trace, and it computes its input's gradient only if a layer
-beneath it runs its backward. baseline+hlac's side chain, the frozen HLAC
+beneath it runs its backward; the shape walk (`_chain_shapes`) works out
+this step. The backward runs the main chain's last layer, the side chain,
+then the rest of the main chain. baseline+hlac's side chain, the frozen HLAC
 bank and its GAP, runs none: the bank's 25 maps of 64-px crops are 197 MB at
 B=256, and the GAP gradient its backward would fill is as large.
 
-The leading layers of a chain whose caches nothing reads run depth-first:
-the batch is cut into blocks of whole images, each block runs through them
-up to the chain's block stop, keeps its activations there and drops its
-caches before the next block starts. Without a trace (`trace=False`, eval
-mode only) those are all layers; with one, the layers that run no backward,
-up to a train-mode dropout, whose masks are drawn for the whole batch in
-chain order. A chain's block stop is its first layer that has weights and a
-vector output (an fc), and with a side chain at the latest the main chain's
-last layer, which reads the joined vector; the rest of both chains, and the
-join, then run once over the whole batch. So an fc weight is read once per
-batch, not once per block (baseline's 2.4 MB fc(64) weight was streamed 52
-times per 256-image batch of 64-px crops), while GAP, which turns a volume
-into a vector, still runs inside the blocks. A block holds
+The side chain runs forward first. The leading layers of a chain whose
+caches nothing reads run depth-first: the batch is cut into blocks of whole
+images, and each block runs through them up to the chain's block stop, keeps
+no cache and is copied into the whole batch's output there before the next
+block starts. Without a trace (`trace=False`, eval mode only) those are all
+layers; with one, the layers that run no backward, up to a train-mode
+dropout, whose masks are drawn for the whole batch in chain order; a chain
+with none cuts no blocks. A chain's block stop is its first layer that has
+weights and a vector output (an fc), and with a side chain at the latest the
+main chain's last layer, which reads the joined vector; the rest of both
+chains, and the join, then run once over the whole batch. So an fc weight is
+read once per batch, not once per block (baseline's 2.4 MB fc(64) weight was
+streamed 52 times per 256-image batch of 64-px crops), while GAP, which
+turns a volume into a vector, still runs inside the blocks. A block holds
 `_EVAL_BLOCK_BYTES // (8 * widest)` images, at least one, where `widest` is
-the largest per-image activation on the shape walk. So each layer's output
-for a block is at most 4 MiB, and the allocator serves it from freed heap
-memory: an eval pass of 1024 64-px crops through the HLAC net takes no page
-faults. A whole-batch output (197 MB for that net's 25-map bank at B=256)
-is fresh pages the kernel zero-fills on every batch, 4532 faults and a
-sixth of the pass's CPU time, and the next layer reads it back from memory.
-The size scales with the activation because no fixed image count fits
-every net: on a 2-core Xeon the 64-px HLAC net ran fastest with 4-8 images
-per block and at 58% of that rate with the whole batch, while the 32-px
-dhlac net ran fastest with 16-48 and slower with 8 than with the whole
+the largest per-image activation on the shape walk of either chain. So each
+layer's output for a block is at most 4 MiB, and the allocator serves it
+from freed heap memory: an eval pass of 1024 64-px crops through the HLAC
+net takes no page faults. A whole-batch output (197 MB for that net's 25-map
+bank at B=256) is fresh pages the kernel zero-fills on every batch, 4532
+faults and a sixth of the pass's CPU time, and the next layer reads it back
+from memory. The size scales with the activation because no fixed image
+count fits every net: on a 2-core Xeon the 64-px HLAC net ran fastest with
+4-8 images per block and at 58% of that rate with the whole batch, while the
+32-px dhlac net ran fastest with 16-48 and slower with 8 than with the whole
 batch. Blocked logits can differ from whole-batch ones in the last bits
 (relative 3e-13 at most on the shipped nets), because OpenBLAS may sum a
 GEMM in an order that depends on its shape and the block sets the shape; a
@@ -63,7 +66,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -75,7 +78,7 @@ NET_MAGIC = b"TMLP"
 NET_FORMAT = "tmlnet-net-v3"
 NET_BLOB_VERSION = 1
 
-_EVAL_BLOCK_BYTES = 4 << 20  # widest activation of one trace-free eval block
+_EVAL_BLOCK_BYTES = 4 << 20  # widest activation of one block of images
 
 
 @dataclass
@@ -142,7 +145,6 @@ class ForwardTrace:
 
     caches: list
     side_caches: list
-    join_info: tuple | None  # (side_dim, main activation shape before flatten)
     consumed: bool = False
 
 
@@ -271,7 +273,7 @@ class Kind:
     kernel_w cells over every input channel, a (kh, kw, in, out) weight.
 
     The network runs a layer's backward only if the layer or one beneath it
-    trains (`_backward_plan`), and passes it `need_dx`: whether a layer
+    trains (the shape walk's step), and passes it `need_dx`: whether a layer
     beneath it runs its backward. Conv and tml backwards return d_input None
     when it is False. Param grads hold only the arrays that train: a frozen
     tml bank returns {}.
@@ -370,50 +372,59 @@ KINDS["tml"] = Kind(
 )
 
 
-def _chain_shapes(layers: list[LayerSpec], shape, side_out=None):
-    """Each layer's parameter shapes, the chain's output shape, the largest
-    per-image activation size on the way (the input included) and the chain's
-    block stop: the index of the first layer that has weights and a vector
-    output (len(layers) if none). Given a side chain's (d,) output
-    `side_out`, the last layer reads it prepended to the flattened
-    activation, and the block stop is at most that layer."""
-    param_shapes = []
-    widest = math.prod(shape)
-    stop = len(layers) - (side_out is not None)
+class ChainWalk(NamedTuple):
+    """What the shape walk of one chain finds (`_chain_shapes`)."""
+
+    param_shapes: list  # per layer: {array name: shape}
+    steps: list  # per layer: its backward's (runs, need_dx)
+    shapes: list  # the chain's input shape, then each layer's output shape
+    stop: int  # the block stop
+
+
+def _chain_shapes(layers: list[LayerSpec], shape, side: ChainWalk | None = None) -> ChainWalk:
+    """Walk a chain from its input `shape`, layer by layer.
+
+    A layer's step (runs, need_dx) follows the rule in the module docstring:
+    it trains if it is trainable and has parameters. The block stop is the
+    first layer that has weights and a vector output (len(layers) if none).
+    Given the walk of a side chain that ends in a (d,) vector, the last layer
+    reads that vector prepended to the flattened activation, runs its
+    backward if a side layer trains, and is the block stop at the latest.
+    """
+    param_shapes, steps, shapes, below = [], [], [shape], False
+    stop = len(layers) - (side is not None)
     for i, layer in enumerate(layers):
-        if side_out is not None and i == len(layers) - 1:
-            shape = (side_out[0] + math.prod(shape),)
+        if side is not None and i == len(layers) - 1:
+            shape = (side.shapes[-1][0] + math.prod(shape),)
+            below |= side.steps[-1][0]
         kind = KINDS[layer.kind]
         out = kind.out_shape(layer, shape)
         param_shapes.append(kind.param_shapes(layer, shape))
+        trains = layer.trainable and bool(param_shapes[-1])
+        steps.append((below or trains, below))
+        below |= trains
         if i < stop and len(out) == 1 and param_shapes[-1]:
             stop = i
         shape = out
-        widest = max(widest, math.prod(shape))
-    return param_shapes, shape, widest, stop
+        shapes.append(shape)
+    return ChainWalk(param_shapes, steps, shapes, stop)
 
 
 def validate_network(spec: NetworkSpec):
     """Walk both chains, checking shape compatibility.
 
-    Returns (main_param_shapes, side_param_shapes, widest, stops), where
-    widest is the largest per-image activation size (values) on either chain
-    and stops the (side, main) block stops of a trace-free forward (see
-    `network_forward`).
+    Returns (main walk, side walk, widest), where widest is the largest
+    per-image activation size (values) on either chain.
     """
     if not spec.layers:
         raise ValueError("network has no layers")
-    side_shapes, side_out, side_widest, side_stop = _chain_shapes(
-        spec.side_layers, spec.input_shape
-    )
-    if spec.side_layers and len(side_out) != 1:
-        raise ValueError(f"side chain must end in a vector, got shape {side_out}")
-    main_shapes, shape, widest, main_stop = _chain_shapes(
-        spec.layers, spec.input_shape, side_out if spec.side_layers else None
-    )
-    if shape != (spec.num_classes,):
-        raise ValueError(f"expected ({spec.num_classes},) logits, chain produces {shape}")
-    return main_shapes, side_shapes, max(widest, side_widest), (side_stop, main_stop)
+    side = _chain_shapes(spec.side_layers, spec.input_shape)
+    if spec.side_layers and len(side.shapes[-1]) != 1:
+        raise ValueError(f"side chain must end in a vector, got shape {side.shapes[-1]}")
+    main = _chain_shapes(spec.layers, spec.input_shape, side if spec.side_layers else None)
+    if main.shapes[-1] != (spec.num_classes,):
+        raise ValueError(f"expected ({spec.num_classes},) logits, chain produces {main.shapes[-1]}")
+    return main, side, max(map(math.prod, main.shapes + side.shapes))
 
 
 def init_params(spec: NetworkSpec, rng: np.random.Generator) -> NetworkSpec:
@@ -424,10 +435,10 @@ def init_params(spec: NetworkSpec, rng: np.random.Generator) -> NetworkSpec:
     shapes must fit the layer. The side chain initializes first, then the
     main chain, so a given seed always produces the same parameter stream.
     """
-    main_shapes, side_shapes, *_ = validate_network(spec)
+    main, side, _ = validate_network(spec)
     for attr, specs, shapes in (
-        ("side_params", spec.side_layers, side_shapes),
-        ("params", spec.layers, main_shapes),
+        ("side_params", spec.side_layers, side.param_shapes),
+        ("params", spec.layers, main.param_shapes),
     ):
         params = list(getattr(spec, attr)) or [None] * len(specs)
         for i, layer in enumerate(specs):
@@ -456,119 +467,91 @@ def network_forward(spec: NetworkSpec, xb, train_mode: bool = False, rng=None, t
     xb = np.asarray(xb, dtype=np.float64)
     if xb.ndim != 4:
         raise ValueError(f"batch must be (B, rows, cols, channels), got {xb.shape}")
+    if not len(xb):
+        raise ValueError("empty batch")
     if xb.shape[1:] != spec.input_shape:
         raise ValueError(f"batch shape {xb.shape[1:]} != network input {spec.input_shape}")
     if not spec.params:
         raise ValueError("network parameters not initialized")
-    plan = _backward_plan(spec)
-    ends = starts = (len(spec.side_layers), len(spec.layers))
-    if trace:
-        starts = tuple(
-            next((i for i, (layer, (runs, _)) in enumerate(zip(chain, steps))
-                  if runs or train_mode and layer.kind == "dropout"), len(chain))
-            for chain, steps in zip((spec.side_layers, spec.layers), plan)
-        )
-    s, a = (xb if spec.side_layers else None), xb
-    if any(starts) or not trace:
-        _, _, widest, stops = validate_network(spec)
-        starts = tuple(map(min, starts, stops))
-        block = max(1, _EVAL_BLOCK_BYTES // (8 * widest))
-        parts = [
-            _forward_chains(spec, xb[i : i + block], train_mode, rng, starts, plan)[0]
-            for i in range(0, len(xb), block)
-        ]
-        # in C order, which the fc reading the main chain's activation flattens
-        # without a copy; np.concatenate would keep the blocks' channel-major order
-        s, a = (
-            whole if start == 0
-            else np.concatenate(chain, out=np.empty((len(xb), *chain[0].shape[1:])))
-            for whole, chain, start in zip((s, a), zip(*parts), starts)
-        )
-    forward_trace = ForwardTrace([None] * starts[1], [None] * starts[0], None) if trace else None
-    _, logits = _run_chains(spec, s, a, starts, ends, train_mode, rng, plan, forward_trace)
-    return logits, forward_trace
+    main, side, widest = validate_network(spec)
+    block = max(1, _EVAL_BLOCK_BYTES // (8 * widest))
+    caches, side_caches = ([], []) if trace else (None, None)
+    s = None
+    if spec.side_layers:
+        s = _chain_forward(spec.side_layers, spec.side_params, side, xb, train_mode, rng, block,
+                           side_caches)
+    logits = _chain_forward(spec.layers, spec.params, main, xb, train_mode, rng, block, caches, s)
+    return logits, ForwardTrace(caches, side_caches) if trace else None
 
 
-def _forward_chains(spec: NetworkSpec, xb, train_mode, rng, stops, plan):
-    """Both chains over a block of images, each up to its layer index in
-    `stops`; returns the (side, main) activations there and the block's trace."""
-    block_trace = ForwardTrace([], [], None)
-    s = xb if spec.side_layers else None
-    return _run_chains(spec, s, xb, (0, 0), stops, train_mode, rng, plan, block_trace), block_trace
+def _chain_forward(layers, params, walk: ChainWalk, a, train_mode, rng, block, caches, side=None):
+    """Run a chain over the batch `a`; returns its output. The layers before
+    its block stop run over blocks of `block` images: all of them without a
+    trace (`caches` None), else those whose backward does not run, up to a
+    train-mode dropout. The rest run over the whole batch and append to
+    `caches` the cache of each layer whose backward runs (None for the
+    others); the last one reads the side vector `side`, when given, ahead of
+    its flattened input."""
+    stop = walk.stop
+    if caches is not None:
+        stop = next((i for i, (layer, (runs, _)) in enumerate(zip(layers[:stop], walk.steps))
+                     if runs or train_mode and layer.kind == "dropout"), stop)
+        caches.extend([None] * stop)
+    if stop:
+        # in C order, which the fc reading the main chain's activation
+        # flattens without a copy; the blocks' outputs are channel-major
+        out = np.empty((len(a), *walk.shapes[stop]))
+        for i in range(0, len(a), block):
+            out[i : i + block] = _forward_block(layers[:stop], params[:stop], a[i : i + block])
+        a = out
+    for i in range(stop, len(layers)):
+        layer = layers[i]
+        if side is not None and i == len(layers) - 1:
+            a = np.concatenate([side, a.reshape(len(a), -1)], axis=1)
+        a, cache = KINDS[layer.kind].forward(layer, params[i], a, train_mode, rng)
+        if caches is not None:
+            caches.append(cache if walk.steps[i][0] else None)
+    return a
 
 
-def _run_chains(spec: NetworkSpec, s, a, starts, ends, train_mode, rng, plan, forward_trace=None):
-    """Side layers [starts[0], ends[0]) on s, then main layers [starts[1],
-    ends[1]) on a, with the side vector s joined in ahead of the last main
-    layer; returns (s, a). The caches of layers whose backward runs and the
-    join's shapes go to `forward_trace` when given."""
-    for i in range(starts[0], ends[0]):
-        layer = spec.side_layers[i]
-        s, cache = KINDS[layer.kind].forward(layer, spec.side_params[i], s, train_mode, rng)
-        if forward_trace is not None:
-            forward_trace.side_caches.append(cache if plan[0][i][0] else None)
-    for i in range(starts[1], ends[1]):
-        layer = spec.layers[i]
-        if s is not None and i == len(spec.layers) - 1:
-            if forward_trace is not None:
-                forward_trace.join_info = (s.shape[1], a.shape)
-            a = np.concatenate([s, a.reshape(a.shape[0], -1)], axis=1)
-        a, cache = KINDS[layer.kind].forward(layer, spec.params[i], a, train_mode, rng)
-        if forward_trace is not None:
-            forward_trace.caches.append(cache if plan[1][i][0] else None)
-    return s, a
-
-
-def _backward_plan(spec: NetworkSpec):
-    """Per chain (side, main), a (runs, need_dx) pair per layer, by the rule in
-    the module docstring: a layer runs its backward if it or a layer beneath
-    it trains, and needs d_x if a layer beneath it runs its backward."""
-    plan, below = [], False
-    for specs, params in ((spec.side_layers, spec.side_params), (spec.layers, spec.params)):
-        steps, side_below, below = [], below, False
-        for i, (layer, p) in enumerate(zip(specs, params)):
-            below |= i == len(specs) - 1 and side_below  # the join reads the side vector
-            trains = layer.trainable and bool(p)
-            steps.append((below or trains, below))
-            below |= trains
-        plan.append(steps)
-    return plan
+def _forward_block(layers, params, a):
+    """`layers` in eval mode over one block of images, keeping no cache; returns the output."""
+    for layer, p in zip(layers, params):
+        a, _ = KINDS[layer.kind].forward(layer, p, a, False, None)
+    return a
 
 
 def network_backward(spec: NetworkSpec, trace: ForwardTrace, d_logits) -> Gradients:
     """Backpropagate d(loss)/d(logits) through the trace; one use per trace.
-    Each chain's walk stops at its first layer that runs no backward: no
-    layer beneath it runs one either (`_backward_plan`)."""
+    The module docstring says which layers run their backward, in what order."""
     if trace.consumed:
         raise ValueError("forward trace already consumed by a backward pass")
     trace.consumed = True
-    main_grads = [dict() for _ in spec.layers]
-    side_grads = [dict() for _ in spec.side_layers]
-    side_plan, main_plan = _backward_plan(spec)
+    main, side, _ = validate_network(spec)
+    grads = Gradients([{} for _ in spec.layers], [{} for _ in spec.side_layers])
+    last = len(spec.layers) - 1
+    mains = (spec.layers, spec.params, main.steps, trace.caches, grads.main)
+    sides = (spec.side_layers, spec.side_params, side.steps, trace.side_caches, grads.side)
+    d = _chain_backward(*mains, np.asarray(d_logits, dtype=np.float64), range(last, last + 1))
+    if spec.side_layers and d is not None:
+        width = side.shapes[-1][0]
+        _chain_backward(*sides, d[:, :width], range(len(spec.side_layers)))
+        d = d[:, width:].reshape(len(d), *main.shapes[-2])
+    _chain_backward(*mains, d, range(last))
+    return grads
 
-    d = np.asarray(d_logits, dtype=np.float64)
-    join = len(spec.layers) - 1 if spec.side_layers else None
-    for i in range(len(spec.layers) - 1, -1, -1):
-        runs, need_dx = main_plan[i]
+
+def _chain_backward(layers, params, steps, caches, grads, d, span: range):
+    """The backward of a chain's layers in `span`, last first, into `grads`;
+    returns the gradient at the input of the span's first layer, or None once
+    a layer runs no backward or needs no input gradient."""
+    for i in reversed(span):
+        runs, need_dx = steps[i]
         if not runs:
-            break
-        layer = spec.layers[i]
-        d, main_grads[i] = KINDS[layer.kind].backward(
-            layer, spec.params[i], trace.caches[i], d, need_dx
-        )
-        if i == join:
-            side_dim, pre_shape = trace.join_info
-            d_side = d[:, :side_dim]
-            d = d[:, side_dim:].reshape(pre_shape)
-    for i in range(len(spec.side_layers) - 1, -1, -1):
-        runs, need_dx = side_plan[i]
-        if not runs:
-            break
-        layer = spec.side_layers[i]
-        d_side, side_grads[i] = KINDS[layer.kind].backward(
-            layer, spec.side_params[i], trace.side_caches[i], d_side, need_dx
-        )
-    return Gradients(main_grads, side_grads)
+            return None
+        layer = layers[i]
+        d, grads[i] = KINDS[layer.kind].backward(layer, params[i], caches[i], d, need_dx)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +725,7 @@ def load_network(path) -> NetworkSpec:
         side_layers=side,
     )
     try:
-        main_shapes, side_shapes, *_ = validate_network(spec)
+        main_walk, side_walk, _ = validate_network(spec)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
 
@@ -762,7 +745,7 @@ def load_network(path) -> NetworkSpec:
 
     cursor = 0
     filled = []
-    for shapes in main_shapes + side_shapes:
+    for shapes in main_walk.param_shapes + side_walk.param_shapes:
         d = {}
         for key in sorted(shapes):
             n = math.prod(shapes[key])

@@ -434,23 +434,23 @@ class TestGap:
 class TestSoftmaxXent:
     def test_uniform_logits_loss_is_log_c(self):
         for c in (2, 5, 10):
-            t = np.zeros(c)
-            t[1] = 1.0
-            loss, _ = softmax_xent(np.zeros(c), t)
-            assert loss == pytest.approx(np.log(c))
+            t = np.zeros((1, c))
+            t[0, 1] = 1.0
+            losses, _ = softmax_xent(np.zeros((1, c)), t)
+            assert losses[0] == pytest.approx(np.log(c))
 
     def test_peaked_logits_loss_vanishes(self):
-        t = np.array([0.0, 1.0, 0.0])
-        loss, _ = softmax_xent(np.array([0.0, 50.0, 0.0]), t)
-        assert loss < 1e-20
+        t = np.array([[0.0, 1.0, 0.0]])
+        losses, _ = softmax_xent(np.array([[0.0, 50.0, 0.0]]), t)
+        assert losses[0] < 1e-20
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        logits = rng.normal(size=5)
-        t = np.zeros(5)
-        t[2] = 1.0
+        logits = rng.normal(size=(1, 5))
+        t = np.zeros((1, 5))
+        t[0, 2] = 1.0
         _, analytic = softmax_xent(logits, t)
-        numeric = _central_diff(lambda: softmax_xent(logits, t)[0], logits, DEFAULT_STEP)
+        numeric = _central_diff(lambda: softmax_xent(logits, t)[0][0], logits, DEFAULT_STEP)
         assert _rel_err(analytic, numeric) < 1e-6
 
     def test_batched_matches_per_sample(self):
@@ -459,10 +459,10 @@ class TestSoftmaxXent:
         t = np.eye(4)[:3]
         losses, grads = softmax_xent(logits, t)
         for i in range(3):
-            li, gi = softmax_xent(logits[i], t[i])
-            assert losses[i] == pytest.approx(li)
-            np.testing.assert_allclose(grads[i], gi)
+            li, gi = softmax_xent(logits[i : i + 1], t[i : i + 1])
+            assert losses[i] == pytest.approx(li[0])
+            np.testing.assert_allclose(grads[i], gi[0])
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            softmax_xent(np.array([np.inf, 0.0]), np.array([1.0, 0.0]))
+            softmax_xent(np.array([[np.inf, 0.0]]), np.array([[1.0, 0.0]]))

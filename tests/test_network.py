@@ -4,7 +4,7 @@ import pytest
 from tmlnet import layers, network, tml
 from tmlnet.cli import DEFAULTS, build_network
 from tmlnet.datasets import Dataset
-from tmlnet.gradcheck import _central_diff, _rel_err
+from tmlnet.gradcheck import _central_diff, _rel_err, tiny_network
 from tmlnet.layers import fc_forward, softmax_xent
 from tmlnet.network import (
     LayerSpec,
@@ -30,20 +30,7 @@ from tmlnet.training import evaluate
 
 def tiny_branched_net(seed=0):
     """6x6 input, every differentiable layer kind, side multiplication branch."""
-    spec = NetworkSpec(
-        layers=[
-            conv(2, 3, 3),
-            LayerSpec("relu"),
-            LayerSpec("maxpool"),
-            fc(5),
-            LayerSpec("sigmoid"),
-            fc(3),
-        ],
-        input_shape=(6, 6, 1),
-        num_classes=3,
-        side_layers=[tml_layer(2, 2, 2, TmlConfig(c1=1.0, c2=0.6)), LayerSpec("gap")],
-    )
-    return init_params(spec, np.random.default_rng(seed))
+    return init_params(tiny_network(), np.random.default_rng(seed))
 
 
 def hlac_net():
@@ -67,7 +54,7 @@ class TestShapeChain:
         assert logits.shape == (2, 10)
         x_tml, y_tml, _z = trace.side_caches[0]
         assert y_tml.shape == (2, 26, 26, 8)  # valid padding
-        assert trace.join_info[0] == 8  # pooled vector length
+        assert validate_network(spec)[1].shapes[-1] == (8,)  # pooled vector length
 
     def test_dhlac_stripes_shapes(self):
         spec = build_dhlac_net((32, 32, 1), 6, tml_layer(4, 9, 9, TmlConfig(c1=1.0, c2=0.5)))
@@ -203,6 +190,14 @@ class TestForward:
         with pytest.raises(ValueError):
             network_forward(spec, np.zeros((1, 5, 6, 1)))
 
+    @pytest.mark.parametrize("trace", [True, False], ids=["traced", "trace-free"])
+    @pytest.mark.parametrize("arch", ["dhlac", "baseline+hlac", "cooc"])
+    def test_empty_batch_rejected(self, arch, trace):
+        # two chains (one of them frozen) and one chain, named before any layer runs
+        spec = init_params(SHIPPED_NETS[arch](), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^empty batch$"):
+            network_forward(spec, np.zeros((0, *spec.input_shape)), trace=trace)
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -233,16 +228,17 @@ SHIPPED_NETS = {
 
 
 def blocks_of_three(monkeypatch, spec):
-    """Size trace-free blocks to 3 images of `spec`; returns the list of block sizes run."""
+    """Size blocks to 3 images of `spec`; returns the list of block sizes run,
+    one run of blocks per chain that cuts them, the side chain first."""
     widest = validate_network(spec)[2]
     monkeypatch.setattr(network, "_EVAL_BLOCK_BYTES", 8 * widest * 3 + 7)
-    walk, sizes = network._forward_chains, []
+    run, sizes = network._forward_block, []
 
-    def counting_walk(spec, xb, *args):
-        sizes.append(len(xb))
-        return walk(spec, xb, *args)
+    def counting_run(layers, params, a):
+        sizes.append(len(a))
+        return run(layers, params, a)
 
-    monkeypatch.setattr(network, "_forward_chains", counting_walk)
+    monkeypatch.setattr(network, "_forward_block", counting_run)
     return sizes
 
 
@@ -266,7 +262,7 @@ class TestTraceFreeForward:
         traced, _ = network_forward(spec, xb)
         sizes = blocks_of_three(monkeypatch, spec)
         blocked, no_trace = network_forward(spec, xb, trace=False)
-        assert sizes == [3, 3, 1] and no_trace is None
+        assert sizes == [3, 3, 1] * (1 + bool(spec.side_layers)) and no_trace is None
         np.testing.assert_allclose(blocked, traced, rtol=1e-12)
         np.testing.assert_array_equal(blocked.argmax(axis=1), traced.argmax(axis=1))
 
@@ -298,7 +294,8 @@ class TestTraceFreeForward:
         expected = np.mean(network_forward(spec, ds.images)[0].argmax(axis=1) == ds.labels)
         sizes = blocks_of_three(monkeypatch, spec)
         assert evaluate(spec, ds, batch_size=4) == expected
-        assert sizes == [3, 1, 3, 1, 3]  # batches of 4, 4, 3
+        chains = 1 + bool(spec.side_layers)
+        assert sizes == ([3, 1] * chains) * 2 + [3] * chains  # batches of 4, 4, 3
 
 
 def traced_step(spec, xb, mode):
@@ -365,9 +362,9 @@ class TestTracedBlocks:
         assert calls == {"gap_forward": [3, 3, 1], "dropout_forward": [7, 7]}
         # nothing beneath either dropout trains: the trace keeps no cache of it
         assert trace.side_caches == [None, None, None] and trace.caches[0] is None
-        # in eval mode both dropouts run in the blocks, side first in each
+        # in eval mode both dropouts run in the blocks, the side chain's first
         _, trace = network_forward(spec, xb)
-        assert sizes == [3, 3, 1] * 2 and calls["dropout_forward"][2:] == [3, 3, 3, 3, 1, 1]
+        assert sizes == [3, 3, 1] * 3 and calls["dropout_forward"][2:] == [3, 3, 1] * 2
         assert calls["gap_forward"] == [3, 3, 1] * 2 and trace.caches[1].shape == (7, 8, 8, 1)
 
 
@@ -420,6 +417,25 @@ class TestBackward:
         labels = np.array([1, 2])
         logits, trace = network_forward(spec, xb)
         _, d_logits = softmax_xent(logits, np.eye(3)[labels])
+        grads = network_backward(spec, trace, d_logits / len(labels))
+        w = spec.side_params[0]["w"]
+        numeric = _central_diff(lambda: batch_loss(spec, xb, labels), w, 1e-6)
+        assert _rel_err(grads.side[0]["w"], numeric) < 1e-4
+
+    def test_side_chain_trains_through_a_last_layer_without_weights(self):
+        # nothing in the main chain trains, so only the join makes the sigmoid
+        # run its backward: 2 pooled maps + 16 pixels are the 18 logits
+        spec = NetworkSpec(
+            layers=[LayerSpec("sigmoid")],
+            input_shape=(4, 4, 1),
+            num_classes=18,
+            side_layers=[tml_layer(2, 2, 2, TmlConfig(c1=1.0, c2=0.6)), LayerSpec("gap")],
+        )
+        spec = init_params(spec, np.random.default_rng(12))
+        xb = np.random.default_rng(13).uniform(0.1, 2.0, size=(2, 4, 4, 1))
+        labels = np.array([0, 1])
+        logits, trace = network_forward(spec, xb)
+        _, d_logits = softmax_xent(logits, np.eye(18)[labels])
         grads = network_backward(spec, trace, d_logits / len(labels))
         w = spec.side_params[0]["w"]
         numeric = _central_diff(lambda: batch_loss(spec, xb, labels), w, 1e-6)

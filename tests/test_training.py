@@ -315,42 +315,44 @@ class TestEvaluate:
             evaluate(spec, ds)
 
     def test_previous_batch_trace_is_freed(self, monkeypatch):
-        import gc
-        import weakref
-
+        # evaluate's forwards build no trace, so none outlives its batch
         from tmlnet import network
 
-        forward, walk = training.network_forward, network._forward_chains
-        trace_type = network.ForwardTrace
-        calls, traces = [], []
+        forward, run = training.network_forward, network._forward_block
+        calls, traces, blocks = [], [], []
 
         def recording_forward(*args, **kwargs):
             calls.append(kwargs.get("trace"))
             return forward(*args, **kwargs)
 
-        def recording_trace(*args, **kwargs):
-            trace = trace_type(*args, **kwargs)
-            traces.append(weakref.ref(trace))
-            return trace
-
-        def checked_walk(*args, **kwargs):
-            # when a block starts, nothing of an earlier block or batch is alive
-            assert all(ref() is None for ref in traces)
-            return walk(*args, **kwargs)
+        def recording_run(layers, params, a):
+            blocks.append(len(a))
+            return run(layers, params, a)
 
         monkeypatch.setattr(training, "network_forward", recording_forward)
-        monkeypatch.setattr(network, "ForwardTrace", recording_trace)
-        monkeypatch.setattr(network, "_forward_chains", checked_walk)
+        monkeypatch.setattr(network, "ForwardTrace", lambda *args: traces.append(args))
+        monkeypatch.setattr(network, "_forward_block", recording_run)
         monkeypatch.setattr(network, "_EVAL_BLOCK_BYTES", 8)  # one image per block
-        gc.disable()  # freed by reference count alone, not by a collection
-        try:
-            spec = fc_toy_net()
-            ds = Dataset(np.ones((5, 1, 1, 1)), np.zeros(5, dtype=int))
-            evaluate(spec, ds, batch_size=2)
-        finally:
-            gc.enable()
+        ds = Dataset(np.ones((5, 4, 4, 1)), np.zeros(5, dtype=int))
+        evaluate(tml_toy_net(), ds, batch_size=2)
         assert calls == [False] * 3  # one trace-free forward per batch of 2, 2, 1
-        assert len(traces) == 5 and all(ref() is None for ref in traces)
+        assert blocks == [1] * 5 and traces == []
+
+    def test_trace_free_forward_of_an_fc_first_net_cuts_no_block(self, monkeypatch):
+        from tmlnet import network
+
+        spec = fc_toy_net()
+        xb = np.ones((5, 1, 1, 1))
+        traced, _ = network_forward(spec, xb)
+
+        def forbidden(*args):
+            raise AssertionError("a trace-free forward of an fc-first net built this")
+
+        monkeypatch.setattr(network, "ForwardTrace", forbidden)
+        monkeypatch.setattr(network, "_forward_block", forbidden)
+        logits, trace = network_forward(spec, xb, trace=False)
+        assert trace is None
+        np.testing.assert_array_equal(logits, traced)
 
 
 class TestTrainLoop:
