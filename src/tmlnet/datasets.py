@@ -12,7 +12,19 @@ byte.
 The stripe set draws one periodic line pattern per class on a large black
 canvas, adds uniform noise, clamps to [0, 1], and cuts random crops; test
 crops come from an independently generated canvas (fresh noise and crop
-positions over the same pattern).
+positions over the same pattern). No canvas is built: per class and split,
+one reused canvas-sized buffer takes the noise draw, the crop positions are
+drawn, and each crop is computed from its own window as
+clip(pattern[win] + amplitude * noise[win], 0, 1), straight into the split's
+image array. Every operation is elementwise on float64 and IEEE addition
+commutes exactly, so each pixel goes through the very operations it went
+through on a whole clipped canvas, and a crop equals the crop of that canvas
+bit for bit. The RNG draws (noise, tops, lefts; class by class, train before
+test) are the canvas version's, so a seed gives the same set. A pattern is
+one period x period tile repeated: its phase (row, column, row + column or
+row - column) mod the period depends only on row and column mod the period.
+So the pattern window at (top, left) is the one at (top mod period,
+left mod period), and crops read it from a pattern crop + period - 1 wide.
 """
 
 from __future__ import annotations
@@ -22,9 +34,11 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+IDX_WRITE_CHUNK = 64  # images converted to u8 at a time
 
 # (orientation degrees, period px) per class; intensity 1.0, thickness 2 px.
 STRIPE_STYLES = [
@@ -88,7 +102,7 @@ def load_idx_images(path) -> np.ndarray:
     raw = _read_idx(path, IDX_IMAGE_MAGIC, 3, "image")
     if 0 in raw.shape[1:]:
         raise ValueError(f"{path}: empty IDX image size {raw.shape[1]}x{raw.shape[2]}")
-    return (raw.astype(np.float64) / 255.0)[..., None]
+    return np.divide(raw, 255.0, dtype=np.float64)[..., None]
 
 
 def load_idx_labels(path) -> np.ndarray:
@@ -99,21 +113,38 @@ def load_idx_labels(path) -> np.ndarray:
 def to_u8(values: np.ndarray) -> np.ndarray:
     """[0, 1] floats -> u8 with clamping and round-half-up, so b/255 -> b
     survives the round trip exactly."""
-    return np.floor(np.clip(values, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+    scaled = np.clip(values, 0.0, 1.0)
+    scaled *= 255.0
+    scaled += 0.5
+    return np.floor(scaled, out=scaled).astype(np.uint8)
 
 
 def write_idx_images(images, path) -> None:
-    """Inverse of load_idx_images for [0, 1] image tensors."""
+    """Inverse of load_idx_images for [0, 1] image tensors. Every image is
+    checked (one size, no NaN pixel) and converted before the file is opened,
+    so a rejected input leaves no partial file."""
     imgs = [np.asarray(im) for im in images]
     if not imgs:
         raise ValueError("cannot write an empty IDX image file")
     rows, cols = imgs[0].shape[0], imgs[0].shape[1]
+    for i, im in enumerate(imgs):
+        if im.shape[0] != rows or im.shape[1] != cols:
+            raise ValueError(
+                f"IDX images must share one size: image {i} is {im.shape[0]}x{im.shape[1]}, "
+                f"image 0 is {rows}x{cols}"
+            )
+    payload = np.empty((len(imgs), rows, cols), dtype=np.uint8)
+    for start in range(0, len(imgs), IDX_WRITE_CHUNK):
+        chunk = np.stack(
+            [im.reshape(rows, cols, -1)[:, :, 0] for im in imgs[start : start + IDX_WRITE_CHUNK]]
+        )
+        if np.isnan(chunk.min()):
+            bad = start + int(np.isnan(chunk).any(axis=(1, 2)).argmax())
+            raise ValueError(f"IDX image {bad} has NaN pixels")
+        payload[start : start + len(chunk)] = to_u8(chunk)
     with open(path, "wb") as f:
         f.write(struct.pack(">4I", IDX_IMAGE_MAGIC, len(imgs), rows, cols))
-        for im in imgs:
-            if im.shape[0] != rows or im.shape[1] != cols:
-                raise ValueError("IDX images must share one size")
-            f.write(to_u8(im.reshape(rows, cols, -1)[:, :, 0]).tobytes())
+        f.write(payload.tobytes())
 
 
 def write_idx_labels(labels, path) -> None:
@@ -169,47 +200,46 @@ class StripeSpec:
 def stripe_pattern(cls: int, size: int) -> np.ndarray:
     """Clean periodic line pattern for one class: 1.0 on stripes, 0.0 off."""
     angle, period = STRIPE_STYLES[cls]
-    r = np.arange(size)[:, None]
-    c = np.arange(size)[None, :]
+    r = np.arange(period)[:, None]
+    c = np.arange(period)[None, :]
     if angle == 0:
-        phase = np.broadcast_to(r, (size, size))
+        phase = np.broadcast_to(r, (period, period))
     elif angle == 90:
-        phase = np.broadcast_to(c, (size, size))
+        phase = np.broadcast_to(c, (period, period))
     elif angle == 45:
         phase = r + c
     else:  # 135
         phase = r - c
-    return (np.mod(phase, period) < STRIPE_THICKNESS).astype(np.float64)
-
-
-def _crops(canvas_img, spec, count, rng):
-    span = spec.canvas - spec.crop + 1
-    tops = rng.integers(0, span, size=count)
-    lefts = rng.integers(0, span, size=count)
-    return [
-        canvas_img[t : t + spec.crop, l : l + spec.crop, None].copy()
-        for t, l in zip(tops, lefts)
-    ]
+    tile = (np.mod(phase, period) < STRIPE_THICKNESS).astype(np.float64)
+    reps = -(-size // period)
+    return np.tile(tile, (reps, reps))[:size, :size]
 
 
 def gen_stripe_dataset(spec: StripeSpec) -> tuple[Dataset, Dataset]:
     """Per class: noisy canvas -> samples_per_class random crops, for a train
-    and an independently generated test split."""
+    and an independently generated test split (see the module docstring)."""
     rng = np.random.default_rng(spec.rng_seed)
-    splits = {"train": ([], []), "test": ([], [])}
+    n, size = spec.samples_per_class, spec.crop
+    span = spec.canvas - size + 1
+    images = {split: np.empty((spec.num_classes * n, size, size, 1)) for split in ("train", "test")}
+    noise = np.empty((spec.canvas, spec.canvas))
+    noise_windows = sliding_window_view(noise, (size, size))
     for cls in range(spec.num_classes):
-        pattern = stripe_pattern(cls, spec.canvas)
+        # the pattern repeats with its period, so the window at (t, l) is
+        # the one at (t mod period, l mod period)
+        period = STRIPE_STYLES[cls][1]
+        pattern = stripe_pattern(cls, size + period - 1)
+        pattern_windows = sliding_window_view(pattern, (size, size))
         for split in ("train", "test"):
-            canvas = pattern + spec.noise_amplitude * rng.random((spec.canvas, spec.canvas))
-            np.clip(canvas, 0.0, 1.0, out=canvas)
-            images, labels = splits[split]
-            images.extend(_crops(canvas, spec, spec.samples_per_class, rng))
-            labels.extend([cls] * spec.samples_per_class)
-    out = []
-    for split in ("train", "test"):
-        images, labels = splits[split]
-        out.append(Dataset(np.stack(images), np.asarray(labels)))
-    return out[0], out[1]
+            rng.random(out=noise)
+            tops = rng.integers(0, span, size=n)
+            lefts = rng.integers(0, span, size=n)
+            out = images[split][cls * n : (cls + 1) * n, :, :, 0]
+            np.multiply(noise_windows[tops, lefts], spec.noise_amplitude, out=out)
+            out += pattern_windows[tops % period, lefts % period]
+            np.clip(out, 0.0, 1.0, out=out)
+    labels = np.repeat(np.arange(spec.num_classes), n)
+    return Dataset(images["train"], labels), Dataset(images["test"], labels.copy())
 
 
 def batches(ds: Dataset, batch_size: int, rng: np.random.Generator):

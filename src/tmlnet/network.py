@@ -141,10 +141,13 @@ class NetworkSpec:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer caches for one batch; feeds network_backward exactly once."""
+    """Per-layer caches for one batch, with the shape walks of the forward
+    that made them; feeds network_backward exactly once."""
 
     caches: list
     side_caches: list
+    main: ChainWalk
+    side: ChainWalk
     consumed: bool = False
 
 
@@ -481,7 +484,7 @@ def network_forward(spec: NetworkSpec, xb, train_mode: bool = False, rng=None, t
         s = _chain_forward(spec.side_layers, spec.side_params, side, xb, train_mode, rng, block,
                            side_caches)
     logits = _chain_forward(spec.layers, spec.params, main, xb, train_mode, rng, block, caches, s)
-    return logits, ForwardTrace(caches, side_caches) if trace else None
+    return logits, ForwardTrace(caches, side_caches, main, side) if trace else None
 
 
 def _chain_forward(layers, params, walk: ChainWalk, a, train_mode, rng, block, caches, side=None):
@@ -527,7 +530,7 @@ def network_backward(spec: NetworkSpec, trace: ForwardTrace, d_logits) -> Gradie
     if trace.consumed:
         raise ValueError("forward trace already consumed by a backward pass")
     trace.consumed = True
-    main, side, _ = validate_network(spec)
+    main, side = trace.main, trace.side
     grads = Gradients([{} for _ in spec.layers], [{} for _ in spec.side_layers])
     last = len(spec.layers) - 1
     mains = (spec.layers, spec.params, main.steps, trace.caches, grads.main)

@@ -1,9 +1,13 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
 from tmlnet.datasets import (
+    IDX_WRITE_CHUNK,
+    STRIPE_STYLES,
+    STRIPE_THICKNESS,
     Dataset,
     StripeSpec,
     batches,
@@ -102,12 +106,126 @@ class TestIdxRoundTrip:
         write_idx_images(load_idx_images(src), out)
         assert out.read_bytes() == src.read_bytes()
 
+    @pytest.mark.parametrize("count", [1, IDX_WRITE_CHUNK, IDX_WRITE_CHUNK + 1, 2 * IDX_WRITE_CHUNK + 2])
+    def test_images_byte_exact_across_chunks(self, tmp_path, count):
+        rng = np.random.default_rng(count)
+        src = tmp_path / "src.idx"
+        make_idx_image_file(src, rng.integers(0, 256, size=(count, 3, 5), dtype=np.uint8))
+        out = tmp_path / "out.idx"
+        write_idx_images(load_idx_images(src), out)
+        assert out.read_bytes() == src.read_bytes()
+        write_idx_images(list(load_idx_images(src)[..., 0]), out)  # (rows, cols) images
+        assert out.read_bytes() == src.read_bytes()
+
     def test_labels_byte_exact(self, tmp_path):
         src = tmp_path / "src.idx"
         make_idx_label_file(src, [0, 9, 3, 3, 7])
         out = tmp_path / "out.idx"
         write_idx_labels(load_idx_labels(src), out)
         assert out.read_bytes() == src.read_bytes()
+
+
+class TestIdxWriterRejects:
+    @pytest.mark.parametrize("count", [2, IDX_WRITE_CHUNK + 3])
+    def test_mixed_sizes_before_the_file_opens(self, tmp_path, count):
+        images = [np.zeros((4, 4, 1))] * (count - 1) + [np.zeros((4, 5, 1))]
+        p = tmp_path / "img.idx"
+        with pytest.raises(ValueError, match=f"image {count - 1} is 4x5"):
+            write_idx_images(images, p)
+        assert not p.exists()  # no truncated file whose header claims every image
+        p.write_bytes(b"kept")
+        with pytest.raises(ValueError):
+            write_idx_images(images, p)
+        assert p.read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("bad", [0, IDX_WRITE_CHUNK + 1])
+    def test_nan_pixels(self, tmp_path, bad):
+        images = np.full((IDX_WRITE_CHUNK + 2, 3, 3, 1), 0.5)
+        images[bad, 1, 2, 0] = np.nan
+        p = tmp_path / "img.idx"
+        with pytest.raises(ValueError, match=f"image {bad} has NaN"):
+            write_idx_images(images, p)
+        assert not p.exists()
+
+    def test_infinities_clamp(self, tmp_path):
+        p = tmp_path / "img.idx"
+        write_idx_images([np.array([[np.inf, -np.inf]])], p)
+        assert p.read_bytes()[-2:] == bytes([255, 0])
+
+
+def sha256(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def canvas_stripe_dataset(spec: StripeSpec):
+    """The stripe set cut from whole clipped canvases, as the generator's
+    docstring defines it."""
+    rng = np.random.default_rng(spec.rng_seed)
+    splits = {"train": ([], []), "test": ([], [])}
+    for cls in range(spec.num_classes):
+        pattern = stripe_pattern(cls, spec.canvas)
+        for split in ("train", "test"):
+            canvas = pattern + spec.noise_amplitude * rng.random((spec.canvas, spec.canvas))
+            np.clip(canvas, 0.0, 1.0, out=canvas)
+            span = spec.canvas - spec.crop + 1
+            tops = rng.integers(0, span, size=spec.samples_per_class)
+            lefts = rng.integers(0, span, size=spec.samples_per_class)
+            images, labels = splits[split]
+            images += [canvas[t : t + spec.crop, l : l + spec.crop, None] for t, l in zip(tops, lefts)]
+            labels += [cls] * spec.samples_per_class
+    return [(np.stack(splits[s][0]), np.array(splits[s][1])) for s in ("train", "test")]
+
+
+class TestStripeIdentity:
+    # sha256 of the images and labels of the generator that built whole
+    # clipped canvases, which the crop-by-crop generator must reproduce
+    GOLDEN = {
+        "small": (
+            StripeSpec(canvas=96, crop=24, samples_per_class=5, rng_seed=3),
+            "a8b1a8fcda3a98b00293278f15e3cfd68d1fbce3d0cf3c9f8bf85346e93b8fb1",
+            "3ca0ad816688116f916c9385f373de81c1f156d02a648dc94da514a188f2eaae",
+            "b47ef338ce3e3930e5c474cfaccd16eb0e0103d70a84328c7a5600a5421f510a",
+        ),
+        "default": (
+            StripeSpec(),
+            "679bdcba9f9076521e34adace3a3e805b075c534c857fa851474bbcf3e9d7c1e",
+            "a2a6ae6997df9cd4d8a18e52f3f89a2bc71ef8038afb67d65e096edd5e258869",
+            "dbd2620fecabc2c372837b7cc769c2142a304f1c01676fc5a479e198bef3f8c4",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_hashes(self, name):
+        spec, train_images, test_images, labels = self.GOLDEN[name]
+        train, test = gen_stripe_dataset(spec)
+        assert sha256(train.images) == train_images
+        assert sha256(test.images) == test_images
+        assert sha256(train.labels) == sha256(test.labels) == labels
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            StripeSpec(num_classes=8, canvas=40, crop=13, samples_per_class=7, rng_seed=5),
+            StripeSpec(num_classes=8, canvas=29, crop=29, samples_per_class=2, rng_seed=6),
+            StripeSpec(num_classes=3, canvas=50, crop=1, noise_amplitude=0.3, samples_per_class=9),
+            StripeSpec(num_classes=2, canvas=33, crop=10, noise_amplitude=0.0, samples_per_class=4),
+        ],
+    )
+    def test_equals_crops_of_clipped_canvases(self, spec):
+        for ds, (images, labels) in zip(gen_stripe_dataset(spec), canvas_stripe_dataset(spec)):
+            assert ds.images.tobytes() == images.tobytes()
+            np.testing.assert_array_equal(ds.labels, labels)
+
+    @pytest.mark.parametrize("cls", range(len(STRIPE_STYLES)))
+    def test_pattern_matches_the_phase_formula(self, cls):
+        angle, period = STRIPE_STYLES[cls]
+        for size in [*range(1, 21), 37, 1024]:
+            r, c = np.indices((size, size))
+            phase = {0: r, 90: c, 45: r + c, 135: r - c}[angle]
+            expected = (np.mod(phase, period) < STRIPE_THICKNESS).astype(np.float64)
+            got = stripe_pattern(cls, size)
+            assert got.dtype == np.float64 and got.shape == (size, size)
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestStripes:

@@ -369,6 +369,22 @@ class TestTracedBlocks:
 
 
 class TestBackward:
+    def test_backward_reuses_the_forward_shape_walks(self, monkeypatch):
+        spec = tiny_branched_net()
+        xb = np.random.default_rng(3).uniform(0.1, 2.0, size=(2, 6, 6, 1))
+        walks = []
+        chain_shapes = network._chain_shapes
+        monkeypatch.setattr(
+            network, "_chain_shapes", lambda *args: walks.append(1) or chain_shapes(*args)
+        )
+        logits, trace = network_forward(spec, xb)
+        assert len(walks) == 2  # the side chain, then the main chain
+        _, d_logits = softmax_xent(logits, np.eye(3)[[0, 2]])
+        grads = network_backward(spec, trace, d_logits / 2)
+        assert len(walks) == 2
+        assert [set(g) for g in grads.main] == [set(p) for p in spec.params]
+        assert [set(g) for g in grads.side] == [set(p) for p in spec.side_params]
+
     def test_whole_net_gradients_match_finite_differences(self):
         spec = tiny_branched_net()
         rng = np.random.default_rng(10)

@@ -1,13 +1,16 @@
 """Print one sha256 per result of the four shipped nets, for byte-identity checks.
 
-For dhlac, cooc, baseline and baseline+hlac at 32-px crops in batches of 32
-and 64-px crops in batches of 256, it hashes the initial parameters, the
-logits and every parameter gradient of a traced forward in eval and in train
-mode, the logits of a trace-free forward, and the per-epoch metrics and
-parameters after a 2-epoch `train_loop`. It then runs the command line
-(gen-stripes, hlac-extract, gradcheck, and train, eval, viz-kernels,
-viz-features and viz-cooc for each net) in a scratch directory and hashes
-every output and every file written. Each line reads `<sha256>  <what>`.
+It hashes the images and labels of the two stripe sets the benchmark
+generates at canvas 1024 (`StripeSpec()` and hlac-eval's 8 classes of 128
+64-px crops), and the IDX files written from them. For dhlac, cooc, baseline
+and baseline+hlac at 32-px crops in batches of 32 and 64-px crops in batches
+of 256, it hashes the initial parameters, the logits and every parameter
+gradient of a traced forward in eval and in train mode, the logits of a
+trace-free forward, and the per-epoch metrics and parameters after a 2-epoch
+`train_loop`. It then runs the command line (gen-stripes, hlac-extract,
+gradcheck, and train, eval, viz-kernels, viz-features and viz-cooc for each
+net) in a scratch directory and hashes every output and every file written.
+Each line reads `<sha256>  <what>`.
 
 Two trees give the same bytes exactly when `diff` of their outputs is empty:
 
@@ -29,7 +32,7 @@ import tempfile
 import numpy as np
 
 from tmlnet.cli import DEFAULTS, build_network, cli_dispatch
-from tmlnet.datasets import StripeSpec, gen_stripe_dataset
+from tmlnet.datasets import StripeSpec, gen_stripe_dataset, write_idx_images, write_idx_labels
 from tmlnet.layers import softmax_xent
 from tmlnet.network import init_params, network_backward, network_forward
 from tmlnet.training import TrainConfig, train_loop
@@ -63,6 +66,24 @@ def emit_params(tag: str, spec) -> None:
         for i, params in enumerate(plist):
             for key in sorted(params):
                 emit(f"{tag} {chain}[{i}].{key}", params[key])
+
+
+def stripe_hashes(seed: int) -> None:
+    bench_sets = (("StripeSpec()", StripeSpec(rng_seed=seed)),
+                  ("hlac-eval", StripeSpec(num_classes=8, crop=64, samples_per_class=128,
+                                           rng_seed=seed)))
+    with tempfile.TemporaryDirectory() as root:
+        for name, stripes in bench_sets:
+            for split, ds in zip(("train", "test"), gen_stripe_dataset(stripes)):
+                tag = f"stripes {name} {split}"
+                emit(f"{tag} images", ds.images)
+                emit(f"{tag} labels", ds.labels)
+                for what, write, data in (("images", write_idx_images, list(ds.images)),
+                                          ("labels", write_idx_labels, ds.labels.tolist())):
+                    path = os.path.join(root, f"{split}-{what}.idx")
+                    write(data, path)
+                    with open(path, "rb") as f:
+                        emit(f"{tag} {what}.idx", f.read())
 
 
 def network_hashes(seed: int) -> None:
@@ -133,6 +154,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    stripe_hashes(args.seed)
     network_hashes(args.seed)
     cli_hashes(args.seed)
 
