@@ -31,6 +31,7 @@ from .network import (
     build_cooc_net,
     build_dhlac_net,
     init_params,
+    layer_input,
     load_network,
     network_forward,
     save_network,
@@ -158,7 +159,7 @@ def cmd_gen_stripes(args) -> int:
     train, test = gen_stripe_dataset(spec)
     os.makedirs(args.out, exist_ok=True)
     for split, ds in (("train", train), ("test", test)):
-        write_idx_images(list(ds.images), os.path.join(args.out, f"{split}-images.idx"))
+        write_idx_images(ds.images, os.path.join(args.out, f"{split}-images.idx"))
         write_idx_labels(ds.labels.tolist(), os.path.join(args.out, f"{split}-labels.idx"))
         print(f"wrote {len(ds)} {split} images to {args.out}")
     return 0
@@ -242,14 +243,9 @@ def _image_from_dataset(args):
 def cmd_viz_features(args) -> int:
     spec = load_network(args.ckpt)
     image, label = _image_from_dataset(args)
-    _logits, trace = network_forward(spec, image[None], train_mode=False)
     chain, i, layer = _checkpoint_bank(spec, args.ckpt)
-    cache = (trace.side_caches if chain == "side" else trace.caches)[i]
-    if cache is None:  # a frozen bank on the input keeps no maps in the trace
-        kernels = TmlKernels(layer.tml, spec.param_dict(chain, i)["w"])
-        y = tml.forward_batch(image[None], kernels)
-    else:
-        y = cache[1]
+    kernels = TmlKernels(layer.tml, spec.param_dict(chain, i)["w"])
+    y = tml.forward_batch(layer_input(spec, chain, i, image[None]), kernels)
     os.makedirs(args.out, exist_ok=True)
     for m in range(y.shape[3]):
         write_pgm(render_feature_map(y[0], m), os.path.join(args.out, f"feature_{m:02d}.pgm"))

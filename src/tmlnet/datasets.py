@@ -30,6 +30,7 @@ left mod period), and crops read it from a pattern crop + period - 1 wide.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -120,30 +121,33 @@ def to_u8(values: np.ndarray) -> np.ndarray:
 
 
 def write_idx_images(images, path) -> None:
-    """Inverse of load_idx_images for [0, 1] image tensors. Every image is
-    checked (one size, no NaN pixel) and converted before the file is opened,
-    so a rejected input leaves no partial file."""
-    imgs = [np.asarray(im) for im in images]
-    if not imgs:
+    """Inverse of load_idx_images for [0, 1] images, given as an (N, rows,
+    cols[, 1]) array or a sequence of (rows, cols[, 1]) images. Every image is
+    checked (one size, one channel, no NaN pixel) and converted before the
+    file is opened, so a rejected input leaves no partial file."""
+    if len(images) == 0:
         raise ValueError("cannot write an empty IDX image file")
-    rows, cols = imgs[0].shape[0], imgs[0].shape[1]
-    for i, im in enumerate(imgs):
-        if im.shape[0] != rows or im.shape[1] != cols:
+    rows, cols = np.shape(images[0])[:2]
+    for i, im in enumerate(images):
+        shape = np.shape(im)
+        if shape[:2] != (rows, cols):
             raise ValueError(
-                f"IDX images must share one size: image {i} is {im.shape[0]}x{im.shape[1]}, "
+                f"IDX images must share one size: image {i} is {shape[0]}x{shape[1]}, "
                 f"image 0 is {rows}x{cols}"
             )
-    payload = np.empty((len(imgs), rows, cols), dtype=np.uint8)
-    for start in range(0, len(imgs), IDX_WRITE_CHUNK):
-        chunk = np.stack(
-            [im.reshape(rows, cols, -1)[:, :, 0] for im in imgs[start : start + IDX_WRITE_CHUNK]]
-        )
+        if math.prod(shape[2:]) != 1:
+            raise ValueError(f"IDX image {i} has {math.prod(shape[2:])} channels; IDX holds one")
+    payload = np.empty((len(images), rows, cols), dtype=np.uint8)
+    for start in range(0, len(images), IDX_WRITE_CHUNK):
+        # a view of an array's images; a sequence's are stacked here
+        chunk = np.asarray(images[start : start + IDX_WRITE_CHUNK])
+        chunk = chunk.reshape(len(chunk), rows, cols)
         if np.isnan(chunk.min()):
             bad = start + int(np.isnan(chunk).any(axis=(1, 2)).argmax())
             raise ValueError(f"IDX image {bad} has NaN pixels")
         payload[start : start + len(chunk)] = to_u8(chunk)
     with open(path, "wb") as f:
-        f.write(struct.pack(">4I", IDX_IMAGE_MAGIC, len(imgs), rows, cols))
+        f.write(struct.pack(">4I", IDX_IMAGE_MAGIC, len(images), rows, cols))
         f.write(payload.tobytes())
 
 
@@ -154,9 +158,8 @@ def write_idx_labels(labels, path) -> None:
 
 
 def load_dataset_dir(directory) -> tuple[Dataset, Dataset]:
-    """Read the four-file layout produced by `gen-stripes` / the fetch script:
-    train-images.idx, train-labels.idx, test-images.idx, test-labels.idx."""
-    import os
+    """Read the four-file layout that `gen-stripes` writes: train-images.idx,
+    train-labels.idx, test-images.idx, test-labels.idx."""
 
     def one(split):
         images = load_idx_images(os.path.join(directory, f"{split}-images.idx"))

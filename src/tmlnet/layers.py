@@ -25,12 +25,8 @@ per (channel, image, row), cost more than its GEMM; one GEMM into the
 padded planes gained nothing, as its result left L2. d_x is skipped for a
 layer that reads the network input. Max pooling's backward
 writes d_x in x's layout and GAP's writes it channel-major, so the ReLU and
-TML backwards beneath them multiply arrays of one layout. The logits are
-bit-for-bit those of the former NHWC-row window matrix. The conv bias
-gradients (d_y summed per channel) moved in the last bits: numpy sums a
-channel-major d_y pairwise along each plane, not row by row, and where this
-was checked against an exact sum the new figure was the closer. Dropout
-scales survivors by 1/(1-rate) at train time.
+TML backwards beneath them multiply arrays of one layout. Dropout scales
+survivors by 1/(1-rate) at train time.
 
 Max pooling is 2x2 stride 2; odd trailing rows or columns are dropped and get
 a zero gradient. The forward takes the elementwise max of the four strided

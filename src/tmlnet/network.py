@@ -142,7 +142,8 @@ class NetworkSpec:
 @dataclass
 class ForwardTrace:
     """Per-layer caches for one batch, with the shape walks of the forward
-    that made them; feeds network_backward exactly once."""
+    that made them; feeds network_backward exactly once. Only this module
+    reads the caches: other code gets a layer's input from `layer_input`."""
 
     caches: list
     side_caches: list
@@ -467,15 +468,7 @@ def network_forward(spec: NetworkSpec, xb, train_mode: bool = False, rng=None, t
     """
     if train_mode and not trace:
         raise ValueError("a forward without trace runs in eval mode only")
-    xb = np.asarray(xb, dtype=np.float64)
-    if xb.ndim != 4:
-        raise ValueError(f"batch must be (B, rows, cols, channels), got {xb.shape}")
-    if not len(xb):
-        raise ValueError("empty batch")
-    if xb.shape[1:] != spec.input_shape:
-        raise ValueError(f"batch shape {xb.shape[1:]} != network input {spec.input_shape}")
-    if not spec.params:
-        raise ValueError("network parameters not initialized")
+    xb = _checked_batch(spec, xb)
     main, side, widest = validate_network(spec)
     block = max(1, _EVAL_BLOCK_BYTES // (8 * widest))
     caches, side_caches = ([], []) if trace else (None, None)
@@ -485,6 +478,30 @@ def network_forward(spec: NetworkSpec, xb, train_mode: bool = False, rng=None, t
                            side_caches)
     logits = _chain_forward(spec.layers, spec.params, main, xb, train_mode, rng, block, caches, s)
     return logits, ForwardTrace(caches, side_caches, main, side) if trace else None
+
+
+def _checked_batch(spec: NetworkSpec, xb) -> np.ndarray:
+    """xb as float64, once it is a nonempty batch of the network's input shape."""
+    xb = np.asarray(xb, dtype=np.float64)
+    if xb.ndim != 4:
+        raise ValueError(f"batch must be (B, rows, cols, channels), got {xb.shape}")
+    if not len(xb):
+        raise ValueError("empty batch")
+    if xb.shape[1:] != spec.input_shape:
+        raise ValueError(f"batch shape {xb.shape[1:]} != network input {spec.input_shape}")
+    if not spec.params:
+        raise ValueError("network parameters not initialized")
+    return xb
+
+
+def layer_input(spec: NetworkSpec, chain: str, index: int, xb) -> np.ndarray:
+    """What layer `index` of `chain` ("main" or "side") reads for the batch
+    `xb`: the eval-mode output of the chain's first `index` layers (for the
+    main chain's last layer, before the side vector joins it)."""
+    main = chain == "main"
+    layers = (spec.layers if main else spec.side_layers)[:index]
+    params = (spec.params if main else spec.side_params)[:index]
+    return _forward_block(layers, params, _checked_batch(spec, xb))
 
 
 def _chain_forward(layers, params, walk: ChainWalk, a, train_mode, rng, block, caches, side=None):

@@ -17,7 +17,9 @@ Weight constraints: every weight stays in [0, C2] and each kernel's weights
 sum to C1. They are enforced by alternating projection (clip into the box,
 then rescale each kernel to the target sum), applied after every gradient
 update rather than solved exactly; the rescale may transiently push a weight
-above C2 until the next step's clip.
+above C2 until the next step's clip. A kernel that the clip leaves all zero
+has no direction to rescale: `project_kernels` restarts it as the uniform
+kernel C1 / (H*W*K) and returns its index with the projected bank.
 """
 
 from __future__ import annotations
@@ -28,21 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import layers as L
-
-
-class DegenerateKernelError(RuntimeError):
-    """A kernel clipped to all zeros, so rescaling to a fixed sum is undefined.
-
-    Carries the offending kernel indices; callers typically reinitialize those
-    kernels uniformly (see `reinit_kernels`) and continue training.
-    """
-
-    def __init__(self, kernel_indices):
-        self.kernel_indices = tuple(int(m) for m in kernel_indices)
-        super().__init__(
-            f"kernel(s) {self.kernel_indices} are all-zero after clipping; "
-            "rescale to the target sum is undefined"
-        )
 
 
 @dataclass(frozen=True)
@@ -82,7 +69,7 @@ class TmlKernels:
 def init_kernels(config: TmlConfig, shape, rng: np.random.Generator) -> TmlKernels:
     """Draw a (H, W, K, M) bank uniformly from [0, c2], then project once so it starts feasible."""
     w = rng.uniform(0.0, config.c2, size=shape)
-    return project_kernels(TmlKernels(config, w))
+    return project_kernels(TmlKernels(config, w))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -151,23 +138,29 @@ def clip_step(kernels: TmlKernels) -> TmlKernels:
 def rescale_step(kernels: TmlKernels) -> TmlKernels:
     """Projection step B: scale each kernel so its weights sum to c1.
 
-    Raises DegenerateKernelError if any kernel sums to zero.
+    Raises ValueError if any kernel sums to zero (`project_kernels` restarts
+    such a kernel first).
     """
     sums = kernels.weights.sum(axis=(0, 1, 2))
-    dead = np.flatnonzero(sums == 0.0)
-    if dead.size:
-        raise DegenerateKernelError(dead)
+    if not sums.all():
+        raise ValueError(f"kernel(s) {np.flatnonzero(sums == 0.0).tolist()} sum to zero")
     return TmlKernels(kernels.config, kernels.weights * (kernels.config.c1 / sums))
 
 
-def project_kernels(kernels: TmlKernels) -> TmlKernels:
-    """Clip into [0, c2], then rescale each kernel to sum c1 — in exactly that order.
+def project_kernels(kernels: TmlKernels) -> tuple[TmlKernels, tuple[int, ...]]:
+    """Clip into [0, c2], restart every kernel the clip left all zero
+    (`reinit_kernels`), then rescale each kernel to sum c1. Returns
+    (projected bank, restarted kernel indices).
 
     The rescale can push individual weights above c2 when the clipped sum falls
     short of c1; that transient excess is deliberate and gets clipped on the
     next call.
     """
-    return rescale_step(clip_step(kernels))
+    clipped = clip_step(kernels)
+    dead = tuple(np.flatnonzero(~clipped.weights.any(axis=(0, 1, 2))).tolist())
+    if dead:
+        clipped = reinit_kernels(clipped, dead)
+    return rescale_step(clipped), dead
 
 
 def reinit_kernels(kernels: TmlKernels, kernel_indices) -> TmlKernels:

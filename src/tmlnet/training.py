@@ -10,8 +10,11 @@ with momentum SGD, then projects every trainable kernel bank back onto its
 constraint set (weights in [0, C2], per-kernel sum C1). Only kernel weights
 carry the L1 term and the projection; ordinary CNN parameters are untouched
 by either. The subgradient of |w| at w = 0 is taken as 0 so clipped-away
-weights stay put until the data gradient revives them. A frozen bank gets no
-gradient from the backward pass, so the step neither updates nor projects it.
+weights stay put until the data gradient revives them. A kernel that the clip
+leaves all zero restarts as the uniform kernel (`tml.project_kernels` returns
+its index) and its momentum is cleared, so the old velocity does not drive it
+back to zero. A frozen bank gets no gradient from the backward pass, so the
+step neither updates nor projects it.
 
 Only the mean loss is reported: after projection every trainable kernel is
 nonnegative and sums to C1, so the L1 term is the constant lambda * M * C1.
@@ -94,7 +97,6 @@ def train_step(
     cfg: TrainConfig,
     state: OptimizerState,
     rng: np.random.Generator,
-    project: bool = True,
     invariants: InvariantLog | None = None,
 ) -> float:
     """One gradient/update/project cycle over the (layer, params, grads,
@@ -103,9 +105,6 @@ def train_step(
 
     Raises ValueError on an empty batch or a non-finite loss, gradient or
     update, with every parameter and velocity unchanged.
-
-    `project=False` skips the constraint projection (test hook: the step then
-    reduces to plain momentum SGD).
     """
     xb, labels = batch
     if len(labels) == 0:
@@ -148,24 +147,18 @@ def train_step(
         v_old[...] = v
         p_old[...] = new
 
-    if project:
-        for layer, params, g, vel in slots:
-            if layer.kind == "tml" and g:
-                clipped = T.clip_step(T.TmlKernels(layer.tml, params["w"]))
-                try:
-                    projected = T.rescale_step(clipped)
-                except T.DegenerateKernelError as err:
-                    # dead kernels restart uniform with cleared momentum
-                    projected = T.rescale_step(T.reinit_kernels(clipped, err.kernel_indices))
-                    vel["w"][..., list(err.kernel_indices)] = 0.0
-                params["w"][...] = projected.weights
-                if invariants is not None:
-                    w = params["w"]
-                    invariants.min_weight = min(invariants.min_weight, float(w.min()))
-                    sums = w.sum(axis=(0, 1, 2))
-                    invariants.max_sum_abs_err = max(
-                        invariants.max_sum_abs_err, float(np.abs(sums - layer.tml.c1).max())
-                    )
+    for layer, params, g, vel in slots:
+        if layer.kind == "tml" and g:
+            projected, restarted = T.project_kernels(T.TmlKernels(layer.tml, params["w"]))
+            params["w"][...] = projected.weights
+            vel["w"][..., list(restarted)] = 0.0
+            if invariants is not None:
+                w = params["w"]
+                invariants.min_weight = min(invariants.min_weight, float(w.min()))
+                sums = w.sum(axis=(0, 1, 2))
+                invariants.max_sum_abs_err = max(
+                    invariants.max_sum_abs_err, float(np.abs(sums - layer.tml.c1).max())
+                )
     if invariants is not None:
         invariants.steps += 1
     return mean_loss

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .datasets import to_u8
-from .network import NetworkSpec, network_forward
+from .network import NetworkSpec, layer_input
 from .tml import TmlKernels
 
 
@@ -71,10 +71,11 @@ def cooc_heat(
 ):
     """Trace the strongest co-occurrence evidence for a class.
 
-    Runs the forward pass, picks the kernel behind the largest classifier
-    weight for the target class, selects the input feature maps under that
-    kernel's above-threshold cells (weight > nonzero_frac * c2), and averages
-    them upsampled to the input size.
+    Runs the forward pass up to the multiplication layer, picks the kernel
+    behind the largest classifier weight for the target class, selects the
+    input feature maps under that kernel's above-threshold cells
+    (weight > nonzero_frac * c2), and averages them upsampled to the input
+    size.
 
     Returns (heat, kernel_index, channel_indices).
     """
@@ -82,8 +83,7 @@ def cooc_heat(
     layer = spec.layers[t_idx]
     if not 0 <= target_class < spec.num_classes:
         raise ValueError(f"class {target_class} out of range 0..{spec.num_classes - 1}")
-    _logits, trace = network_forward(spec, np.asarray(image)[None], train_mode=False)
-    x_tml = trace.caches[t_idx][0]  # (x, y, z), or (x, y) for a frozen bank
+    x_tml = layer_input(spec, "main", t_idx, np.asarray(image)[None])
     fc_w = spec.params[fc_idx]["w"]  # (num_kernels, classes)
     m = int(np.argmax(fc_w[:, target_class]))
     bank = spec.params[t_idx]["w"]

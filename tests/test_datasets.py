@@ -138,6 +138,15 @@ class TestIdxWriterRejects:
             write_idx_images(images, p)
         assert p.read_bytes() == b"kept"
 
+    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+    def test_more_than_one_channel(self, tmp_path, as_list):
+        # IDX holds one channel; writing only channel 0 would drop the rest unseen
+        images = np.full((3, 4, 4, 2), 0.5)
+        p = tmp_path / "img.idx"
+        with pytest.raises(ValueError, match="image 0 has 2 channels"):
+            write_idx_images(list(images) if as_list else images, p)
+        assert not p.exists()
+
     @pytest.mark.parametrize("bad", [0, IDX_WRITE_CHUNK + 1])
     def test_nan_pixels(self, tmp_path, bad):
         images = np.full((IDX_WRITE_CHUNK + 2, 3, 3, 1), 0.5)

@@ -227,6 +227,37 @@ SHIPPED_NETS = {
 }
 
 
+class TestLayerInput:
+    @pytest.mark.parametrize("arch", sorted(SHIPPED_NETS))
+    def test_is_what_a_traced_forward_hands_the_layer(self, arch):
+        # a conv caches its input x, a trainable bank (x, y, z)
+        spec = init_params(SHIPPED_NETS[arch](), np.random.default_rng(0))
+        xb = np.random.default_rng(1).uniform(size=(3, *spec.input_shape))
+        _, trace = network_forward(spec, xb)
+        checked = 0
+        for chain, layers, caches in (("main", spec.layers, trace.caches),
+                                      ("side", spec.side_layers, trace.side_caches)):
+            for i, (layer, cache) in enumerate(zip(layers, caches)):
+                if layer.kind in ("conv", "tml") and cache is not None:
+                    x = cache[0] if layer.kind == "tml" else cache
+                    np.testing.assert_array_equal(network.layer_input(spec, chain, i, xb), x)
+                    checked += 1
+        assert checked >= 2
+
+    @pytest.mark.parametrize(
+        "initialized, shape",
+        [(True, (6, 6, 1)), (True, (0, 6, 6, 1)), (True, (1, 5, 6, 1)), (False, (1, 6, 6, 1))],
+        ids=["unbatched", "empty", "wrong-size", "no-params"],
+    )
+    def test_rejects_a_batch_as_network_forward_does(self, initialized, shape):
+        spec = tiny_branched_net() if initialized else tiny_network()
+        with pytest.raises(ValueError) as forward_err:
+            network_forward(spec, np.zeros(shape))
+        with pytest.raises(ValueError) as input_err:
+            network.layer_input(spec, "main", 2, np.zeros(shape))
+        assert str(input_err.value) == str(forward_err.value)
+
+
 def blocks_of_three(monkeypatch, spec):
     """Size blocks to 3 images of `spec`; returns the list of block sizes run,
     one run of blocks per chain that cuts them, the side chain first."""

@@ -4,7 +4,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from tmlnet.gradcheck import DEFAULT_STEP, _central_diff, _rel_err
 from tmlnet.tml import (
-    DegenerateKernelError,
     TmlConfig,
     TmlKernels,
     backward_input_batch,
@@ -259,19 +258,21 @@ class TestProjection:
 
     def test_feasible_bank_unchanged(self):
         k = self.kernels_from_flat([0.5, 0.5])
-        out = project_kernels(k)
+        out, restarted = project_kernels(k)
         np.testing.assert_array_equal(out.weights.ravel(), [0.5, 0.5])
+        assert restarted == ()
 
     def test_clip_then_rescale_order(self):
         # clip [0.8, 0.6, 0.2] -> [0.5, 0.5, 0.2] (sum 1.2), rescale by 1/1.2
         k = self.kernels_from_flat([0.8, 0.6, 0.2])
-        out = project_kernels(k)
+        out, _ = project_kernels(k)
         np.testing.assert_allclose(out.weights.ravel(), [5 / 12, 5 / 12, 1 / 6], atol=1e-12)
 
     def test_transient_bound_violation_reproduced(self):
         # [-0.3, 1.3] clips to [0, 0.5]; rescale doubles to [0, 1.0] > c2.
         k = self.kernels_from_flat([-0.3, 1.3])
-        out = project_kernels(k)
+        out, restarted = project_kernels(k)
+        assert restarted == ()
         np.testing.assert_allclose(out.weights.ravel(), [0.0, 1.0], atol=1e-12)
         assert out.weights.max() > out.config.c2
 
@@ -285,16 +286,16 @@ class TestProjection:
         cfg = TmlConfig(c1=1.0, c2=0.5)
         for _ in range(20):
             k = TmlKernels(cfg, rng.uniform(-0.2, 0.7, size=(3, 3, 2, 4)))
-            once = project_kernels(k)
+            once, _ = project_kernels(k)
             if once.weights.max() <= cfg.c2:
-                twice = project_kernels(once)
+                twice, _ = project_kernels(once)
                 np.testing.assert_allclose(twice.weights, once.weights, rtol=1e-14)
 
     def test_postconditions(self):
         rng = np.random.default_rng(12)
         cfg = TmlConfig(c1=2.0, c2=1.0)
         k = TmlKernels(cfg, rng.normal(size=(3, 3, 1, 5)))
-        out = project_kernels(k)
+        out, _ = project_kernels(k)
         assert out.weights.min() >= 0.0
         np.testing.assert_allclose(out.weights.sum(axis=(0, 1, 2)), cfg.c1, atol=1e-9)
 
@@ -303,12 +304,17 @@ class TestProjection:
         w[0, :, 0, 0] = [-1.0, -2.0]  # clips to all zero
         w[0, :, 0, 1] = [0.5, 0.5]
         k = TmlKernels(TmlConfig(c1=1.0, c2=0.5), w)
-        with pytest.raises(DegenerateKernelError) as exc:
-            rescale_step(clip_step(k))
-        assert exc.value.kernel_indices == (0,)
-        fixed = reinit_kernels(clip_step(k), exc.value.kernel_indices)
+        fixed, restarted = project_kernels(k)
+        assert restarted == (0,)
         np.testing.assert_array_equal(fixed.weights[..., 0].ravel(), [0.5, 0.5])
         np.testing.assert_array_equal(fixed.weights[..., 1], k.weights[..., 1])
+
+    def test_rescale_of_a_zero_sum_kernel_rejected(self):
+        # a zero sum would rescale to inf/NaN; project_kernels restarts such a kernel first
+        k = TmlKernels(TmlConfig(c1=1.0, c2=0.5), np.zeros((1, 2, 1, 3)))
+        k.weights[..., 1] = 0.25
+        with pytest.raises(ValueError, match=r"kernel\(s\) \[0, 2\] sum to zero"):
+            rescale_step(k)
 
     def test_rejects_nonfinite(self):
         k = self.kernels_from_flat([np.nan, 0.5])
@@ -324,10 +330,8 @@ class TestKernelL1:
         # uniform and the bank's L1 norm comes back to M * c1
         k = TmlKernels(TmlConfig(c1=1.0, c2=1.0), np.zeros((2, 2, 1, 3)))
         assert np.abs(k.weights).sum() == 0.0
-        with pytest.raises(DegenerateKernelError) as err:
-            project_kernels(k)
-        assert list(err.value.kernel_indices) == [0, 1, 2]
-        out = project_kernels(reinit_kernels(k, err.value.kernel_indices))
+        out, restarted = project_kernels(k)
+        assert list(restarted) == [0, 1, 2]
         assert np.abs(out.weights).sum() == pytest.approx(3 * 1.0, abs=1e-12)
 
     def test_absolute_values(self):
@@ -335,13 +339,13 @@ class TestKernelL1:
         # weight, so afterwards the L1 norm is the plain sum c1
         k = TmlKernels(TmlConfig(c1=1.0, c2=1.0), np.array([0.3, -0.2]).reshape(1, 2, 1, 1))
         assert np.abs(k.weights).sum() == pytest.approx(0.5)
-        out = project_kernels(k)
+        out, _ = project_kernels(k)
         np.testing.assert_allclose(out.weights.ravel(), [1.0, 0.0], atol=1e-12)
         assert np.abs(out.weights).sum() == pytest.approx(out.weights.sum(), abs=1e-12)
 
     def test_projected_bank_is_m_times_c1(self):
         rng = np.random.default_rng(13)
-        k = project_kernels(TmlKernels(TmlConfig(c1=1.5, c2=0.75), rng.uniform(0, 1, (3, 3, 2, 6))))
+        k, _ = project_kernels(TmlKernels(TmlConfig(c1=1.5, c2=0.75), rng.uniform(0, 1, (3, 3, 2, 6))))
         assert np.abs(k.weights).sum() == pytest.approx(6 * 1.5, abs=1e-9)
 
 

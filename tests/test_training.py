@@ -50,6 +50,11 @@ def tml_toy_net(seed=0, m=4, c1=1.0, c2=0.5):
     return init_params(spec, np.random.default_rng(seed))
 
 
+def without_projection(monkeypatch):
+    """Replace the constraint projection by the identity, so a step is plain momentum SGD."""
+    monkeypatch.setattr(tml, "project_kernels", lambda kernels: (kernels, ()))
+
+
 def toy_batch(rng, n=4, shape=(4, 4, 1), classes=2):
     return rng.uniform(0.1, 1.0, size=(n, *shape)), rng.integers(0, classes, size=n)
 
@@ -99,9 +104,10 @@ class TestEnergy:
                        OptimizerState.zeros_like(spec), np.random.default_rng(0))
         np.testing.assert_array_equal(spec.params[0]["w"], before)
 
-    def test_report_total_decomposition(self):
+    def test_report_total_decomposition(self, monkeypatch):
         # the step on E is the step on the mean loss plus -lr * lambda * sign(w)
         # on kernel weights only, with sign(0) = 0
+        without_projection(monkeypatch)
         plain, penalized = tml_toy_net(seed=6), tml_toy_net(seed=6)
         for spec in (plain, penalized):
             spec.params[0]["w"][0, 0, 0, 0] = 0.0
@@ -112,7 +118,7 @@ class TestEnergy:
         for spec, cfg_lam in ((plain, 0.0), (penalized, lam)):
             cfg = TrainConfig(learning_rate=lr, lam=cfg_lam, momentum=0.0)
             train_step(spec, batch, cfg, OptimizerState.zeros_like(spec),
-                       np.random.default_rng(0), project=False)
+                       np.random.default_rng(0))
         np.testing.assert_allclose(
             penalized.params[0]["w"] - plain.params[0]["w"], -lr * lam * np.sign(w0), atol=1e-12
         )
@@ -185,7 +191,7 @@ class TestTrainStep:
             assert w.max() <= 0.3 + 1e-15
             assert w.min() >= 0.0
 
-    def test_unconstrained_step_reduces_to_plain_sgd(self):
+    def test_unconstrained_step_reduces_to_plain_sgd(self, monkeypatch):
         spec = tml_toy_net(seed=6)
         ref = tml_toy_net(seed=6)
         cfg = TrainConfig(learning_rate=0.07, lam=0.0, momentum=0.9)
@@ -206,7 +212,8 @@ class TestTrainStep:
                     vlist[i][key] = cfg.momentum * vlist[i][key] - cfg.learning_rate * glist[i][key]
                     params[key] += vlist[i][key]
 
-        train_step(spec, batch, cfg, state, np.random.default_rng(99), project=False)
+        without_projection(monkeypatch)
+        train_step(spec, batch, cfg, state, np.random.default_rng(99))
         for p, q in zip(spec.params, ref.params):
             for key in p:
                 np.testing.assert_allclose(p[key], q[key], atol=1e-14)
@@ -221,6 +228,25 @@ class TestTrainStep:
                    np.random.default_rng(0))
         np.testing.assert_allclose(spec.params[0]["w"][..., 0], 0.25, atol=1e-15)
         np.testing.assert_array_equal(state.velocities.main[0]["w"][..., 0], 0.0)
+
+    def test_dead_kernel_restarts_through_the_tml_projection_steps(self, monkeypatch):
+        # the step projects through tml's module functions, which a tracer
+        # hooks by name; the restart gets the dead indices as its second argument
+        spec = tml_toy_net(m=3)
+        spec.params[0]["w"][..., 0] = -1.0
+        spec.params[0]["w"][..., 2] = -1.0
+        calls = []
+        for name in ("clip_step", "rescale_step", "reinit_kernels"):
+            def recording(*args, _name=name, _original=getattr(tml, name)):
+                calls.append((_name, *args[1:]))
+                return _original(*args)
+
+            monkeypatch.setattr(tml, name, recording)
+        cfg = TrainConfig(learning_rate=0.0, lam=0.0, momentum=0.0)
+        train_step(spec, toy_batch(np.random.default_rng(8)), cfg, OptimizerState.zeros_like(spec),
+                   np.random.default_rng(0))
+        assert calls == [("clip_step",), ("reinit_kernels", (0, 2)), ("rescale_step",)]
+        np.testing.assert_allclose(spec.params[0]["w"][..., [0, 2]], 0.25, atol=1e-15)
 
     @pytest.mark.parametrize("fault", ["nan-gradient", "overflowing-update"])
     def test_failed_step_changes_nothing(self, monkeypatch, fault):
@@ -251,18 +277,19 @@ class TestTrainStep:
                 for key in a:
                     np.testing.assert_array_equal(b[key], a[key])
 
-    def test_l1_subgradient_applied(self):
+    def test_l1_subgradient_applied(self, monkeypatch):
         # with momentum 0 and projection off, the kernel moves by
         # -lr * (data_grad + lam * sign(w)); compare lam=0 vs lam>0
+        without_projection(monkeypatch)
         a = tml_toy_net(seed=9)
         b = tml_toy_net(seed=9)
         batch = toy_batch(np.random.default_rng(10))
         state_a = OptimizerState.zeros_like(a)
         state_b = OptimizerState.zeros_like(b)
         train_step(a, batch, TrainConfig(learning_rate=0.1, lam=0.0, momentum=0.0),
-                   state_a, np.random.default_rng(0), project=False)
+                   state_a, np.random.default_rng(0))
         train_step(b, batch, TrainConfig(learning_rate=0.1, lam=0.2, momentum=0.0),
-                   state_b, np.random.default_rng(0), project=False)
+                   state_b, np.random.default_rng(0))
         delta = a.params[0]["w"] - b.params[0]["w"]
         signs = np.sign(tml_toy_net(seed=9).params[0]["w"])
         np.testing.assert_allclose(delta, 0.1 * 0.2 * signs, atol=1e-12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tmlnet import tml, viz
+from tmlnet import network, tml
 from tmlnet.cli import cli_dispatch
 from tmlnet.datasets import (
     StripeSpec,
@@ -41,9 +41,9 @@ def write_dataset(d, crop):
         StripeSpec(num_classes=NUM_CLASSES, canvas=64, crop=crop, samples_per_class=2, rng_seed=3)
     )
     d.mkdir()
-    write_idx_images(list(train.images), d / "train-images.idx")
+    write_idx_images(train.images, d / "train-images.idx")
     write_idx_labels(train.labels.tolist(), d / "train-labels.idx")
-    write_idx_images(list(test.images), d / "test-images.idx")
+    write_idx_images(test.images, d / "test-images.idx")
     write_idx_labels(test.labels.tolist(), d / "test-labels.idx")
     return d
 
@@ -70,15 +70,11 @@ class TestCoocTracing:
         save_network(tiny_cooc_net(), ckpt)
         out = tmp_path / "cooc.pgm"
         argv = ["viz-cooc", str(ckpt), "--dataset", str(dataset_dir), "--out", str(out)]
-        traced, forward = [], viz.network_forward
-
-        def counting(*args, **kwargs):
-            traced.append(kwargs.get("trace", True))
-            return forward(*args, **kwargs)
-
-        monkeypatch.setattr(viz, "network_forward", counting)
+        traces = []
+        monkeypatch.setattr(network, "ForwardTrace", lambda *args: traces.append(args))
         assert cli_dispatch(argv) == 0
-        assert traced == [True]  # the overlay blends the heat map; it does not trace again
+        # the heat map reads the bank's input from a forward that keeps no trace
+        assert traces == []
         img = read_pgm(out)
         assert img.shape == (16, 16)
 

@@ -7,9 +7,11 @@ and baseline+hlac at 32-px crops in batches of 32 and 64-px crops in batches
 of 256, it hashes the initial parameters, the logits and every parameter
 gradient of a traced forward in eval and in train mode, the logits of a
 trace-free forward, and the per-epoch metrics and parameters after a 2-epoch
-`train_loop`. It then runs the command line (gen-stripes, hlac-extract,
-gradcheck, and train, eval, viz-kernels, viz-features and viz-cooc for each
-net) in a scratch directory and hashes every output and every file written.
+`train_loop`. It hashes the parameters and velocities after a `train_step`
+whose projection restarts a dhlac bank kernel that clipped to all zeros. It
+then runs the command line (gen-stripes, hlac-extract, gradcheck, and train,
+eval, viz-kernels, viz-features and viz-cooc for each net) in a scratch
+directory and hashes every output and every file written.
 Each line reads `<sha256>  <what>`.
 
 Two trees give the same bytes exactly when `diff` of their outputs is empty:
@@ -35,7 +37,7 @@ from tmlnet.cli import DEFAULTS, build_network, cli_dispatch
 from tmlnet.datasets import StripeSpec, gen_stripe_dataset, write_idx_images, write_idx_labels
 from tmlnet.layers import softmax_xent
 from tmlnet.network import init_params, network_backward, network_forward
-from tmlnet.training import TrainConfig, train_loop
+from tmlnet.training import OptimizerState, TrainConfig, train_loop, train_step
 
 ARCHS = ("dhlac", "cooc", "baseline", "baseline+hlac")
 SIZES = ((32, 32), (64, 256))  # (crop, batch)
@@ -61,11 +63,15 @@ def build(arch: str, crop: int, seed: int):
     return init_params(spec, np.random.default_rng(seed))
 
 
+def emit_arrays(tag: str, main, side) -> None:
+    for chain, plist in (("main", main), ("side", side)):
+        for i, arrays in enumerate(plist):
+            for key in sorted(arrays):
+                emit(f"{tag} {chain}[{i}].{key}", arrays[key])
+
+
 def emit_params(tag: str, spec) -> None:
-    for chain, plist in (("main", spec.params), ("side", spec.side_params)):
-        for i, params in enumerate(plist):
-            for key in sorted(params):
-                emit(f"{tag} {chain}[{i}].{key}", params[key])
+    emit_arrays(tag, spec.params, spec.side_params)
 
 
 def stripe_hashes(seed: int) -> None:
@@ -103,15 +109,30 @@ def network_hashes(seed: int) -> None:
                 emit(f"{tag} {mode} logits", logits)
                 _, d_logits = softmax_xent(logits, onehot)
                 grads = network_backward(spec, trace, d_logits / batch)
-                for chain, glist in (("main", grads.main), ("side", grads.side)):
-                    for i, g in enumerate(glist):
-                        for key in sorted(g):
-                            emit(f"{tag} {mode} grad {chain}[{i}].{key}", g[key])
+                emit_arrays(f"{tag} {mode} grad", grads.main, grads.side)
             emit(f"{tag} trace-free logits", network_forward(spec, xb, trace=False)[0])
             cfg = TrainConfig(epochs=2, batch_size=batch, rng_seed=seed)
             metrics = train_loop(spec, train.subset(batch), cfg)
             emit(f"{tag} train_loop metrics", repr(metrics))
             emit_params(f"{tag} train_loop", spec)
+
+
+def restart_hashes(seed: int) -> None:
+    # dhlac's bank kernel 0 and its velocity are negative, so the step's clip
+    # leaves the kernel all zero: it restarts uniform and its velocity clears
+    spec = build("dhlac", 16, seed)
+    state = OptimizerState.zeros_like(spec)
+    spec.side_params[0]["w"][..., 0] = -0.01
+    state.velocities.side[0]["w"][..., 0] = -0.5
+    stripes = StripeSpec(num_classes=CLASSES, canvas=64, crop=16, samples_per_class=2,
+                         rng_seed=seed)
+    train, _test = gen_stripe_dataset(stripes)
+    loss = train_step(spec, (train.images, train.labels), TrainConfig(rng_seed=seed), state,
+                      np.random.default_rng(seed + 1))
+    tag = "dhlac 16px restart step"
+    emit(f"{tag} loss", repr(loss))
+    emit_params(f"{tag} params", spec)
+    emit_arrays(f"{tag} velocities", state.velocities.main, state.velocities.side)
 
 
 def run_cli(root: str, label: str, argv) -> None:
@@ -156,6 +177,7 @@ def main() -> None:
     args = parser.parse_args()
     stripe_hashes(args.seed)
     network_hashes(args.seed)
+    restart_hashes(args.seed)
     cli_hashes(args.seed)
 
 
