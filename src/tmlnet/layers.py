@@ -5,22 +5,28 @@ Arrays flow through as float64 with a leading batch axis: feature volumes are
 stride-1 cross-correlation (`correlate`, shared with the multiplication layer)
 plus a bias. Forward and d_w read the window matrix `_cols`: one row per
 kernel cell in (p, q, k) order, one column per output position in (b, i, j)
-order, copied from the (Cin, B, H, W) planes of x. Activations are already
-channel-major, so each row is built from whole image rows, runs of W'
-values; the transposed matrix (one row per output position) copied runs of
-kw*Cin values, 3-5 for the single-channel first layers, and that copy was
-most of their forward time. The forward is a GEMM over blocks of whole
-images, each block's window matrix sized to stay in L2 (`_BLOCK_BYTES`),
-and it writes channel-major memory: the (B, H', W', Cout) result is a view
-of a (Cout, B, H', W') array. An NHWC GEMM was measured slower end to end:
-ReLU, pooling and GAP downstream stream whole channel planes on this layout,
-and GAP's means sum in a different order on NHWC, which moves the logits'
-last bits. d_w is cols @ d_y over the whole batch. d_x zero-pads d_y once
-into x's (Cout, B, H, W) planes; for each kernel cell (p, q) it multiplies
-w[p, q] (Cin x Cout) by those planes into one reused (Cin, B*H*W) buffer
-and adds the buffer into a channel-major d_x at flat offset p*W + q, so
-every add streams whole planes and a padded zero lands, adding nothing, in
-the next row or image. Adding each cell's share in runs of W' values, one
+order, copied from a (kh, kw, Cin, B, H', W') view that one `as_strided`
+call builds from x's own strides. Activations are already channel-major, so
+each row is built from whole image rows, runs of W' values; the transposed
+matrix (one row per output position) copied runs of kw*Cin values, 3-5 for
+the single-channel first layers, and that copy was most of their forward
+time. Forward and d_w are GEMMs over blocks of whole images. A block holds
+as many images as fit in `_BLOCK_BYTES` (half the 2 MiB L2) with their
+window-matrix rows and their output rows, H'*W' float64s each: an image
+takes (kh*kw*Cin + Cout) * H'*W' * 8 bytes. Counting the output matters for
+wide banks: the 25-mask HLAC bank writes 25 output rows per 9 window rows.
+The forward writes channel-major memory: the (B, H', W', Cout) result is a
+view of a (Cout, B, H', W') array. An NHWC GEMM was measured slower end to
+end: ReLU, pooling and GAP downstream stream whole channel planes on this
+layout, and GAP's means sum in a different order on NHWC, which moves the
+logits' last bits. d_w sums the blocks' cols @ d_y products. d_x is not
+blocked: by images it was bit-identical but 0.52-0.76x as fast on dhlac's
+conv2 at B=32, whose planes already fit L2. d_x zero-pads d_y once into x's
+(Cout, B, H, W) planes; for each kernel cell (p, q) it multiplies w[p, q]
+(Cin x Cout) by those planes into one reused (Cin, B*H*W) buffer and adds
+the buffer into a channel-major d_x at flat offset p*W + q, so every add
+streams whole planes and a padded zero lands, adding nothing, in the next
+row or image. Adding each cell's share in runs of W' values, one
 per (channel, image, row), cost more than its GEMM; one GEMM into the
 padded planes gained nothing, as its result left L2. d_x is skipped for a
 layer that reads the network input. Max pooling's backward
@@ -44,18 +50,28 @@ where x > 0.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
-# bytes of window matrix per GEMM block: half of a 2 MiB L2, so a block's
-# window matrix is still cached when the GEMM reads it
+# bytes of window matrix and output per GEMM block: half of a 2 MiB L2, so a
+# block's window matrix is still cached when the GEMM reads it, and the
+# GEMM's output does not push it out
 _BLOCK_BYTES = 1 << 20
+
+
+def _block_images(rows: int, oh: int, ow: int) -> int:
+    """Images per GEMM block: as many as fit `rows` float64 rows of oh*ow
+    output positions each in `_BLOCK_BYTES`, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * rows * oh * ow))
 
 
 def _cols(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """Window matrix of x (B,H,W,Cin): one row per kernel cell in (p, q, k) order,
     one column per output position in (b, i, j) order."""
-    win = sliding_window_view(x.transpose(3, 0, 1, 2), (kh, kw), axis=(2, 3))
-    return win.transpose(4, 5, 0, 1, 2, 3).reshape(kh * kw * x.shape[3], -1)
+    b, h, wd, c_in = x.shape
+    sb, sh, sw, sc = x.strides
+    win = as_strided(x, (kh, kw, c_in, b, h - kh + 1, wd - kw + 1), (sh, sw, sc, sb, sh, sw),
+                     writeable=False)
+    return win.reshape(kh * kw * c_in, -1)
 
 
 def correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -65,16 +81,22 @@ def correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     oh, ow = h - kh + 1, wd - kw + 1
     w_t = w.reshape(-1, c_out).T
     y = np.empty((c_out, b, oh, ow))
-    per = max(1, _BLOCK_BYTES // (8 * kh * kw * c_in * oh * ow))
+    per = _block_images(kh * kw * c_in + c_out, oh, ow)
     for s in range(0, b, per):
         np.matmul(w_t, _cols(x[s : s + per], kh, kw), out=y[:, s : s + per].reshape(c_out, -1))
     return y.transpose(1, 2, 3, 0)
 
 
 def correlate_grad_weights(x, d_y, kh: int, kw: int) -> np.ndarray:
-    """d(sum d_y * correlate(x, w)) / dw: cols @ d_y over the B*H'*W' output positions."""
-    d_w = _cols(x, kh, kw) @ d_y.reshape(-1, d_y.shape[3])
-    return d_w.reshape(kh, kw, x.shape[3], d_y.shape[3])
+    """d(sum d_y * correlate(x, w)) / dw: cols @ d_y over the B*H'*W' output
+    positions, summed over blocks of whole images."""
+    b, oh, ow, c_out = d_y.shape
+    c_in = x.shape[3]
+    per = _block_images(kh * kw * c_in + c_out, oh, ow)
+    d_w = _cols(x[:per], kh, kw) @ d_y[:per].reshape(-1, c_out)
+    for s in range(per, b, per):
+        d_w += _cols(x[s : s + per], kh, kw) @ d_y[s : s + per].reshape(-1, c_out)
+    return d_w.reshape(kh, kw, c_in, c_out)
 
 
 def correlate_grad_input(w, d_y, x_shape) -> np.ndarray:

@@ -178,7 +178,6 @@ def _valid_shape(layer: LayerSpec, shape):
     return (h - kh + 1, w - kw + 1, layer.out_channels)
 
 
-
 def _pool_shape(layer: LayerSpec, shape):
     h, w, c = _volume(layer, shape)
     if h < 2 or w < 2:

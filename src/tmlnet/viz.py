@@ -7,7 +7,10 @@ An image is a (height, width) uint8 array; the renderers return one and
 Kernel heatmaps normalize weights by the clip bound C2, so black is 0 and
 white is a weight at (or above) the bound. Feature maps are rescaled from
 [0, 1] to [0, 255] with clamping. All quantization uses round-half-up so the
-mapping is reproducible across platforms.
+mapping is reproducible across platforms. A NaN or infinite value raises
+`ValueError`: `to_u8` would write NaN as black and clamp an infinity to black
+or white, so a diverged network's kernels or maps would render as a plausible
+image.
 """
 
 from __future__ import annotations
@@ -19,6 +22,13 @@ from .network import NetworkSpec, layer_input
 from .tml import TmlKernels
 
 
+def _finite_u8(values: np.ndarray, what: str) -> np.ndarray:
+    """`to_u8` of values that must all be finite."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} holds NaN or inf")
+    return to_u8(values)
+
+
 def render_kernel_heatmap(kernels: TmlKernels, m: int, channel: int = 0) -> np.ndarray:
     """One kernel slice as a heatmap: pixel = round(255 * clamp(w / c2, 0, 1))."""
     _kh, _kw, channels, num_kernels = kernels.weights.shape
@@ -26,7 +36,7 @@ def render_kernel_heatmap(kernels: TmlKernels, m: int, channel: int = 0) -> np.n
         raise IndexError(f"kernel index {m} out of range 0..{num_kernels - 1}")
     if not 0 <= channel < channels:
         raise IndexError(f"channel {channel} out of range 0..{channels - 1}")
-    return to_u8(kernels.weights[:, :, channel, m] / kernels.config.c2)
+    return _finite_u8(kernels.weights[:, :, channel, m] / kernels.config.c2, f"kernel {m}")
 
 
 def render_feature_map(y: np.ndarray, m: int) -> np.ndarray:
@@ -36,7 +46,7 @@ def render_feature_map(y: np.ndarray, m: int) -> np.ndarray:
         raise ValueError("feature volume must be (rows, cols, maps)")
     if not 0 <= m < y.shape[2]:
         raise IndexError(f"feature map {m} out of range 0..{y.shape[2] - 1}")
-    return to_u8(y[:, :, m])
+    return _finite_u8(y[:, :, m], f"feature map {m}")
 
 
 def upsample_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -106,7 +116,7 @@ def cooc_highlight(image: np.ndarray, heat: np.ndarray) -> np.ndarray:
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[2] != 1:
         raise ValueError("overlay rendering expects a single-channel input image")
-    return to_u8(0.5 * image[:, :, 0] + 0.5 * heat)
+    return _finite_u8(0.5 * image[:, :, 0] + 0.5 * heat, "overlay")
 
 
 # ---------------------------------------------------------------------------

@@ -138,13 +138,26 @@ class TestConv:
                 assert got.shape == ref.shape
                 assert _rel_err(got, ref) < 1e-12
 
-    def test_blocked_forward_matches_einsum_reference(self, monkeypatch):
-        rng = np.random.default_rng(12)
-        x = rng.normal(size=(5, 6, 7, 2))
-        w = rng.normal(size=(3, 2, 2, 4))
-        b = rng.normal(size=4)
-        # each image's window matrix is 4*6 rows of 3*2*2 float64s: room for two
-        monkeypatch.setattr(layers, "_BLOCK_BYTES", 2 * 8 * 24 * 12 + 8)
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
+    def test_window_matrix_of_strided_batches_matches_sliding_windows(self, shape):
+        # the window view is built from x's own strides, so batches that are
+        # views (every other image, channel-major planes, a slice of those)
+        # give the matrix the transposed sliding windows give, bit for bit
+        bsz, h, w_, cin, kh, kw, _ = shape
+        x = np.random.default_rng(sum(shape)).normal(size=(2 * bsz + 1, h, w_, cin))
+        for xb in (x[::2], channel_major(x), channel_major(x)[1 : bsz + 1]):
+            win = sliding_window_view(xb.transpose(3, 0, 1, 2), (kh, kw), axis=(2, 3))
+            ref = win.transpose(4, 5, 0, 1, 2, 3).reshape(kh * kw * cin, -1)
+            got = layers._cols(xb, kh, kw)
+            np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @staticmethod
+    def _count_blocks(monkeypatch, images_per_block):
+        """Sets `_BLOCK_BYTES` to room for `images_per_block` images of a
+        (3, 2, 2, 4) kernel over 6x7 inputs, and records each block's image
+        count. An image takes 3*2*2 window rows and 4 output rows, of 4*6
+        float64s each; a budget counting window rows alone would fit more."""
+        monkeypatch.setattr(layers, "_BLOCK_BYTES", images_per_block * 8 * 24 * (12 + 4) + 8)
         cols, blocks = layers._cols, []
 
         def counting_cols(xb, kh, kw):
@@ -152,8 +165,28 @@ class TestConv:
             return cols(xb, kh, kw)
 
         monkeypatch.setattr(layers, "_cols", counting_cols)
+        return blocks
+
+    def test_blocked_forward_matches_einsum_reference(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(5, 6, 7, 2))
+        w = rng.normal(size=(3, 2, 2, 4))
+        b = rng.normal(size=4)
+        blocks = self._count_blocks(monkeypatch, 3)
         np.testing.assert_array_equal(conv2d_forward(x, w, b), einsum_conv(x, w, b)[0])
-        assert blocks == [2, 2, 1]
+        assert blocks == [3, 2]
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_blocked_weight_gradient_matches_einsum_reference(self, monkeypatch, layout):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(7, 6, 7, 2))
+        w = rng.normal(size=(3, 2, 2, 4))
+        y, backward = einsum_conv(x, w, np.zeros(4))
+        d_y = rng.normal(size=y.shape)
+        blocks = self._count_blocks(monkeypatch, 3)
+        d_w = layers.correlate_grad_weights(LAYOUTS[layout](x), LAYOUTS[layout](d_y), 3, 2)
+        assert blocks == [3, 3, 1]
+        assert _rel_err(d_w, backward(d_y)[1]) < 1e-12
 
     @pytest.mark.parametrize("shape", CONV_SHAPES)
     def test_output_is_channel_major(self, shape):

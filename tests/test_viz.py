@@ -19,7 +19,14 @@ from tmlnet.network import (
     tml_layer,
 )
 from tmlnet.tml import TmlConfig
-from tmlnet.viz import cooc_heat, cooc_highlight, read_pgm, render_feature_map, write_pgm
+from tmlnet.viz import (
+    cooc_heat,
+    cooc_highlight,
+    read_pgm,
+    render_feature_map,
+    render_kernel_heatmap,
+    write_pgm,
+)
 
 NUM_CLASSES = 3
 
@@ -125,6 +132,38 @@ def test_viz_cooc_cli_rejects_out_of_range_class(tmp_path, dataset_dir, capsys, 
     assert cli_dispatch(argv) == 1
     assert f"error: class {target} out of range" in capsys.readouterr().err
     assert not out.exists()
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+# `to_u8` writes NaN as 0 and clamps inf, so a diverged net would render as an image
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_kernel_heatmap_rejects_non_finite_weights(bad):
+    weights = np.full((3, 3, 2, 4), 0.1)
+    weights[1, 2, 1, 3] = bad
+    kernels = tml.TmlKernels(TmlConfig(c1=1.0, c2=0.5), weights)
+    render_kernel_heatmap(kernels, 3, 0)  # the other channel's slice is finite
+    with pytest.raises(ValueError, match="kernel 3 holds NaN or inf"):
+        render_kernel_heatmap(kernels, 3, 1)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_feature_map_rejects_non_finite_values(bad):
+    y = np.full((4, 5, 3), 0.5)
+    y[2, 0, 1] = bad
+    render_feature_map(y, 0)
+    with pytest.raises(ValueError, match="feature map 1 holds NaN or inf"):
+        render_feature_map(y, 1)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("where", ["image", "heat"])
+def test_cooc_overlay_rejects_non_finite_values(bad, where):
+    arrays = {"image": np.full((4, 4, 1), 0.5), "heat": np.full((4, 4), 0.5)}
+    arrays[where].flat[5] = bad
+    with pytest.raises(ValueError, match="overlay holds NaN or inf"):
+        cooc_highlight(arrays["image"], arrays["heat"])
 
 
 def test_pgm_bytes_pinned(tmp_path):

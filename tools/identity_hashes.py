@@ -19,6 +19,12 @@ Two trees give the same bytes exactly when `diff` of their outputs is empty:
     PYTHONPATH=src python tools/identity_hashes.py > change.txt
     PYTHONPATH=<other tree>/src python tools/identity_hashes.py > parent.txt
     diff parent.txt change.txt
+
+With `--npz <file>` it also saves every array it hashes, under its line's
+label, so two trees whose last bits differ can be compared by value, say by
+max |diff| / max |value| per label:
+
+    PYTHONPATH=src python tools/identity_hashes.py --npz change.npz > change.txt
 """
 
 from __future__ import annotations
@@ -52,8 +58,19 @@ def sha(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def emit(what: str, data) -> None:
-    print(f"{sha(data)}  {what}")
+class Emitter:
+    """Prints `<sha256>  <what>` lines. With `arrays`, it also keeps a copy of
+    every array it hashes there, keyed by the line's label."""
+
+    def __init__(self, arrays: dict[str, np.ndarray] | None = None):
+        self.arrays = arrays
+
+    def __call__(self, what: str, data) -> None:
+        print(f"{sha(data)}  {what}")
+        if self.arrays is not None and isinstance(data, np.ndarray):
+            if what in self.arrays:
+                raise ValueError(f"two arrays hashed as {what!r}")
+            self.arrays[what] = data.copy()
 
 
 def build(arch: str, crop: int, seed: int):
@@ -63,18 +80,18 @@ def build(arch: str, crop: int, seed: int):
     return init_params(spec, np.random.default_rng(seed))
 
 
-def emit_arrays(tag: str, main, side) -> None:
+def emit_arrays(emit: Emitter, tag: str, main, side) -> None:
     for chain, plist in (("main", main), ("side", side)):
         for i, arrays in enumerate(plist):
             for key in sorted(arrays):
                 emit(f"{tag} {chain}[{i}].{key}", arrays[key])
 
 
-def emit_params(tag: str, spec) -> None:
-    emit_arrays(tag, spec.params, spec.side_params)
+def emit_params(emit: Emitter, tag: str, spec) -> None:
+    emit_arrays(emit, tag, spec.params, spec.side_params)
 
 
-def stripe_hashes(seed: int) -> None:
+def stripe_hashes(emit: Emitter, seed: int) -> None:
     bench_sets = (("StripeSpec()", StripeSpec(rng_seed=seed)),
                   ("hlac-eval", StripeSpec(num_classes=8, crop=64, samples_per_class=128,
                                            rng_seed=seed)))
@@ -92,7 +109,7 @@ def stripe_hashes(seed: int) -> None:
                         emit(f"{tag} {what}.idx", f.read())
 
 
-def network_hashes(seed: int) -> None:
+def network_hashes(emit: Emitter, seed: int) -> None:
     for crop, batch in SIZES:
         stripes = StripeSpec(num_classes=CLASSES, canvas=128, crop=crop,
                              samples_per_class=math.ceil(batch / CLASSES), rng_seed=seed)
@@ -102,22 +119,22 @@ def network_hashes(seed: int) -> None:
         for arch in ARCHS:
             tag = f"{arch} {crop}px B={batch}"
             spec = build(arch, crop, seed)
-            emit_params(f"{tag} init", spec)
+            emit_params(emit, f"{tag} init", spec)
             for mode in ("eval", "train"):
                 rng = np.random.default_rng(seed + 1)
                 logits, trace = network_forward(spec, xb, train_mode=mode == "train", rng=rng)
                 emit(f"{tag} {mode} logits", logits)
                 _, d_logits = softmax_xent(logits, onehot)
                 grads = network_backward(spec, trace, d_logits / batch)
-                emit_arrays(f"{tag} {mode} grad", grads.main, grads.side)
+                emit_arrays(emit, f"{tag} {mode} grad", grads.main, grads.side)
             emit(f"{tag} trace-free logits", network_forward(spec, xb, trace=False)[0])
             cfg = TrainConfig(epochs=2, batch_size=batch, rng_seed=seed)
             metrics = train_loop(spec, train.subset(batch), cfg)
             emit(f"{tag} train_loop metrics", repr(metrics))
-            emit_params(f"{tag} train_loop", spec)
+            emit_params(emit, f"{tag} train_loop", spec)
 
 
-def restart_hashes(seed: int) -> None:
+def restart_hashes(emit: Emitter, seed: int) -> None:
     # dhlac's bank kernel 0 and its velocity are negative, so the step's clip
     # leaves the kernel all zero: it restarts uniform and its velocity clears
     spec = build("dhlac", 16, seed)
@@ -131,11 +148,11 @@ def restart_hashes(seed: int) -> None:
                       np.random.default_rng(seed + 1))
     tag = "dhlac 16px restart step"
     emit(f"{tag} loss", repr(loss))
-    emit_params(f"{tag} params", spec)
-    emit_arrays(f"{tag} velocities", state.velocities.main, state.velocities.side)
+    emit_params(emit, f"{tag} params", spec)
+    emit_arrays(emit, f"{tag} velocities", state.velocities.main, state.velocities.side)
 
 
-def run_cli(root: str, label: str, argv) -> None:
+def run_cli(emit: Emitter, root: str, label: str, argv) -> None:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_dispatch(argv)
@@ -143,27 +160,27 @@ def run_cli(root: str, label: str, argv) -> None:
     emit(f"cli {label} output", text)
 
 
-def cli_hashes(seed: int) -> None:
+def cli_hashes(emit: Emitter, seed: int) -> None:
     with tempfile.TemporaryDirectory() as root:
         data = os.path.join(root, "data")
         s = str(seed)
-        run_cli(root, "gen-stripes", ["gen-stripes", "--out", data, "--canvas", "96",
-                                      "--crop", "24", "--samples", "8", "--seed", s])
-        run_cli(root, "hlac-extract", ["hlac-extract", "--images",
-                                       os.path.join(data, "test-images.idx"),
-                                       "--out", os.path.join(root, "hlac.csv")])
-        run_cli(root, "gradcheck", ["gradcheck", "--trials", "3", "--seed", s])
+        run_cli(emit, root, "gen-stripes", ["gen-stripes", "--out", data, "--canvas", "96",
+                                            "--crop", "24", "--samples", "8", "--seed", s])
+        run_cli(emit, root, "hlac-extract", ["hlac-extract", "--images",
+                                             os.path.join(data, "test-images.idx"),
+                                             "--out", os.path.join(root, "hlac.csv")])
+        run_cli(emit, root, "gradcheck", ["gradcheck", "--trials", "3", "--seed", s])
         for arch in ARCHS:
             run = os.path.join(root, arch)
             ckpt = run + ".net"
-            run_cli(root, f"{arch} train", ["train", "--arch", arch, "--dataset", data,
-                                            "--out", run, "--epochs", "2", "--seed", s])
-            run_cli(root, f"{arch} eval", ["eval", "--ckpt", ckpt, "--dataset", data])
+            run_cli(emit, root, f"{arch} train", ["train", "--arch", arch, "--dataset", data,
+                                                  "--out", run, "--epochs", "2", "--seed", s])
+            run_cli(emit, root, f"{arch} eval", ["eval", "--ckpt", ckpt, "--dataset", data])
             for viz in ("viz-kernels", "viz-features", "viz-cooc"):
                 out = os.path.join(root, f"{arch}-{viz}")
                 dataset = [] if viz == "viz-kernels" else ["--dataset", data]
                 out = out + ".pgm" if viz == "viz-cooc" else out
-                run_cli(root, f"{arch} {viz}", [viz, ckpt, *dataset, "--out", out])
+                run_cli(emit, root, f"{arch} {viz}", [viz, ckpt, *dataset, "--out", out])
         for folder, _dirs, files in sorted(os.walk(root)):
             for name in sorted(files):
                 path = os.path.join(folder, name)
@@ -174,11 +191,13 @@ def cli_hashes(seed: int) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--npz", help="also save every hashed array to this .npz file")
     args = parser.parse_args()
-    stripe_hashes(args.seed)
-    network_hashes(args.seed)
-    restart_hashes(args.seed)
-    cli_hashes(args.seed)
+    emit = Emitter({} if args.npz else None)
+    for hashes in (stripe_hashes, network_hashes, restart_hashes, cli_hashes):
+        hashes(emit, args.seed)
+    if args.npz:
+        np.savez(args.npz, **emit.arrays)
 
 
 if __name__ == "__main__":
