@@ -46,7 +46,7 @@ def _central_diff(loss, arr, step):
     return g
 
 
-def check_tml_gradients(trials: int, seed: int, step: float = DEFAULT_STEP):
+def check_tml_gradients(trials: int, seed: int):
     """Weight- and input-gradient errors over `trials` random instances
     (inputs in [0.1, 2], feasible kernel banks); `trials` must be at least 1."""
     if trials < 1:
@@ -59,24 +59,20 @@ def check_tml_gradients(trials: int, seed: int, step: float = DEFAULT_STEP):
         shape = (2, 2, k, int(rng.integers(1, 4)))
         kernels = T.init_kernels(T.TmlConfig(c1=1.0, c2=0.5), shape, rng)
         x = rng.uniform(0.1, 2.0, size=(1, int(n1), int(n2), k))  # a batch of one
-        y = T.forward_batch(x, kernels)
+        y, z = T.forward_batch(x, kernels, return_log=True)
         r = rng.normal(size=y.shape)
 
-        analytic_w = T.backward_weights_batch(x, y, r, kernels)
-        numeric_w = _central_diff(
-            lambda: float((r * T.forward_batch(x, kernels)).sum()), kernels.weights, step
-        )
-        worst_w = max(worst_w, _rel_err(analytic_w, numeric_w))
+        def loss():
+            return float((r * T.forward_batch(x, kernels)).sum())
 
-        analytic_x = T.backward_input_batch(x, y, r, kernels)
-        numeric_x = _central_diff(
-            lambda: float((r * T.forward_batch(x, kernels)).sum()), x, step
-        )
-        worst_x = max(worst_x, _rel_err(analytic_x, numeric_x))
+        numeric_w = _central_diff(loss, kernels.weights, DEFAULT_STEP)
+        worst_w = max(worst_w, _rel_err(T.backward_weights_batch(z, y, r, kernels), numeric_w))
+        numeric_x = _central_diff(loss, x, DEFAULT_STEP)
+        worst_x = max(worst_x, _rel_err(T.backward_input_batch(x, y, r, kernels), numeric_x))
     return worst_w, worst_x
 
 
-def check_conv_fc_gradients(seed: int, step: float = DEFAULT_STEP):
+def check_conv_fc_gradients(seed: int):
     """Conv (full and weights-only backward) and fc gradient errors."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(2, 5, 4, 2))
@@ -91,10 +87,10 @@ def check_conv_fc_gradients(seed: int, step: float = DEFAULT_STEP):
     def conv_loss():
         return float((r * conv2d_forward(x, w, b)).sum())
 
-    numeric_w = _central_diff(conv_loss, w, step)
-    numeric_b = _central_diff(conv_loss, b, step)
+    numeric_w = _central_diff(conv_loss, w, DEFAULT_STEP)
+    numeric_b = _central_diff(conv_loss, b, DEFAULT_STEP)
     conv_err = max(
-        _rel_err(d_x, _central_diff(conv_loss, x, step)),
+        _rel_err(d_x, _central_diff(conv_loss, x, DEFAULT_STEP)),
         _rel_err(d_w, numeric_w),
         _rel_err(d_b, numeric_b),
         _rel_err(d_w_only, numeric_w),
@@ -105,10 +101,13 @@ def check_conv_fc_gradients(seed: int, step: float = DEFAULT_STEP):
     bf = rng.normal(size=4)
     rf = rng.normal(size=(3, 4))
     d_xf, d_wf, d_bf = fc_backward(xf, wf, rf)
+
+    def fc_loss():
+        return float((rf * fc_forward(xf, wf, bf)).sum())
+
     fc_err = max(
-        _rel_err(d_xf, _central_diff(lambda: float((rf * fc_forward(xf, wf, bf)).sum()), xf, step)),
-        _rel_err(d_wf, _central_diff(lambda: float((rf * fc_forward(xf, wf, bf)).sum()), wf, step)),
-        _rel_err(d_bf, _central_diff(lambda: float((rf * fc_forward(xf, wf, bf)).sum()), bf, step)),
+        _rel_err(grad, _central_diff(fc_loss, arr, DEFAULT_STEP))
+        for grad, arr in ((d_xf, xf), (d_wf, wf), (d_bf, bf))
     )
     return conv_err, fc_err
 
@@ -130,7 +129,7 @@ def tiny_network():
     )
 
 
-def check_network_gradients(seed: int, step: float = DEFAULT_STEP):
+def check_network_gradients(seed: int):
     """Whole-net gradient error through the tiny branched topology."""
     rng = np.random.default_rng(seed)
     spec = init_params(tiny_network(), rng)
@@ -151,7 +150,7 @@ def check_network_gradients(seed: int, step: float = DEFAULT_STEP):
     for plist, glist in ((spec.params, grads.main), (spec.side_params, grads.side)):
         for i, params in enumerate(plist):
             for key, arr in params.items():
-                numeric = _central_diff(loss, arr, step)
+                numeric = _central_diff(loss, arr, DEFAULT_STEP)
                 worst = max(worst, _rel_err(glist[i][key], numeric))
     return worst
 

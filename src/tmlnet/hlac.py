@@ -8,7 +8,9 @@ the standard 25 patterns of order <= 2 that fit in a 3x3 window.
 
 This module doubles as the correctness oracle for the trainable
 multiplication layer: a mask converted to a binary exponent kernel makes the
-layer compute exactly the HLAC integrand at every valid position.
+layer compute exactly the HLAC integrand at every valid position. It returns
+plain weight arrays and imports nothing from `tml`, the code it checks; the
+caller pairs a bank with its constants.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-
-from .tml import TmlConfig, TmlKernels
 
 Offset = tuple[int, int]
 
@@ -132,11 +132,10 @@ def hlac_vector(img: np.ndarray, masks: MaskSet) -> np.ndarray:
     return np.array(out)
 
 
-def masks_to_binary_kernels(
-    masks: MaskSet, kernel_h: int, kernel_w: int, eps: float = 1e-12
-) -> TmlKernels:
-    """Convert masks to exponent kernels: weight 1 at the origin and at each
-    displaced cell (repeated displacements accumulate), 0 elsewhere.
+def masks_to_binary_kernels(masks: MaskSet, kernel_h: int, kernel_w: int) -> np.ndarray:
+    """Convert masks to a (kernel_h, kernel_w, 1, len(masks)) array of exponent
+    kernels: weight 1 at the origin and at each displaced cell (repeated
+    displacements accumulate), 0 elsewhere.
 
     Every mask's points are shifted to nonnegative coordinates and must fit in
     kernel_h x kernel_w. The bank is returned unprojected; it is meant for
@@ -151,7 +150,7 @@ def masks_to_binary_kernels(
             )
         for r, c in _anchored(d):
             weights[r, c, 0, m] += 1.0
-    return TmlKernels(TmlConfig(c1=1.0, c2=1.0, eps=eps), weights)
+    return weights
 
 
 def mask_extent(d: DisplacementSet) -> tuple[int, int]:

@@ -7,32 +7,32 @@ plus a bias. Forward and d_w read the window matrix `_cols`: one row per
 kernel cell in (p, q, k) order, one column per output position in (b, i, j)
 order, copied from a (kh, kw, Cin, B, H', W') view that one `as_strided`
 call builds from x's own strides. Activations are already channel-major, so
-each row is built from whole image rows, runs of W' values; the transposed
-matrix (one row per output position) copied runs of kw*Cin values, 3-5 for
-the single-channel first layers, and that copy was most of their forward
-time. Forward and d_w are GEMMs over blocks of whole images. A block holds
-as many images as fit in `_BLOCK_BYTES` (half the 2 MiB L2) with their
-window-matrix rows and their output rows, H'*W' float64s each: an image
-takes (kh*kw*Cin + Cout) * H'*W' * 8 bytes. Counting the output matters for
-wide banks: the 25-mask HLAC bank writes 25 output rows per 9 window rows.
-The forward writes channel-major memory: the (B, H', W', Cout) result is a
-view of a (Cout, B, H', W') array. An NHWC GEMM was measured slower end to
-end: ReLU, pooling and GAP downstream stream whole channel planes on this
-layout, and GAP's means sum in a different order on NHWC, which moves the
-logits' last bits. d_w sums the blocks' cols @ d_y products. d_x is not
-blocked: by images it was bit-identical but 0.52-0.76x as fast on dhlac's
-conv2 at B=32, whose planes already fit L2. d_x zero-pads d_y once into x's
-(Cout, B, H, W) planes; for each kernel cell (p, q) it multiplies w[p, q]
-(Cin x Cout) by those planes into one reused (Cin, B*H*W) buffer and adds
-the buffer into a channel-major d_x at flat offset p*W + q, so every add
-streams whole planes and a padded zero lands, adding nothing, in the next
-row or image. Adding each cell's share in runs of W' values, one
-per (channel, image, row), cost more than its GEMM; one GEMM into the
-padded planes gained nothing, as its result left L2. d_x is skipped for a
-layer that reads the network input. Max pooling's backward
-writes d_x in x's layout and GAP's writes it channel-major, so the ReLU and
-TML backwards beneath them multiply arrays of one layout. Dropout scales
-survivors by 1/(1-rate) at train time.
+each row is built from whole image rows, runs of W' values, where one row
+per output position would copy runs of only kw*Cin values. Forward and d_w
+are GEMMs over blocks of whole images. A block holds as many images as fit
+in `_BLOCK_BYTES` (half the 2 MiB L2) with their window-matrix rows and
+their output rows, H'*W' float64s each: an image takes
+(kh*kw*Cin + Cout) * H'*W' * 8 bytes. Counting the output matters for wide
+banks: the 25-mask HLAC bank writes 25 output rows per 9 window rows. The
+forward writes channel-major memory: the (B, H', W', Cout) result is a view
+of a (Cout, B, H', W') array, because ReLU, pooling and GAP downstream
+stream whole channel planes on this layout, and GAP's means summed in
+another order would move the logits' last bits. d_w sums the blocks'
+cols @ d_y products.
+
+d_x, for every kernel size, zero-pads d_y once into x's (Cout, B, H, W)
+planes. Cell (0, 0)'s product w[0, 0] @ planes (Cin x Cout by Cout x B*H*W)
+is d_x, and each other cell's product is added into it at flat offset
+p*W + q, so every add streams whole planes and a padded zero lands, adding
+nothing, in the next row or image. A sum started from +0.0 would differ
+only where the first product holds a -0.0, and no GEMM tried on OpenBLAS
+returns one (zero and -0.0 weights and d_y, 1-16 x 1-8 by 1-1000 shapes),
+so d_x needs no +0.0 pass; a test pins its bytes to that sum. d_x is not
+blocked by images: the planes of the benchmarked nets fit L2 (ROADMAP item
+7). d_x is skipped for a layer that reads the network input. Max pooling's
+backward writes d_x in x's layout and GAP's writes it channel-major, so the
+ReLU and TML backwards beneath them multiply arrays of one layout. Dropout
+scales survivors by 1/(1-rate) at train time.
 
 Max pooling is 2x2 stride 2; odd trailing rows or columns are dropped and get
 a zero gradient. The forward takes the elementwise max of the four strided
@@ -101,30 +101,26 @@ def correlate_grad_weights(x, d_y, kh: int, kw: int) -> np.ndarray:
 
 def correlate_grad_input(w, d_y, x_shape) -> np.ndarray:
     """d(sum d_y * correlate(x, w)) / dx, channel-major: d_y zero-padded to
-    x's (Cout, B, H, W) planes, and for each kernel cell w[p, q] times those
-    planes added into d_x at flat offset p*W + q."""
+    x's (Cout, B, H, W) planes; cell (0, 0)'s product w[0, 0] @ planes is
+    d_x, and every other cell's product is added into it at flat offset
+    p*W + q."""
     b, oh, ow, c_out = d_y.shape
     kh, kw, c_in, _ = w.shape
     _, h, wd, _ = x_shape
-    if kh == kw == 1:
-        # d_y's own planes are the padded ones; adding the product to +0.0,
-        # as the sum over cells does, turns its -0.0 entries into +0.0
-        d_x = w[0, 0] @ np.ascontiguousarray(d_y.transpose(3, 0, 1, 2)).reshape(c_out, -1)
-        d_x += 0.0
-        return d_x.reshape(c_in, b, h, wd).transpose(1, 2, 3, 0)
     planes = np.zeros((c_out, b, h, wd))
     planes[:, :, :oh, :ow] = d_y.transpose(3, 0, 1, 2)
     planes = planes.reshape(c_out, -1)
     n = planes.shape[1]
-    d_x = np.zeros((c_in, n))
-    part = np.empty((c_in, n))
-    for p in range(kh):
-        for q in range(kw):
-            np.matmul(w[p, q], planes, out=part)
-            # a padded position's share is a zero (w[p, q] @ 0), and adding a
-            # zero leaves a sum that started at +0.0 bit for bit as it was
-            off = p * wd + q
-            d_x[:, off:] += part[:, : n - off]
+    d_x = w[0, 0] @ planes
+    # each product is a new array: one buffer reused over the cells, left
+    # unwritten by a 1x1 kernel, made every 1x1 call fault its output's pages
+    # in again (6x slower on cooc's 16 -> 8 bank)
+    for cell in range(1, kh * kw):
+        p, q = divmod(cell, kw)
+        # a padded position's share is a zero (w[p, q] @ 0), and adding it
+        # leaves the sum as it was
+        off = p * wd + q
+        d_x[:, off:] += (w[p, q] @ planes)[:, : n - off]
     return d_x.reshape(c_in, b, h, wd).transpose(1, 2, 3, 0)
 
 

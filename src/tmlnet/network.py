@@ -261,7 +261,7 @@ def _tml_backward(layer, p, cache, d_y, need_dx):
     d_x = T.backward_input_batch(x, y, d_y, kernels) if need_dx else None
     if not layer.trainable:
         return d_x, {}
-    return d_x, {"w": T.backward_weights_batch(x, y, d_y, kernels, z=cache[2])}
+    return d_x, {"w": T.backward_weights_batch(cache[2], y, d_y, kernels)}
 
 
 def _tml_from_fields(out_channels, kh, kw, c1, c2, eps, trainable):
@@ -657,14 +657,14 @@ def build_baseline_hlac_net(input_shape, num_classes: int, eps: float = 1e-6) ->
     pooled to a 25-vector and concatenated before the classifier; the bank
     takes single-channel input."""
     base = build_baseline_net(input_shape, num_classes)
-    bank = masks_to_binary_kernels(default_mask_set(), 3, 3, eps=eps)
-    frozen = tml_layer(bank.weights.shape[3], 3, 3, bank.config, trainable=False)
+    bank = masks_to_binary_kernels(default_mask_set(), 3, 3)
+    frozen = tml_layer(bank.shape[3], 3, 3, T.TmlConfig(1.0, 1.0, eps), trainable=False)
     spec = NetworkSpec(
         layers=base.layers,
         input_shape=tuple(input_shape),
         num_classes=num_classes,
         side_layers=[frozen, LayerSpec("gap")],
-        side_params=[{"w": bank.weights}, {}],
+        side_params=[{"w": bank}, {}],
     )
     validate_network(spec)
     return spec

@@ -9,9 +9,12 @@ raised to the kernel weights:
 Products are evaluated in the log domain, y = exp(correlate(log(x + eps), W)),
 by the convolution's kernels (`layers.correlate` and its gradients, which get
 g = d_y * y), so long chains of small factors neither underflow nor overflow.
-With binary weights this reduces to a local auto-correlation integrand;
-training the weights under the clip/rescale projection below learns which
-positions get multiplied together.
+The weight gradient correlates the forward's log(x + eps), which
+`forward_batch(..., return_log=True)` returns, so the log is taken once per
+step. With binary weights the layer computes a local auto-correlation
+integrand (`hlac.masks_to_binary_kernels` builds such a bank); training
+the weights under the clip/rescale projection below learns which positions
+get multiplied together.
 
 Weight constraints: every weight stays in [0, C2] and each kernel's weights
 sum to C1. They are enforced by alternating projection (clip into the box,
@@ -89,7 +92,7 @@ def _check_input(xb: np.ndarray, weights: np.ndarray) -> None:
 
 def forward_batch(xb: np.ndarray, kernels: TmlKernels, return_log: bool = False):
     """Batched forward: xb (B, N1, N2, K) -> y (B, N1-H+1, N2-W+1, M), or (y, z)
-    with z = log(xb + eps) for `backward_weights_batch` when `return_log`."""
+    with z = log(xb + eps), what `backward_weights_batch` reads, when `return_log`."""
     _check_input(xb, kernels.weights)
     z = xb + kernels.config.eps
     np.log(z, out=z)
@@ -106,12 +109,11 @@ def _log_grad(yb: np.ndarray, d_yb: np.ndarray) -> np.ndarray:
 
 
 def backward_weights_batch(
-    xb: np.ndarray, yb: np.ndarray, d_yb: np.ndarray, kernels: TmlKernels, z=None
+    zb: np.ndarray, yb: np.ndarray, d_yb: np.ndarray, kernels: TmlKernels
 ) -> np.ndarray:
-    """Gradient w.r.t. weights, summed over batch and output positions; `z` is
-    log(xb + eps) when the caller kept it from the forward pass."""
-    z = np.log(xb + kernels.config.eps) if z is None else z
-    return L.correlate_grad_weights(z, _log_grad(yb, d_yb), *kernels.weights.shape[:2])
+    """Gradient w.r.t. weights, summed over batch and output positions, from
+    the forward's zb = log(xb + eps) (`forward_batch(..., return_log=True)`)."""
+    return L.correlate_grad_weights(zb, _log_grad(yb, d_yb), *kernels.weights.shape[:2])
 
 
 def backward_input_batch(

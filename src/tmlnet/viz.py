@@ -2,7 +2,8 @@
 plus a byte-exact binary PGM writer.
 
 An image is a (height, width) uint8 array; the renderers return one and
-`write_pgm` / `read_pgm` write and read one.
+`write_pgm` writes one. Nothing in the package reads PGM back, so the tests
+check the written bytes against the layout below.
 
 Kernel heatmaps normalize weights by the clip bound C2, so black is 0 and
 white is a weight at (or above) the bound. Feature maps are rescaled from
@@ -132,27 +133,3 @@ def write_pgm(pixels: np.ndarray, path) -> None:
     with open(path, "wb") as f:
         f.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         f.write(np.asarray(pixels, dtype=np.uint8).tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if not blob.startswith(b"P5"):
-        raise ValueError(f"{path}: not a binary PGM file")
-    fields = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(blob) and blob[pos : pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(int(blob[start:pos]))
-    pos += 1  # the single whitespace after maxval
-    width, height, maxval = fields
-    if maxval != 255:
-        raise ValueError(f"{path}: unsupported maxval {maxval}")
-    payload = blob[pos:]
-    if len(payload) != width * height:
-        raise ValueError(f"{path}: expected {width * height} pixels, found {len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()

@@ -7,8 +7,9 @@ from tmlnet.cli import cli_dispatch
 from tmlnet.datasets import load_dataset_dir
 from tmlnet.hlac import default_mask_set, hlac_vector
 from tmlnet.network import load_network
+from tmlnet.tml import TmlKernels
 from tmlnet.training import evaluate
-from tmlnet.viz import read_pgm
+from tmlnet.viz import render_kernel_heatmap
 
 
 def test_stripes_train_eval_round_trip(tmp_path, capsys):
@@ -36,7 +37,13 @@ def test_stripes_train_eval_round_trip(tmp_path, capsys):
     assert cli_dispatch(["viz-kernels", str(ckpt), "--out", str(kernels)]) == 0
     heatmaps = sorted(p.name for p in kernels.iterdir())
     assert heatmaps == [f"kernel_{m:02d}.pgm" for m in range(4)]
-    assert all(read_pgm(kernels / name).shape[1] > 0 for name in heatmaps)
+    # one channel, so each file is the documented PGM of that kernel's heatmap
+    net = load_network(ckpt)
+    bank = TmlKernels(net.side_layers[0].tml, net.side_params[0]["w"])
+    for m, name in enumerate(heatmaps):
+        pixels = render_kernel_heatmap(bank, m)
+        header = b"P5\n%d %d\n255\n" % (pixels.shape[1], pixels.shape[0])
+        assert (kernels / name).read_bytes() == header + pixels.tobytes()
 
     csv = tmp_path / "hlac.csv"
     images = ["hlac-extract", "--images", str(data / "test-images.idx"), "--out", str(csv)]

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from tmlnet import hlac
 from tmlnet.hlac import (
     DisplacementSet,
     MaskSet,
@@ -11,7 +15,7 @@ from tmlnet.hlac import (
     masks_to_binary_kernels,
     write_features_csv,
 )
-from tmlnet.tml import forward_batch
+from tmlnet.tml import TmlConfig, TmlKernels, forward_batch
 
 
 def brute_force_hlac(img, offsets):
@@ -129,25 +133,36 @@ class TestMaskSet:
 
 class TestBinaryKernels:
     def test_empty_mask_is_origin_only(self):
-        k = masks_to_binary_kernels(MaskSet((DisplacementSet(()),)), 1, 1)
-        assert k.weights.shape == (1, 1, 1, 1)
-        assert k.weights[0, 0, 0, 0] == 1.0
+        w = masks_to_binary_kernels(MaskSet((DisplacementSet(()),)), 1, 1)
+        assert isinstance(w, np.ndarray) and w.shape == (1, 1, 1, 1)
+        assert w[0, 0, 0, 0] == 1.0
 
     def test_right_neighbor_mask(self):
-        k = masks_to_binary_kernels(MaskSet((DisplacementSet(((0, 1),)),)), 1, 2)
-        np.testing.assert_array_equal(k.weights[0, :, 0, 0], [1.0, 1.0])
+        w = masks_to_binary_kernels(MaskSet((DisplacementSet(((0, 1),)),)), 1, 2)
+        np.testing.assert_array_equal(w[0, :, 0, 0], [1.0, 1.0])
 
     def test_repeated_displacement_accumulates_exponent(self):
-        k = masks_to_binary_kernels(MaskSet((DisplacementSet(((0, 1), (0, 1))),)), 1, 2)
-        np.testing.assert_array_equal(k.weights[0, :, 0, 0], [1.0, 2.0])
+        w = masks_to_binary_kernels(MaskSet((DisplacementSet(((0, 1), (0, 1))),)), 1, 2)
+        np.testing.assert_array_equal(w[0, :, 0, 0], [1.0, 2.0])
 
     def test_out_of_bounds_mask_rejected(self):
         with pytest.raises(ValueError):
             masks_to_binary_kernels(MaskSet((DisplacementSet(((0, 2),)),)), 1, 2)
 
     def test_negative_offsets_are_origin_anchored(self):
-        k = masks_to_binary_kernels(MaskSet((DisplacementSet(((-1, -1),)),)), 2, 2)
-        np.testing.assert_array_equal(k.weights[:, :, 0, 0], [[1.0, 0.0], [0.0, 1.0]])
+        w = masks_to_binary_kernels(MaskSet((DisplacementSet(((-1, -1),)),)), 2, 2)
+        np.testing.assert_array_equal(w[:, :, 0, 0], [[1.0, 0.0], [0.0, 1.0]])
+
+
+def test_oracle_imports_nothing_from_the_layer_it_checks():
+    # `from .tml import x`, `from . import tml` and `import tmlnet.tml` all name it
+    names = set()
+    for node in ast.walk(ast.parse(Path(hlac.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.name for a in node.names)
+    assert not any(n.split(".")[-1] == "tml" for n in names), names
 
 
 class TestTmlEquivalence:
@@ -161,7 +176,8 @@ class TestTmlEquivalence:
             img = rng.uniform(0.05, 1.0, size=(16, 16, 1))
             for mask in masks.masks:
                 h, w = mask_extent(mask)
-                kernels = masks_to_binary_kernels(MaskSet((mask,)), h, w, eps=1e-12)
+                bank = masks_to_binary_kernels(MaskSet((mask,)), h, w)
+                kernels = TmlKernels(TmlConfig(1.0, 1.0, 1e-12), bank)
                 y = forward_batch(img[None], kernels)[0]
                 count = y.shape[0] * y.shape[1]
                 got = y[:, :, 0].mean() * count

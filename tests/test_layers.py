@@ -74,12 +74,20 @@ CONV_SHAPES = [
 
 
 def cell_sum_grad_input(w, d_y, x_shape):
-    """A 1x1 kernel's input gradient as the sum over kernel cells forms it:
-    the product added into zeros, so a -0.0 product reads +0.0."""
+    """The input gradient as a sum over kernel cells started from +0.0: each
+    cell's product with d_y's zero-padded planes added into zeros at flat
+    offset p*W + q, so a -0.0 product reads +0.0."""
     b, h, w_, c_in = x_shape
-    planes = np.ascontiguousarray(d_y.transpose(3, 0, 1, 2)).reshape(d_y.shape[3], -1)
-    d_x = np.zeros((c_in, b * h * w_))
-    d_x += w[0, 0] @ planes
+    kh, kw, _, c_out = w.shape
+    planes = np.zeros((c_out, b, h, w_))
+    planes[:, :, : d_y.shape[1], : d_y.shape[2]] = d_y.transpose(3, 0, 1, 2)
+    planes = planes.reshape(c_out, -1)
+    n = planes.shape[1]
+    d_x = np.zeros((c_in, n))
+    for p in range(kh):
+        for q in range(kw):
+            off = p * w_ + q
+            d_x[:, off:] += (w[p, q] @ planes)[:, : n - off]
     return d_x.reshape(c_in, b, h, w_).transpose(1, 2, 3, 0)
 
 
@@ -214,17 +222,21 @@ class TestConv:
     @pytest.mark.parametrize("b,h,w_,c_in,c_out", [(3, 5, 4, 16, 8), (2, 1, 6, 16, 19)])
     def test_one_by_one_input_gradient_is_the_cell_sum_bytes(self, layout, b, h, w_, c_in, c_out):
         # cooc's 16 -> 8 bank, and a shape whose GEMM on NHWC d_y read in
-        # place differs in the last bits from the GEMM on its copied planes
-        rng = np.random.default_rng(7)
-        w = rng.normal(size=(1, 1, c_in, c_out))
-        w[0, 0, 3], w[0, 0, 5] = -0.0, 0.0
-        d_y = rng.normal(size=(b, h, w_, c_out))
-        d_y[0, 0] = -0.0
-        d_y = LAYOUTS[layout](d_y)
-        got = layers.correlate_grad_input(w, d_y, (b, h, w_, c_in))
-        ref = cell_sum_grad_input(w, d_y, (b, h, w_, c_in))
-        assert is_channel_major(got) and not np.signbit(got[:, :, :, 3]).any()
-        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+        # place differs in the last bits from the GEMM on its copied planes;
+        # a 3x3 and a 2x1 kernel take the same one path, and their d_y is the
+        # (b, h, w_) output
+        for kh, kw in [(1, 1), (3, 3), (2, 1)]:
+            rng = np.random.default_rng(7)
+            w = rng.normal(size=(kh, kw, c_in, c_out))
+            w[:, :, 3], w[:, :, 5] = -0.0, 0.0
+            d_y = rng.normal(size=(b, h, w_, c_out))
+            d_y[0, 0] = -0.0
+            d_y = LAYOUTS[layout](d_y)
+            x_shape = (b, h + kh - 1, w_ + kw - 1, c_in)
+            got = layers.correlate_grad_input(w, d_y, x_shape)
+            ref = cell_sum_grad_input(w, d_y, x_shape)
+            assert is_channel_major(got) and not np.signbit(got[:, :, :, 3]).any()
+            np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
     @pytest.mark.parametrize("shape", CONV_SHAPES)
     def test_weights_only_call_matches_full_call(self, shape):

@@ -177,8 +177,7 @@ class TestMatchesEinsumReference:
 
         d_y = rng.normal(size=y.shape)
         ref_dw, ref_dx = ref_backward(d_y)
-        d_w = backward_weights_batch(xb, y, d_y, kernels)
-        np.testing.assert_array_equal(backward_weights_batch(xb, y, d_y, kernels, z=z), d_w)
+        d_w = backward_weights_batch(z, y, d_y, kernels)
         assert _rel_err(d_w, ref_dw) < 1e-12
         assert _rel_err(backward_input_batch(xb, y, d_y, kernels), ref_dx) < 1e-12
 
@@ -188,24 +187,24 @@ class TestBackwardWeights:
         cfg = TmlConfig(eps=1e-6)
         kernels = init_kernels(cfg, (2, 2, 1, 2), np.random.default_rng(0))
         x = np.full((4, 4, 1), 1.0 - cfg.eps)
-        y = forward_batch(x[None], kernels)[0]
-        d_w = backward_weights_batch(x[None], y[None], np.ones_like(y)[None], kernels)
+        y, z = forward_batch(x[None], kernels, return_log=True)
+        d_w = backward_weights_batch(z, y, np.ones_like(y), kernels)
         np.testing.assert_allclose(d_w, 0.0, atol=1e-12)
 
     def test_zero_upstream_gradient(self):
         rng = np.random.default_rng(1)
         x, kernels = random_instance(rng)
-        y = forward_batch(x[None], kernels)[0]
-        d_w = backward_weights_batch(x[None], y[None], np.zeros_like(y)[None], kernels)
+        y, z = forward_batch(x[None], kernels, return_log=True)
+        d_w = backward_weights_batch(z, y, np.zeros_like(y), kernels)
         assert np.all(d_w == 0.0)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             x, kernels = random_instance(rng)
-            y = forward_batch(x[None], kernels)[0]
-            r = rng.normal(size=y.shape)  # fixed linear functional: L = sum(r * y)
-            analytic = backward_weights_batch(x[None], y[None], r[None], kernels)
+            y, z = forward_batch(x[None], kernels, return_log=True)
+            r = rng.normal(size=y.shape[1:])  # fixed linear functional: L = sum(r * y)
+            analytic = backward_weights_batch(z, y, r[None], kernels)
             numeric = _central_diff(
                 lambda: float((r * forward_batch(x[None], kernels)[0]).sum()),
                 kernels.weights,
@@ -216,9 +215,9 @@ class TestBackwardWeights:
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(8)
         x, kernels = random_instance(rng)
-        y = forward_batch(x[None], kernels)[0]
+        y, z = forward_batch(x[None], kernels, return_log=True)
         with pytest.raises(ValueError):
-            backward_weights_batch(x[None], y[None], y[None, :-1], kernels)
+            backward_weights_batch(z, y, y[:, :-1], kernels)
 
 
 class TestBackwardInput:

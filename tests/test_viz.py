@@ -22,13 +22,18 @@ from tmlnet.tml import TmlConfig
 from tmlnet.viz import (
     cooc_heat,
     cooc_highlight,
-    read_pgm,
     render_feature_map,
     render_kernel_heatmap,
     write_pgm,
 )
 
 NUM_CLASSES = 3
+
+
+def pgm_bytes(pixels):
+    """The documented binary PGM: b"P5\n<width> <height>\n255\n", then the rows."""
+    height, width = pixels.shape
+    return b"P5\n%d %d\n255\n" % (width, height) + pixels.astype(np.uint8).tobytes()
 
 
 def tiny_cooc_net(seed=0):
@@ -73,8 +78,9 @@ class TestCoocTracing:
         assert overlay.shape == (16, 16) and overlay.dtype == np.uint8
 
     def test_viz_cooc_cli(self, tmp_path, dataset_dir, monkeypatch):
+        spec = tiny_cooc_net()
         ckpt = tmp_path / "cooc.net"
-        save_network(tiny_cooc_net(), ckpt)
+        save_network(spec, ckpt)
         out = tmp_path / "cooc.pgm"
         argv = ["viz-cooc", str(ckpt), "--dataset", str(dataset_dir), "--out", str(out)]
         traces = []
@@ -82,8 +88,10 @@ class TestCoocTracing:
         assert cli_dispatch(argv) == 0
         # the heat map reads the bank's input from a forward that keeps no trace
         assert traces == []
-        img = read_pgm(out)
-        assert img.shape == (16, 16)
+        image = load_dataset_dir(dataset_dir)[1].images[0]
+        logits, _ = network.network_forward(spec, image[None], train_mode=False, trace=False)
+        heat, _m, _channels = cooc_heat(spec, image, int(logits[0].argmax()))
+        assert out.read_bytes() == pgm_bytes(cooc_highlight(image, heat))
 
 
 def test_viz_features_cli_writes_tml_maps(tmp_path, dataset_dir):
@@ -99,8 +107,7 @@ def test_viz_features_cli_writes_tml_maps(tmp_path, dataset_dir):
     kernels = tml.TmlKernels(spec.side_layers[0].tml, spec.side_params[0]["w"])
     y = tml.forward_batch(test.images[1][None], kernels)[0]
     for m in range(4):
-        written = read_pgm(out / f"feature_{m:02d}.pgm")
-        np.testing.assert_array_equal(written, render_feature_map(y, m))
+        assert (out / f"feature_{m:02d}.pgm").read_bytes() == pgm_bytes(render_feature_map(y, m))
 
 
 def test_viz_features_cli_on_a_frozen_bank(tmp_path):
@@ -118,8 +125,7 @@ def test_viz_features_cli_on_a_frozen_bank(tmp_path):
     y = tml.forward_batch(test.images[1][None], bank)[0]
     assert sorted(p.name for p in out.iterdir()) == [f"feature_{m:02d}.pgm" for m in range(25)]
     for m in range(25):
-        np.testing.assert_array_equal(read_pgm(out / f"feature_{m:02d}.pgm"),
-                                      render_feature_map(y, m))
+        assert (out / f"feature_{m:02d}.pgm").read_bytes() == pgm_bytes(render_feature_map(y, m))
 
 
 @pytest.mark.parametrize("target", ["99", "-1"])
@@ -171,6 +177,6 @@ def test_pgm_bytes_pinned(tmp_path):
     pixels = np.array([[0, 255, 7], [1, 2, 3]], dtype=np.uint8)
     write_pgm(pixels, tmp_path / "a.pgm")
     assert (tmp_path / "a.pgm").read_bytes() == b"P5\n3 2\n255\n\x00\xff\x07\x01\x02\x03"
-    np.testing.assert_array_equal(read_pgm(tmp_path / "a.pgm"), pixels)
+    assert pgm_bytes(pixels) == (tmp_path / "a.pgm").read_bytes()
     write_pgm(pixels.T.copy().T, tmp_path / "b.pgm")  # a column-major copy
     assert (tmp_path / "b.pgm").read_bytes() == (tmp_path / "a.pgm").read_bytes()
