@@ -5,19 +5,21 @@ Arrays flow through as float64 with a leading batch axis: feature volumes are
 stride-1 cross-correlation (`correlate`, shared with the multiplication layer)
 plus a bias. Forward and d_w read the window matrix `_cols`: one row per
 kernel cell in (p, q, k) order, one column per output position in (b, i, j)
-order, copied from a (kh, kw, Cin, B, H', W') view that one `as_strided`
-call builds from x's own strides. Activations are already channel-major, so
-each row is built from whole image rows, runs of W' values, where one row
-per output position would copy runs of only kw*Cin values. Forward and d_w
-are GEMMs over blocks of whole images. A block holds as many images as fit
-in `_BLOCK_BYTES` (half the 2 MiB L2) with their window-matrix rows and
-their output rows, H'*W' float64s each: an image takes
-(kh*kw*Cin + Cout) * H'*W' * 8 bytes. Counting the output matters for wide
-banks: the 25-mask HLAC bank writes 25 output rows per 9 window rows. The
-forward writes channel-major memory: the (B, H', W', Cout) result is a view
-of a (Cout, B, H', W') array, because ReLU, pooling and GAP downstream
-stream whole channel planes on this layout, and GAP's means summed in
-another order would move the logits' last bits. d_w sums the blocks'
+order. Each call builds one (kh, kw, Cin, B, H', W') view of x with one
+`as_strided` call, from x's own strides (`_windows`), and copies each block's
+matrix from a slice of that view: an `as_strided` call costs about 8 us of
+Python, and one per block would make 14 calls per 5-image block of the HLAC
+net's eval. Activations are already channel-major, so each row is built from
+whole image rows, runs of W' values, where one row per output position would
+copy runs of only kw*Cin values. Forward and d_w are GEMMs over blocks of
+whole images. A block holds as many images as fit in `_BLOCK_BYTES` (half the
+2 MiB L2) with their window-matrix rows and their output rows, H'*W' float64s
+each: an image takes (kh*kw*Cin + Cout) * H'*W' * 8 bytes. Counting the output
+matters for wide banks: the 25-mask HLAC bank writes 25 output rows per 9
+window rows. The forward writes channel-major memory: the (B, H', W', Cout)
+result is a view of a (Cout, B, H', W') array, because ReLU, pooling and GAP
+downstream stream whole channel planes on this layout, and GAP's means summed
+in another order would move the logits' last bits. d_w sums the blocks'
 cols @ d_y products.
 
 d_x, for every kernel size, zero-pads d_y once into x's (Cout, B, H, W)
@@ -37,14 +39,14 @@ scales survivors by 1/(1-rate) at train time.
 Max pooling is 2x2 stride 2; odd trailing rows or columns are dropped and get
 a zero gradient. The forward takes the elementwise max of the four strided
 views x[:, p::2, q::2] of the blocks, with no copy and no index array. The
-backward finds the routing from the cached input and output: each d_y goes to
-the first position of its block, in (0,0),(0,1),(1,0),(1,1) order, whose value
-equals the max, so tied values get the gradient once (first max wins, as an
-argmax would pick). A block holding a NaN pools to NaN, which equals nothing,
-so that block gets no gradient; NaN logits are rejected by `softmax_xent`
-before any backward runs. A block whose max is a zero held as both 0.0 and
--0.0 may pool to either. ReLU's backward reads its output: y > 0 exactly
-where x > 0.
+backward finds the routing from the input alone, so a trace keeps no pooled
+output for it: it recomputes the max, and each d_y goes to the first position
+of its block, in (0,0),(0,1),(1,0),(1,1) order, whose value equals the max, so
+tied values get the gradient once (first max wins, as an argmax would pick). A
+block holding a NaN pools to NaN, which equals nothing, so that block gets no
+gradient; NaN logits are rejected by `softmax_xent` before any backward runs.
+A block whose max is a zero held as both 0.0 and -0.0 may pool to either.
+ReLU's backward reads its output: y > 0 exactly where x > 0.
 """
 
 from __future__ import annotations
@@ -64,13 +66,20 @@ def _block_images(rows: int, oh: int, ow: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * rows * oh * ow))
 
 
-def _cols(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Window matrix of x (B,H,W,Cin): one row per kernel cell in (p, q, k) order,
-    one column per output position in (b, i, j) order."""
+def _windows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """The (kh, kw, Cin, B, H', W') window view of x (B,H,W,Cin), built from
+    x's own strides: [p, q, k, b, i, j] is x[b, i+p, j+q, k]."""
     b, h, wd, c_in = x.shape
     sb, sh, sw, sc = x.strides
-    win = as_strided(x, (kh, kw, c_in, b, h - kh + 1, wd - kw + 1), (sh, sw, sc, sb, sh, sw),
-                     writeable=False)
+    return as_strided(x, (kh, kw, c_in, b, h - kh + 1, wd - kw + 1), (sh, sw, sc, sb, sh, sw),
+                      writeable=False)
+
+
+def _cols(win: np.ndarray) -> np.ndarray:
+    """Window matrix of a window view (or a block of its images): one row per
+    kernel cell in (p, q, k) order, one column per output position in (b, i, j)
+    order."""
+    kh, kw, c_in = win.shape[:3]
     return win.reshape(kh * kw * c_in, -1)
 
 
@@ -81,9 +90,10 @@ def correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     oh, ow = h - kh + 1, wd - kw + 1
     w_t = w.reshape(-1, c_out).T
     y = np.empty((c_out, b, oh, ow))
+    win = _windows(x, kh, kw)
     per = _block_images(kh * kw * c_in + c_out, oh, ow)
     for s in range(0, b, per):
-        np.matmul(w_t, _cols(x[s : s + per], kh, kw), out=y[:, s : s + per].reshape(c_out, -1))
+        np.matmul(w_t, _cols(win[:, :, :, s : s + per]), out=y[:, s : s + per].reshape(c_out, -1))
     return y.transpose(1, 2, 3, 0)
 
 
@@ -92,10 +102,11 @@ def correlate_grad_weights(x, d_y, kh: int, kw: int) -> np.ndarray:
     positions, summed over blocks of whole images."""
     b, oh, ow, c_out = d_y.shape
     c_in = x.shape[3]
+    win = _windows(x, kh, kw)
     per = _block_images(kh * kw * c_in + c_out, oh, ow)
-    d_w = _cols(x[:per], kh, kw) @ d_y[:per].reshape(-1, c_out)
+    d_w = _cols(win[:, :, :, :per]) @ d_y[:per].reshape(-1, c_out)
     for s in range(per, b, per):
-        d_w += _cols(x[s : s + per], kh, kw) @ d_y[s : s + per].reshape(-1, c_out)
+        d_w += _cols(win[:, :, :, s : s + per]) @ d_y[s : s + per].reshape(-1, c_out)
     return d_w.reshape(kh, kw, c_in, c_out)
 
 
@@ -156,8 +167,10 @@ def maxpool_forward(x: np.ndarray) -> np.ndarray:
     return y
 
 
-def maxpool_backward(d_y: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Routes each d_y to the first position of its block whose value equals the max."""
+def maxpool_backward(d_y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Routes each d_y to the first position of its block whose value equals
+    the max, which it recomputes from the input x."""
+    y = maxpool_forward(x)
     h2, w2 = y.shape[1], y.shape[2]
     d_x = np.zeros_like(x)
     free = np.ones_like(y, dtype=bool)  # blocks whose max is not yet found

@@ -230,11 +230,6 @@ def _sigmoid_forward(layer, p, a, train_mode, rng):
     return y, y
 
 
-def _maxpool_forward(layer, p, a, train_mode, rng):
-    y = L.maxpool_forward(a)
-    return y, (a, y)
-
-
 def _relu_forward(layer, p, a, train_mode, rng):
     y = L.relu_forward(a)
     return y, y
@@ -282,11 +277,15 @@ class Kind:
     tml bank returns {}.
 
     The cache a forward returns for its backward, which the trace keeps only
-    for a layer whose backward runs: conv and fc keep their input x; relu and
-    sigmoid their output y; maxpool (x, y), where an x made by a relu is that
-    relu's cached output itself, so the trace holds it once; gap the input
-    shape; dropout its keep mask (None in eval mode); tml (x, y, z) with
-    z = log(x + eps), which d_w reads, and a frozen bank (x, y).
+    for a layer whose backward runs: conv, fc and maxpool keep their input x
+    (the pool's backward recomputes the max from it); relu and sigmoid their
+    output y; gap the input shape; dropout its keep mask (None in eval mode);
+    tml (x, y, z) with z = log(x + eps), which d_w reads, and a frozen bank
+    (x, y). A cached input is the array the layer beneath returned, not a
+    copy, so the trace holds each activation once: in a conv -> maxpool ->
+    relu stack the conv's output is the pool's x, and the relu's pooled
+    output is also the next layer's x; in a relu -> maxpool stack (older
+    checkpoints) the relu's output is also the pool's x.
     """
 
     forward: Callable  # (layer, params, a, train_mode, rng) -> (y, cache)
@@ -316,8 +315,8 @@ KINDS = {
         make=conv,
     ),
     "maxpool": Kind(
-        forward=_maxpool_forward,
-        backward=lambda layer, p, cache, d_y, need_dx: (L.maxpool_backward(d_y, *cache), {}),
+        forward=lambda layer, p, a, train_mode, rng: (L.maxpool_forward(a), a),
+        backward=lambda layer, p, x, d_y, need_dx: (L.maxpool_backward(d_y, x), {}),
         out_shape=_pool_shape,
     ),
     "relu": Kind(
@@ -579,14 +578,21 @@ def _chain_backward(layers, params, steps, caches, grads, d, span: range):
 
 
 def _lenet_branch() -> list[LayerSpec]:
-    # conv/pool stack with ReLU, sigmoid on the fully connected tail
+    """Conv/pool stack with ReLU, sigmoid on the fully connected tail.
+
+    Each conv is pooled before its ReLU: max(relu(a), relu(b)) is
+    relu(max(a, b)), bit for bit, so the net computes what conv -> relu ->
+    maxpool computes, with the ReLU on a quarter of the values, and the
+    parameter gradients agree too: both orders route a block's gradient to
+    the same position when its max is positive, and pass only a zero when it
+    is not."""
     return [
         conv(6, 5, 5),
-        LayerSpec("relu"),
         LayerSpec("maxpool"),
+        LayerSpec("relu"),
         conv(16, 5, 5),
-        LayerSpec("relu"),
         LayerSpec("maxpool"),
+        LayerSpec("relu"),
         fc(120),
         LayerSpec("sigmoid"),
         fc(84),
@@ -613,10 +619,10 @@ def build_cooc_net(input_shape, num_classes: int, bank: LayerSpec) -> NetworkSpe
     """Co-occurrence topology: the multiplication layer `bank` (a `tml_layer`)
     consumes the second convolution's rectified feature maps, and its pooled
     outputs feed the classifying layer directly (required by the
-    co-occurrence tracing tools). The LeNet branch up to conv2's ReLU feeds
-    the bank 16 channels."""
+    co-occurrence tracing tools). The LeNet branch up to conv2 feeds the bank
+    16 channels, conv2's maps rectified but not pooled."""
     spec = NetworkSpec(
-        layers=_lenet_branch()[:5] + [bank, LayerSpec("gap"), fc(num_classes)],
+        layers=_lenet_branch()[:4] + [LayerSpec("relu"), bank, LayerSpec("gap"), fc(num_classes)],
         input_shape=tuple(input_shape),
         num_classes=num_classes,
     )
@@ -626,16 +632,17 @@ def build_cooc_net(input_shape, num_classes: int, bank: LayerSpec) -> NetworkSpe
 
 def build_baseline_net(input_shape, num_classes: int) -> NetworkSpec:
     """Plain CNN stand-in: three conv blocks with pooling and dropout, then
-    a small fully connected classifier."""
+    a small fully connected classifier. The first two convs are pooled
+    before their ReLU, for the reason `_lenet_branch` gives."""
     spec = NetworkSpec(
         layers=[
             conv(8, 3, 3),
-            LayerSpec("relu"),
             LayerSpec("maxpool"),
+            LayerSpec("relu"),
             dropout(0.25),
             conv(16, 3, 3),
-            LayerSpec("relu"),
             LayerSpec("maxpool"),
+            LayerSpec("relu"),
             dropout(0.25),
             conv(32, 3, 3),
             LayerSpec("relu"),

@@ -124,7 +124,7 @@ class TestConv:
         bsz, h, w_, cin, kh, kw, _ = shape
         x = LAYOUTS[layout](np.random.default_rng(sum(shape)).normal(size=(bsz, h, w_, cin)))
         oh, ow = h - kh + 1, w_ - kw + 1
-        cols = layers._cols(x, kh, kw)
+        cols = layers._cols(layers._windows(x, kh, kw))
         assert cols.shape == (kh * kw * cin, bsz * oh * ow)
         cells = cols.reshape(kh, kw, cin, bsz, oh, ow)
         for p, q, k, b in np.ndindex(kh, kw, cin, bsz):
@@ -156,33 +156,40 @@ class TestConv:
         for xb in (x[::2], channel_major(x), channel_major(x)[1 : bsz + 1]):
             win = sliding_window_view(xb.transpose(3, 0, 1, 2), (kh, kw), axis=(2, 3))
             ref = win.transpose(4, 5, 0, 1, 2, 3).reshape(kh * kw * cin, -1)
-            got = layers._cols(xb, kh, kw)
+            got = layers._cols(layers._windows(xb, kh, kw))
             np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
     @staticmethod
     def _count_blocks(monkeypatch, images_per_block):
         """Sets `_BLOCK_BYTES` to room for `images_per_block` images of a
         (3, 2, 2, 4) kernel over 6x7 inputs, and records each block's image
-        count. An image takes 3*2*2 window rows and 4 output rows, of 4*6
-        float64s each; a budget counting window rows alone would fit more."""
+        count and each window view built. An image takes 3*2*2 window rows and
+        4 output rows, of 4*6 float64s each; a budget counting window rows
+        alone would fit more."""
         monkeypatch.setattr(layers, "_BLOCK_BYTES", images_per_block * 8 * 24 * (12 + 4) + 8)
-        cols, blocks = layers._cols, []
+        cols, strided, blocks, views = layers._cols, layers.as_strided, [], []
 
-        def counting_cols(xb, kh, kw):
-            blocks.append(len(xb))
-            return cols(xb, kh, kw)
+        def counting_cols(win):
+            blocks.append(win.shape[3])
+            return cols(win)
+
+        def counting_strided(x, *args, **kwargs):
+            views.append(len(x))
+            return strided(x, *args, **kwargs)
 
         monkeypatch.setattr(layers, "_cols", counting_cols)
-        return blocks
+        monkeypatch.setattr(layers, "as_strided", counting_strided)
+        return blocks, views
 
     def test_blocked_forward_matches_einsum_reference(self, monkeypatch):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(5, 6, 7, 2))
         w = rng.normal(size=(3, 2, 2, 4))
         b = rng.normal(size=4)
-        blocks = self._count_blocks(monkeypatch, 3)
+        blocks, views = self._count_blocks(monkeypatch, 3)
         np.testing.assert_array_equal(conv2d_forward(x, w, b), einsum_conv(x, w, b)[0])
         assert blocks == [3, 2]
+        assert views == [5]  # one window view of the whole batch, sliced per block
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_blocked_weight_gradient_matches_einsum_reference(self, monkeypatch, layout):
@@ -191,9 +198,10 @@ class TestConv:
         w = rng.normal(size=(3, 2, 2, 4))
         y, backward = einsum_conv(x, w, np.zeros(4))
         d_y = rng.normal(size=y.shape)
-        blocks = self._count_blocks(monkeypatch, 3)
+        blocks, views = self._count_blocks(monkeypatch, 3)
         d_w = layers.correlate_grad_weights(LAYOUTS[layout](x), LAYOUTS[layout](d_y), 3, 2)
         assert blocks == [3, 3, 1]
+        assert views == [7]
         assert _rel_err(d_w, backward(d_y)[1]) < 1e-12
 
     @pytest.mark.parametrize("shape", CONV_SHAPES)
@@ -310,15 +318,13 @@ class TestMaxpool:
 
     def test_backward_routes_to_argmax(self):
         x = np.array([[1.0, 4.0], [3.0, 2.0]]).reshape(1, 2, 2, 1)
-        y = maxpool_forward(x)
-        d_x = maxpool_backward(np.full((1, 1, 1, 1), 5.0), x, y)
+        d_x = maxpool_backward(np.full((1, 1, 1, 1), 5.0), x)
         np.testing.assert_array_equal(d_x.reshape(2, 2), [[0.0, 5.0], [0.0, 0.0]])
 
     def test_tie_routes_once(self):
         # equal entries must receive the gradient exactly once in total
         x = np.full((1, 2, 2, 1), 7.0)
-        y = maxpool_forward(x)
-        d_x = maxpool_backward(np.ones((1, 1, 1, 1)), x, y)
+        d_x = maxpool_backward(np.ones((1, 1, 1, 1)), x)
         assert d_x.sum() == 1.0
 
     @pytest.mark.parametrize("shape", POOL_SHAPES)
@@ -335,7 +341,7 @@ class TestMaxpool:
             x_l = layout(x)
             y = maxpool_forward(x_l)
             assert y.shape == ref_y.shape and y.tobytes() == ref_y.tobytes()
-            d_x = maxpool_backward(layout(d_y), x_l, y)
+            d_x = maxpool_backward(layout(d_y), x_l)
             assert d_x.shape == x.shape and d_x.tobytes() == ref_d_x.tobytes()
             # d_x has x's layout, so the ReLU backward below reads one layout
             assert is_channel_major(d_x) == is_channel_major(x_l)
@@ -345,7 +351,7 @@ class TestMaxpool:
         x = np.array([[1.0, np.nan], [3.0, 2.0]]).reshape(1, 2, 2, 1)
         y = maxpool_forward(x)
         assert np.isnan(y).all()
-        np.testing.assert_array_equal(maxpool_backward(np.ones_like(y), x, y), 0.0)
+        np.testing.assert_array_equal(maxpool_backward(np.ones_like(y), x), 0.0)
 
 
 class TestActivations:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -198,26 +200,6 @@ class TestForward:
         with pytest.raises(ValueError, match="^empty batch$"):
             network_forward(spec, np.zeros((0, *spec.input_shape)), trace=trace)
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: build_dhlac_net((28, 28, 1), 10, tml_layer(8, 3, 3, TmlConfig())),
-            lambda: build_baseline_net((20, 20, 1), 4),
-        ],
-    )
-    def test_maxpool_caches_the_relu_output_itself(self, build):
-        # the pool reads what the ReLU keeps, so the trace holds it once
-        spec = init_params(build(), np.random.default_rng(0))
-        xb = np.random.default_rng(1).uniform(size=(2, *spec.input_shape))
-        _, trace = network_forward(spec, xb)
-        pools = [i for i, layer in enumerate(spec.layers) if layer.kind == "maxpool"]
-        assert len(pools) == 2
-        for i in pools:
-            assert spec.layers[i - 1].kind == "relu"
-            x, y = trace.caches[i]
-            assert x is trace.caches[i - 1]
-            assert y.shape == (2, x.shape[1] // 2, x.shape[2] // 2, x.shape[3])
-
 
 SHIPPED_NETS = {
     "dhlac": lambda: build_dhlac_net((16, 16, 1), 4, tml_layer(4, 3, 3, TmlConfig(c1=1.0, c2=0.5))),
@@ -397,6 +379,82 @@ class TestTracedBlocks:
         _, trace = network_forward(spec, xb)
         assert sizes == [3, 3, 1] * 3 and calls["dropout_forward"][2:] == [3, 3, 1] * 2
         assert calls["gap_forward"] == [3, 3, 1] * 2 and trace.caches[1].shape == (7, 8, 8, 1)
+
+
+def relu_before_pool(spec):
+    """`spec` with every (maxpool, relu) pair of its main chain swapped back to
+    (relu, maxpool), sharing its parameters; returns it and the pair count."""
+    layers, pairs = list(spec.layers), 0
+    for i in range(len(layers) - 1):
+        if [layers[i].kind, layers[i + 1].kind] == ["maxpool", "relu"]:
+            layers[i], layers[i + 1] = layers[i + 1], layers[i]
+            pairs += 1
+    return dataclasses.replace(spec, layers=layers), pairs
+
+
+def tied_batch(spec, seed=1):
+    """u8-quantized images with a band of zero rows and of saturated columns,
+    wide enough that whole windows are constant: ties and zeros in every pool."""
+    rng = np.random.default_rng(seed)
+    xb = rng.integers(0, 256, size=(4, *spec.input_shape)) / 255.0
+    xb[:, :7] = 0.0
+    xb[:, :, -7:] = 1.0
+    return xb
+
+
+def trace_bytes(trace):
+    """Bytes of the distinct arrays the trace's caches hold, counting each
+    array whose memory another cached array shares once."""
+    bases = {}
+
+    def visit(c):
+        if isinstance(c, np.ndarray):
+            while isinstance(c.base, np.ndarray):
+                c = c.base
+            bases[id(c)] = c.nbytes
+        elif isinstance(c, tuple):
+            for part in c:
+                visit(part)
+
+    for cache in trace.caches + trace.side_caches:
+        visit(cache)
+    return sum(bases.values())
+
+
+class TestPoolBeforeRelu:
+    """The shipped nets pool each conv before its ReLU; swapping every pair
+    back gives the same bits everywhere."""
+
+    @pytest.mark.parametrize("biases", ["random", "zero"])
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("arch", sorted(SHIPPED_NETS))
+    def test_relu_first_gives_the_same_bits(self, arch, mode, biases):
+        spec = init_params(SHIPPED_NETS[arch](), np.random.default_rng(0))
+        if biases == "random":  # init leaves them zero
+            rng = np.random.default_rng(2)
+            for p in spec.params:
+                if "b" in p:
+                    p["b"] = rng.normal(0.0, 0.1, size=p["b"].shape)
+        old, pairs = relu_before_pool(spec)
+        assert pairs == (1 if arch == "cooc" else 2)
+        xb = tied_batch(spec)
+        (la, ga), (lb, gb) = (traced_step(net, xb, mode) for net in (spec, old))
+        assert len(ga) == len(gb)
+        for a, b in zip([la, *ga], [lb, *gb]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        if mode == "eval":
+            a, b = (network_forward(net, xb, trace=False)[0] for net in (spec, old))
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("arch", sorted(SHIPPED_NETS))
+    def test_trace_holds_each_activation_once(self, arch):
+        # the pool keeps the conv's output and the ReLU the pooled map, which
+        # the layer above reads: what relu -> maxpool keeps, byte for byte
+        spec = init_params(SHIPPED_NETS[arch](), np.random.default_rng(0))
+        xb = tied_batch(spec)
+        sizes = [trace_bytes(network_forward(net, xb)[1])
+                 for net in (spec, relu_before_pool(spec)[0])]
+        assert sizes[0] == sizes[1]
 
 
 class TestBackward:
@@ -649,6 +707,29 @@ format=tmlnet-net-v3
 input=20x20x1
 classes=3
 layer chain=main kind=conv out=8 kh=3 kw=3
+layer chain=main kind=maxpool
+layer chain=main kind=relu
+layer chain=main kind=dropout rate=0.25
+layer chain=main kind=conv out=16 kh=3 kw=3
+layer chain=main kind=maxpool
+layer chain=main kind=relu
+layer chain=main kind=dropout rate=0.25
+layer chain=main kind=conv out=32 kh=3 kw=3
+layer chain=main kind=relu
+layer chain=main kind=fc units=64
+layer chain=main kind=relu
+layer chain=main kind=dropout rate=0.5
+layer chain=main kind=fc units=3
+layer chain=side kind=tml out=25 kh=3 kw=3 c1=1.0 c2=1.0 eps=1e-06 trainable=0
+layer chain=side kind=gap
+"""
+
+# what build_baseline_hlac_net saved before it pooled each conv ahead of its ReLU
+RELU_POOL_HLAC_NET_TEXT = """\
+format=tmlnet-net-v3
+input=20x20x1
+classes=3
+layer chain=main kind=conv out=8 kh=3 kw=3
 layer chain=main kind=relu
 layer chain=main kind=maxpool
 layer chain=main kind=dropout rate=0.25
@@ -694,6 +775,22 @@ class TestSerialization:
     def test_saved_text_is_pinned(self, tmp_path, build, text):
         save_network(build(), tmp_path / "ckpt.net")
         assert (tmp_path / "ckpt.net").read_text() == text
+
+    @pytest.mark.parametrize("trace", [True, False], ids=["traced", "trace-free"])
+    def test_relu_before_pool_checkpoint_gives_the_same_logits(self, tmp_path, trace):
+        # the parameter blob does not depend on the order: same bytes, same logits
+        spec = hlac_net()
+        path = tmp_path / "ckpt.net"
+        save_network(spec, path)
+        path.write_text(RELU_POOL_HLAC_NET_TEXT)
+        old = load_network(path)
+        assert [l.kind for l in old.layers] == [l.kind for l in relu_before_pool(spec)[0].layers]
+        xb = tied_batch(spec)
+        a, b = (network_forward(net, xb, trace=trace)[0] for net in (spec, old))
+        assert a.tobytes() == b.tobytes()
+        if trace:
+            (_, ga), (_, gb) = (traced_step(net, xb, "train") for net in (spec, old))
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(ga, gb))
 
     def test_identical_saves_are_byte_identical(self, tmp_path):
         spec = tiny_branched_net(seed=3)
