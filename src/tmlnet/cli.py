@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import gradcheck, tml
+from . import gradcheck
 from .datasets import (
     StripeSpec,
     gen_stripe_dataset,
@@ -135,7 +135,7 @@ def build_network(arch: str, input_shape, num_classes: int, cfg: dict):
     if arch == "baseline":
         return build_baseline_net(input_shape, num_classes)
     if arch == "baseline+hlac":
-        return build_baseline_hlac_net(input_shape, num_classes, eps=cfg["eps"])
+        return build_baseline_hlac_net(input_shape, num_classes)
     raise ValueError(f"unknown architecture {arch!r}")
 
 
@@ -241,11 +241,12 @@ def _image_from_dataset(args):
 
 
 def cmd_viz_features(args) -> int:
+    """One PGM per map of the checkpoint's bank for one image: the bank's
+    output, which `layer_input` gives as the next layer's input."""
     spec = load_network(args.ckpt)
     image, label = _image_from_dataset(args)
-    chain, i, layer = _checkpoint_bank(spec, args.ckpt)
-    kernels = TmlKernels(layer.tml, spec.param_dict(chain, i)["w"])
-    y = tml.forward_batch(layer_input(spec, chain, i, image[None]), kernels)
+    chain, i, _ = _checkpoint_bank(spec, args.ckpt)
+    y = layer_input(spec, chain, i + 1, image[None])
     os.makedirs(args.out, exist_ok=True)
     for m in range(y.shape[3]):
         write_pgm(render_feature_map(y[0], m), os.path.join(args.out, f"feature_{m:02d}.pgm"))

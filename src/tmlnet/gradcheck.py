@@ -3,16 +3,19 @@
 Each check builds random small instances, evaluates a scalar probe loss
 (sum of a fixed random sensitivity times the forward output), and compares
 analytic gradients against central differences. Errors are reported as
-max |analytic - numeric| / max |numeric| per instance.
+max |analytic - numeric| / max |numeric| per instance. A layer's check runs
+its kind's `KINDS` entry (`check_layer`), the forward and backward the
+network runs, so it also covers the glue around the kernels: the tml
+forward's cached log, which the weight gradient reads, and conv's `need_dx`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import tml as T
-from .layers import conv2d_backward, conv2d_forward, fc_backward, fc_forward, softmax_xent
+from .layers import softmax_xent
 from .network import (
+    KINDS,
     LayerSpec,
     NetworkSpec,
     conv,
@@ -22,6 +25,7 @@ from .network import (
     network_forward,
     tml_layer,
 )
+from .tml import TmlConfig
 
 DEFAULT_STEP = 1e-6
 
@@ -46,6 +50,28 @@ def _central_diff(loss, arr, step):
     return g
 
 
+def check_layer(layer: LayerSpec, params: dict, x, r, need_dx: bool = True) -> dict:
+    """Errors of the gradients `KINDS[layer.kind]`'s eval-mode backward
+    returns for the probe loss sum(r * forward(x)), keyed "x" for d_x (when
+    `need_dx`) and by parameter name. With `need_dx` False the backward must
+    return d_x None."""
+    kind = KINDS[layer.kind]
+
+    def loss():
+        return float((r * kind.forward(layer, params, x, False, None)[0]).sum())
+
+    _y, cache = kind.forward(layer, params, x, False, None)
+    d_x, grads = kind.backward(layer, params, cache, r, need_dx)
+    if need_dx:
+        grads = {"x": d_x, **grads}
+    elif d_x is not None:
+        raise AssertionError(f"{layer.kind} backward(..., need_dx=False) computed d_x; "
+                             "it must return None")
+    arrays = {"x": x, **params}
+    return {key: _rel_err(g, _central_diff(loss, arrays[key], DEFAULT_STEP))
+            for key, g in grads.items()}
+
+
 def check_tml_gradients(trials: int, seed: int):
     """Weight- and input-gradient errors over `trials` random instances
     (inputs in [0.1, 2], feasible kernel banks); `trials` must be at least 1."""
@@ -55,60 +81,27 @@ def check_tml_gradients(trials: int, seed: int):
     worst_w = worst_x = 0.0
     for _ in range(trials):
         n1, n2 = rng.integers(3, 6, size=2)
-        k = int(rng.integers(1, 3))
-        shape = (2, 2, k, int(rng.integers(1, 4)))
-        kernels = T.init_kernels(T.TmlConfig(c1=1.0, c2=0.5), shape, rng)
-        x = rng.uniform(0.1, 2.0, size=(1, int(n1), int(n2), k))  # a batch of one
-        y, z = T.forward_batch(x, kernels, return_log=True)
-        r = rng.normal(size=y.shape)
-
-        def loss():
-            return float((r * T.forward_batch(x, kernels)).sum())
-
-        numeric_w = _central_diff(loss, kernels.weights, DEFAULT_STEP)
-        worst_w = max(worst_w, _rel_err(T.backward_weights_batch(z, y, r, kernels), numeric_w))
-        numeric_x = _central_diff(loss, x, DEFAULT_STEP)
-        worst_x = max(worst_x, _rel_err(T.backward_input_batch(x, y, r, kernels), numeric_x))
+        k, m = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+        layer = tml_layer(m, 2, 2, TmlConfig(c1=1.0, c2=0.5))
+        params = KINDS["tml"].init(layer, {"w": (2, 2, k, m)}, rng)
+        x = rng.uniform(0.1, 2.0, size=(1, n1, n2, k))  # a batch of one
+        err = check_layer(layer, params, x, rng.normal(size=(1, n1 - 1, n2 - 1, m)))
+        worst_w, worst_x = max(worst_w, err["w"]), max(worst_x, err["x"])
     return worst_w, worst_x
 
 
 def check_conv_fc_gradients(seed: int):
-    """Conv (full and weights-only backward) and fc gradient errors."""
+    """Conv (with and without d_x) and fc gradient errors."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(2, 5, 4, 2))
-    w = rng.normal(size=(3, 2, 2, 3))
-    b = rng.normal(size=3)
+    params = {"w": rng.normal(size=(3, 2, 2, 3)), "b": rng.normal(size=3)}
     r = rng.normal(size=(2, 3, 3, 3))
-    d_x, d_w, d_b = conv2d_backward(x, w, r)
-    no_dx, d_w_only, d_b_only = conv2d_backward(x, w, r, need_dx=False)
-    if no_dx is not None:
-        raise AssertionError("conv2d_backward(..., need_dx=False) computed d_x; it must return None")
-
-    def conv_loss():
-        return float((r * conv2d_forward(x, w, b)).sum())
-
-    numeric_w = _central_diff(conv_loss, w, DEFAULT_STEP)
-    numeric_b = _central_diff(conv_loss, b, DEFAULT_STEP)
-    conv_err = max(
-        _rel_err(d_x, _central_diff(conv_loss, x, DEFAULT_STEP)),
-        _rel_err(d_w, numeric_w),
-        _rel_err(d_b, numeric_b),
-        _rel_err(d_w_only, numeric_w),
-        _rel_err(d_b_only, numeric_b),
-    )
+    layer = conv(3, 3, 2)
+    conv_err = max(*check_layer(layer, params, x, r).values(),
+                   *check_layer(layer, params, x, r, need_dx=False).values())
     xf = rng.normal(size=(3, 6))
-    wf = rng.normal(size=(6, 4))
-    bf = rng.normal(size=4)
-    rf = rng.normal(size=(3, 4))
-    d_xf, d_wf, d_bf = fc_backward(xf, wf, rf)
-
-    def fc_loss():
-        return float((rf * fc_forward(xf, wf, bf)).sum())
-
-    fc_err = max(
-        _rel_err(grad, _central_diff(fc_loss, arr, DEFAULT_STEP))
-        for grad, arr in ((d_xf, xf), (d_wf, wf), (d_bf, bf))
-    )
+    params_f = {"w": rng.normal(size=(6, 4)), "b": rng.normal(size=4)}
+    fc_err = max(check_layer(fc(4), params_f, xf, rng.normal(size=(3, 4))).values())
     return conv_err, fc_err
 
 
@@ -125,7 +118,7 @@ def tiny_network():
         ],
         input_shape=(6, 6, 1),
         num_classes=3,
-        side_layers=[tml_layer(2, 2, 2, T.TmlConfig(c1=1.0, c2=0.6)), LayerSpec("gap")],
+        side_layers=[tml_layer(2, 2, 2, TmlConfig(c1=1.0, c2=0.6)), LayerSpec("gap")],
     )
 
 

@@ -79,6 +79,7 @@ NET_FORMAT = "tmlnet-net-v3"
 NET_BLOB_VERSION = 1
 
 _EVAL_BLOCK_BYTES = 4 << 20  # widest activation of one block of images
+HLAC_EPS = 1e-6  # log offset of baseline+hlac's frozen bank
 
 
 @dataclass
@@ -658,14 +659,16 @@ def build_baseline_net(input_shape, num_classes: int) -> NetworkSpec:
     return spec
 
 
-def build_baseline_hlac_net(input_shape, num_classes: int, eps: float = 1e-6) -> NetworkSpec:
+def build_baseline_hlac_net(input_shape, num_classes: int) -> NetworkSpec:
     """Baseline CNN plus fixed auto-correlation features: the standard 25
     binary masks run as a frozen multiplication-layer bank over the input,
     pooled to a 25-vector and concatenated before the classifier; the bank
-    takes single-channel input."""
+    takes single-channel input. The bank is the classical features' oracle,
+    so its eps is `HLAC_EPS`, not a setting: a larger one would turn its
+    maps into products of x + eps."""
     base = build_baseline_net(input_shape, num_classes)
     bank = masks_to_binary_kernels(default_mask_set(), 3, 3)
-    frozen = tml_layer(bank.shape[3], 3, 3, T.TmlConfig(1.0, 1.0, eps), trainable=False)
+    frozen = tml_layer(bank.shape[3], 3, 3, T.TmlConfig(1.0, 1.0, HLAC_EPS), trainable=False)
     spec = NetworkSpec(
         layers=base.layers,
         input_shape=tuple(input_shape),

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tmlnet.cli import cli_dispatch
+from tmlnet.cli import DEFAULTS, build_network, cli_dispatch
 from tmlnet.datasets import load_dataset_dir
 from tmlnet.hlac import default_mask_set, hlac_vector
 from tmlnet.network import load_network
@@ -124,6 +124,13 @@ def test_zero_crop_rejected_before_writing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "crop" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("arch, eps", [("baseline+hlac", 1e-6), ("dhlac", 0.1), ("cooc", 0.1)])
+def test_eps_key_reaches_trainable_banks_only(arch, eps):
+    spec = build_network(arch, (20, 20, 1), 3, dict(DEFAULTS, eps=0.1))
+    [(_chain, _i, bank)] = spec.tml_entries()
+    assert bank.tml.eps == eps
 
 
 def tiny_checkpoint(tmp_path):

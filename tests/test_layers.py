@@ -269,7 +269,8 @@ class TestConv:
         def always_dx(x, w, d_y, need_dx=True):
             return conv2d_backward(x, w, d_y)
 
-        monkeypatch.setattr(gradcheck, "conv2d_backward", always_dx)
+        # the conv Kind looks the kernel up in `layers` at call time
+        monkeypatch.setattr(layers, "conv2d_backward", always_dx)
         with pytest.raises(AssertionError, match="need_dx=False"):
             gradcheck.check_conv_fc_gradients(0)
 

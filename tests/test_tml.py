@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from tmlnet import gradcheck, network
 from tmlnet.gradcheck import DEFAULT_STEP, _central_diff, _rel_err
 from tmlnet.tml import (
     TmlConfig,
@@ -218,6 +221,20 @@ class TestBackwardWeights:
         y, z = forward_batch(x[None], kernels, return_log=True)
         with pytest.raises(ValueError):
             backward_weights_batch(z, y, y[:, :-1], kernels)
+
+    def test_gradcheck_checks_the_network_kind(self, monkeypatch):
+        # a tml Kind whose backward reads the cached input, not its log
+        def input_for_log(layer, p, cache, d_y, need_dx):
+            x, y, _z = cache
+            kernels = TmlKernels(layer.tml, p["w"])
+            d_x = backward_input_batch(x, y, d_y, kernels) if need_dx else None
+            return d_x, {"w": backward_weights_batch(x, y, d_y, kernels)}
+
+        assert gradcheck.check_tml_gradients(3, 0)[0] < 1e-5
+        broken = dataclasses.replace(network.KINDS["tml"], backward=input_for_log)
+        monkeypatch.setitem(network.KINDS, "tml", broken)
+        w_err, x_err = gradcheck.check_tml_gradients(3, 0)
+        assert w_err > 1e-5 and x_err < 1e-5
 
 
 class TestBackwardInput:
