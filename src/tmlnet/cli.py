@@ -1,10 +1,12 @@
 """Command-line front end for the whole toolkit.
 
 Subcommands: gen-stripes, train, eval, gradcheck, viz-kernels, viz-features,
-viz-cooc, hlac-extract. Options come from flags layered over a plain-text
-key=value config file over built-in defaults; every run prints the resolved
-configuration (including the seed) before doing anything, so logs pin down
-reproducibility.
+viz-cooc, hlac-extract. gen-stripes, train and gradcheck take settings from
+flags layered over a plain-text key=value config file over built-in defaults.
+`SETTINGS` declares which settings each of them reads (train reads the bank's
+only for an architecture with a trainable bank, per `ARCHS`); a run prints
+every setting it reads, including the seed, before doing anything, so logs pin
+down reproducibility, and rejects any flag or config key it does not read.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .network import (
     save_network,
     tml_layer,
 )
-from .tml import TmlConfig, TmlKernels
+from .tml import TmlConfig
 from .training import TrainConfig, evaluate, train_loop
 from .viz import (
     cooc_heat,
@@ -47,31 +50,36 @@ from .viz import (
     write_pgm,
 )
 
-DEFAULTS = {
-    "epochs": 30,
-    "batch_size": 32,
-    "learning_rate": 0.05,
-    "momentum": 0.9,
-    "lambda": 0.01,
-    "c1": 1.0,
-    "c2": 0.5,
-    "eps": 1e-6,
-    "kernel_h": 3,
-    "kernel_w": 3,
-    "num_kernels": 8,
-    "seed": 0,
-    "train_limit": 0,  # 0 = use everything
-    "test_limit": 0,
-    # stripe generation
-    "classes": 6,
-    "canvas": 1024,
-    "crop": 32,
-    "noise": 1.0,
-    "samples": 100,
+# the settings each configurable command reads, with their defaults
+SEED = {"seed": 0}
+SETTINGS = {
+    "gen-stripes": SEED | {"classes": 6, "canvas": 1024, "crop": 32, "noise": 1.0, "samples": 100},
+    "gradcheck": SEED,
+    "train": SEED | {"epochs": 30, "batch_size": 32, "learning_rate": 0.05, "momentum": 0.9,
+                     "lambda": 0.01, "train_limit": 0, "test_limit": 0},  # limit 0: use all
+}
+# what train reads besides for an architecture with a trainable bank
+BANK_SETTINGS = {"c1": 1.0, "c2": 0.5, "eps": 1e-6, "kernel_h": 3, "kernel_w": 3, "num_kernels": 8}
+DEFAULTS = SETTINGS["gen-stripes"] | SETTINGS["train"] | BANK_SETTINGS
+
+
+class Arch(NamedTuple):
+    build: Callable
+    bank: dict | None  # its trainable bank's defaults over BANK_SETTINGS; None: no such bank
+
+
+ARCHS = {
+    "dhlac": Arch(build_dhlac_net, {}),
+    # a 1x1 bank is the natural default for channel co-occurrence
+    "cooc": Arch(build_cooc_net, {"kernel_h": 1, "kernel_w": 1}),
+    "baseline": Arch(build_baseline_net, None),
+    "baseline+hlac": Arch(build_baseline_hlac_net, None),
 }
 
-def parse_config_file(path) -> dict:
-    """key=value lines; blank lines and #-comments ignored."""
+
+def parse_config_file(path, settings: dict, run: str) -> dict:
+    """key=value lines, each key one of `settings` (typed by its default);
+    blank lines and #-comments ignored."""
     values = {}
     with open(path) as f:
         for ln_no, raw in enumerate(f, 1):
@@ -81,43 +89,36 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{ln_no}: expected key=value, got {raw.strip()!r}")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key not in DEFAULTS:
-                raise ValueError(f"{path}:{ln_no}: unknown config key {key!r}")
+            if key not in settings:
+                raise ValueError(f"{path}:{ln_no}: unknown config key {key!r} for {run}")
             try:
-                values[key] = type(DEFAULTS[key])(val)
+                values[key] = type(settings[key])(val)
             except ValueError as err:
                 raise ValueError(f"{path}:{ln_no}: bad value for {key!r}: {err}") from err
     return values
 
 
-def resolve_config(args, overrides=None) -> dict:
-    cfg = dict(DEFAULTS)
-    if overrides:
-        cfg.update(overrides)
-    if getattr(args, "config", None):
-        cfg.update(parse_config_file(args.config))
-    for key in DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-    return cfg
+def resolve_config(args) -> dict:
+    """The settings the run reads, each from its flag, else the config file,
+    else the architecture's bank defaults, else `SETTINGS` and `BANK_SETTINGS`.
+    A flag or config key the run does not read is a ValueError, raised before
+    anything else runs."""
+    run, bank = args.command, None
+    if getattr(args, "arch", None):
+        run, bank = f"{run} --arch {args.arch}", ARCHS[args.arch].bank
+    cfg = SETTINGS[args.command] | (BANK_SETTINGS | bank if bank is not None else {})
+    flags = {key: getattr(args, key) for key in DEFAULTS if getattr(args, key, None) is not None}
+    for key in flags:
+        if key not in cfg:
+            raise ValueError(f"--{key.replace('_', '-')} is not a setting of {run}")
+    if args.config:
+        cfg.update(parse_config_file(args.config, cfg, run))
+    return cfg | flags
 
 
-def print_config(cfg: dict, keys=None) -> None:
-    for key in sorted(keys or cfg):
+def print_config(cfg: dict) -> None:
+    for key in sorted(cfg):
         print(f"config {key}={cfg[key]}")
-    print(f"seed {cfg['seed']}")
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        lam=cfg["lambda"],
-        learning_rate=cfg["learning_rate"],
-        momentum=cfg["momentum"],
-        batch_size=cfg["batch_size"],
-        epochs=cfg["epochs"],
-        rng_seed=cfg["seed"],
-    )
 
 
 def _limited(ds, limit):
@@ -125,18 +126,16 @@ def _limited(ds, limit):
 
 
 def build_network(arch: str, input_shape, num_classes: int, cfg: dict):
-    if arch in ("dhlac", "cooc"):
-        bank = tml_layer(
-            cfg["num_kernels"], cfg["kernel_h"], cfg["kernel_w"],
-            TmlConfig(c1=cfg["c1"], c2=cfg["c2"], eps=cfg["eps"]),
-        )
-        build = build_dhlac_net if arch == "dhlac" else build_cooc_net
-        return build(input_shape, num_classes, bank)
-    if arch == "baseline":
-        return build_baseline_net(input_shape, num_classes)
-    if arch == "baseline+hlac":
-        return build_baseline_hlac_net(input_shape, num_classes)
-    raise ValueError(f"unknown architecture {arch!r}")
+    """The `ARCHS` net; one with a trainable bank takes its geometry and
+    constants from `cfg`, whose other keys go unread."""
+    if arch not in ARCHS:
+        raise ValueError(f"unknown architecture {arch!r}")
+    build, bank = ARCHS[arch]
+    if bank is None:
+        return build(input_shape, num_classes)
+    tml = TmlConfig(c1=cfg["c1"], c2=cfg["c2"], eps=cfg["eps"])
+    return build(input_shape, num_classes,
+                 tml_layer(cfg["num_kernels"], cfg["kernel_h"], cfg["kernel_w"], tml))
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +145,7 @@ def build_network(arch: str, input_shape, num_classes: int, cfg: dict):
 
 def cmd_gen_stripes(args) -> int:
     cfg = resolve_config(args)
-    keys = ("classes", "canvas", "crop", "noise", "samples")
-    print_config(cfg, keys)
+    print_config(cfg)
     spec = StripeSpec(
         num_classes=cfg["classes"],
         canvas=cfg["canvas"],
@@ -166,9 +164,7 @@ def cmd_gen_stripes(args) -> int:
 
 
 def cmd_train(args) -> int:
-    # a 1x1 bank is the natural default for channel co-occurrence
-    overrides = {"kernel_h": 1, "kernel_w": 1} if args.arch == "cooc" else None
-    cfg = resolve_config(args, overrides)
+    cfg = resolve_config(args)
     print(f"architecture {args.arch}")
     print_config(cfg)
     for key in ("train_limit", "test_limit"):
@@ -184,7 +180,9 @@ def cmd_train(args) -> int:
 
     spec = build_network(args.arch, input_shape, num_classes, cfg)
     init_params(spec, np.random.default_rng(cfg["seed"]))
-    tcfg = _train_config(cfg)
+    tcfg = TrainConfig(lam=cfg["lambda"], learning_rate=cfg["learning_rate"],
+                       momentum=cfg["momentum"], batch_size=cfg["batch_size"],
+                       epochs=cfg["epochs"], rng_seed=cfg["seed"])
     metrics_path = args.out + ".metrics.csv"
     train_loop(spec, train_ds, tcfg, test_ds=test_ds, metrics_path=metrics_path, log=print)
     save_network(spec, args.out + ".net")
@@ -203,7 +201,7 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = resolve_config(args)
-    print_config(cfg, keys=("seed",))
+    print_config(cfg)
     ok = gradcheck.run_all(seed=cfg["seed"], trials=args.trials, emit=print)
     print("gradcheck " + ("passed" if ok else "FAILED"))
     return 0 if ok else 1
@@ -220,14 +218,14 @@ def _checkpoint_bank(spec, path):
 def cmd_viz_kernels(args) -> int:
     spec = load_network(args.ckpt)
     chain, i, layer = _checkpoint_bank(spec, args.ckpt)
-    kernels = TmlKernels(layer.tml, spec.param_dict(chain, i)["w"])
+    weights = spec.param_dict(chain, i)["w"]
     os.makedirs(args.out, exist_ok=True)
-    _kh, _kw, channels, num_kernels = kernels.weights.shape
+    _kh, _kw, channels, num_kernels = weights.shape
     for m in range(num_kernels):
         for k in range(channels):
             suffix = f"_c{k}" if channels > 1 else ""
             name = os.path.join(args.out, f"kernel_{m:02d}{suffix}.pgm")
-            write_pgm(render_kernel_heatmap(kernels, m, k), name)
+            write_pgm(render_kernel_heatmap(weights, layer.tml.c2, m, k), name)
     print(f"wrote {num_kernels * channels} kernel heatmaps to {args.out}")
     return 0
 
@@ -282,10 +280,10 @@ def cmd_hlac_extract(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_config_flags(p, keys=("seed",)):
+def _add_config_flags(p, settings: dict):
     p.add_argument("--config", help="key=value config file")
-    for key in keys:
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=type(DEFAULTS[key]))
+    for key, default in settings.items():
+        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=type(default))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,16 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-stripes", help="generate the synthetic stripe texture set")
     p.add_argument("--out", required=True, help="output directory for IDX files")
-    _add_config_flags(p, ("seed", "classes", "canvas", "crop", "noise", "samples"))
+    _add_config_flags(p, SETTINGS["gen-stripes"])
     p.set_defaults(func=cmd_gen_stripes)
 
     p = sub.add_parser("train", help="train a network on an IDX dataset directory")
-    p.add_argument("--arch", required=True, choices=["dhlac", "cooc", "baseline", "baseline+hlac"])
+    p.add_argument("--arch", required=True, choices=list(ARCHS))
     p.add_argument("--dataset", required=True, help="directory with {train,test}-{images,labels}.idx")
     p.add_argument("--out", default="run", help="output basename (default: run)")
-    _add_config_flags(p, ("seed", "epochs", "batch_size", "learning_rate", "momentum",
-                          "lambda", "c1", "c2", "eps", "kernel_h", "kernel_w",
-                          "num_kernels", "train_limit", "test_limit"))
+    _add_config_flags(p, SETTINGS["train"] | BANK_SETTINGS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="report accuracy of a checkpoint")
@@ -318,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
     p.add_argument("--trials", type=int, default=100)
-    _add_config_flags(p, ("seed",))
+    _add_config_flags(p, SETTINGS["gradcheck"])
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("viz-kernels", help="render kernel heatmaps as PGM files")

@@ -159,11 +159,14 @@ def write_idx_labels(labels, path) -> None:
 
 def load_dataset_dir(directory) -> tuple[Dataset, Dataset]:
     """Read the four-file layout that `gen-stripes` writes: train-images.idx,
-    train-labels.idx, test-images.idx, test-labels.idx."""
+    train-labels.idx, test-images.idx, test-labels.idx. Each split must hold
+    an image."""
 
     def one(split):
         images = load_idx_images(os.path.join(directory, f"{split}-images.idx"))
         labels = load_idx_labels(os.path.join(directory, f"{split}-labels.idx"))
+        if len(images) == 0:
+            raise ValueError(f"{directory}: {split} split has no images")
         if len(images) != len(labels):
             raise ValueError(f"{directory}: {split} image/label counts differ")
         return Dataset(images, labels)

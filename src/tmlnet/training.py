@@ -84,10 +84,14 @@ class InvariantLog:
     steps: int = 0
 
 
-def teacher_onehot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    labels = np.asarray(labels)
+def _check_labels(labels: np.ndarray, num_classes: int) -> None:
     if labels.min() < 0 or labels.max() >= num_classes:
         raise ValueError("label outside class range")
+
+
+def teacher_onehot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    labels = np.asarray(labels)
+    _check_labels(labels, num_classes)
     return np.eye(num_classes)[labels]
 
 
@@ -167,11 +171,12 @@ def train_step(
 def evaluate(spec: NetworkSpec, ds: Dataset, batch_size: int = 256) -> float:
     """Fraction of samples whose arg-max logit matches the label (eval mode).
 
-    Raises ValueError on an empty dataset or non-finite logits, whose argmax
-    would be a meaningless class.
+    Raises ValueError on an empty dataset, a label no logit stands for, or
+    non-finite logits, whose argmax would be a meaningless class.
     """
     if len(ds) == 0:
         raise ValueError("empty dataset")
+    _check_labels(ds.labels, spec.num_classes)
     hits = 0
     for start in range(0, len(ds), batch_size):
         xb = ds.images[start : start + batch_size]

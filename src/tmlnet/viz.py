@@ -20,7 +20,6 @@ import numpy as np
 
 from .datasets import to_u8
 from .network import NetworkSpec, layer_input
-from .tml import TmlKernels
 
 
 def _finite_u8(values: np.ndarray, what: str) -> np.ndarray:
@@ -30,14 +29,15 @@ def _finite_u8(values: np.ndarray, what: str) -> np.ndarray:
     return to_u8(values)
 
 
-def render_kernel_heatmap(kernels: TmlKernels, m: int, channel: int = 0) -> np.ndarray:
-    """One kernel slice as a heatmap: pixel = round(255 * clamp(w / c2, 0, 1))."""
-    _kh, _kw, channels, num_kernels = kernels.weights.shape
+def render_kernel_heatmap(weights: np.ndarray, c2: float, m: int, channel: int = 0) -> np.ndarray:
+    """One kernel slice of a (kh, kw, channels, kernels) bank with clip bound
+    `c2` as a heatmap: pixel = round(255 * clamp(w / c2, 0, 1))."""
+    _kh, _kw, channels, num_kernels = weights.shape
     if not 0 <= m < num_kernels:
         raise IndexError(f"kernel index {m} out of range 0..{num_kernels - 1}")
     if not 0 <= channel < channels:
         raise IndexError(f"channel {channel} out of range 0..{channels - 1}")
-    return _finite_u8(kernels.weights[:, :, channel, m] / kernels.config.c2, f"kernel {m}")
+    return _finite_u8(weights[:, :, channel, m] / c2, f"kernel {m}")
 
 
 def render_feature_map(y: np.ndarray, m: int) -> np.ndarray:

@@ -7,7 +7,6 @@ from tmlnet.cli import DEFAULTS, build_network, cli_dispatch
 from tmlnet.datasets import load_dataset_dir
 from tmlnet.hlac import default_mask_set, hlac_vector
 from tmlnet.network import load_network
-from tmlnet.tml import TmlKernels
 from tmlnet.training import evaluate
 from tmlnet.viz import render_kernel_heatmap
 
@@ -39,9 +38,8 @@ def test_stripes_train_eval_round_trip(tmp_path, capsys):
     assert heatmaps == [f"kernel_{m:02d}.pgm" for m in range(4)]
     # one channel, so each file is the documented PGM of that kernel's heatmap
     net = load_network(ckpt)
-    bank = TmlKernels(net.side_layers[0].tml, net.side_params[0]["w"])
     for m, name in enumerate(heatmaps):
-        pixels = render_kernel_heatmap(bank, m)
+        pixels = render_kernel_heatmap(net.side_params[0]["w"], net.side_layers[0].tml.c2, m)
         header = b"P5\n%d %d\n255\n" % (pixels.shape[1], pixels.shape[0])
         assert (kernels / name).read_bytes() == header + pixels.tobytes()
 
@@ -67,10 +65,10 @@ def test_gradcheck_without_trials_rejected(capsys, trials):
     assert "gradcheck passed" not in captured.out
 
 
-def tiny_stripes(tmp_path):
+def tiny_stripes(tmp_path, crop=16, classes=2):
     data = tmp_path / "data"
-    gen = ["gen-stripes", "--out", str(data), "--classes", "2",
-           "--canvas", "64", "--crop", "16", "--samples", "4"]
+    gen = ["gen-stripes", "--out", str(data), "--classes", str(classes),
+           "--canvas", "64", "--crop", str(crop), "--samples", "4"]
     assert cli_dispatch(gen) == 0
     return data
 
@@ -100,11 +98,76 @@ def test_train_reads_config_file_under_flags(tmp_path, capsys):
     ],
 )
 def test_bad_config_file_names_file_and_line(tmp_path, capsys, text, message):
+    # train reads every key here, and its config before the (missing) dataset
     config = tmp_path / "bad.cfg"
     config.write_text(text)
-    assert cli_dispatch(["gradcheck", "--trials", "1", "--config", str(config)]) == 1
+    train = ["train", "--arch", "dhlac", "--dataset", str(tmp_path / "missing"),
+             "--out", str(tmp_path / "run"), "--config", str(config)]
+    assert cli_dispatch(train) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{config}{message}" in err
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize(
+    "argv,key,value",
+    [
+        (["gen-stripes", "--out", "{dir}/out"], "epochs", "1"),
+        (["gradcheck", "--trials", "1"], "canvas", "5"),
+        (["train", "--arch", "baseline", "--dataset", "{dir}/data", "--out", "{dir}/run",
+          "--epochs", "1"], "eps", "0.1"),
+    ],
+    ids=["gen-stripes", "gradcheck", "train-baseline"],
+)
+def test_config_key_the_run_does_not_read_rejected(tmp_path, capsys, argv, key, value):
+    tiny_stripes(tmp_path, crop=20)  # 16 px is too small for the baseline
+    config = tmp_path / "run.cfg"
+    config.write_text(f"# one setting\n{key}={value}\n")
+    argv = [arg.format(dir=tmp_path) for arg in argv] + ["--config", str(config)]
+    files = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert cli_dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {config}:2: unknown config key {key!r} for {argv[0]}")
+    assert "passed" not in captured.out and sorted(tmp_path.rglob("*")) == files
+
+
+def test_bank_flag_rejected_for_a_frozen_bank(tmp_path, capsys):
+    data = tiny_stripes(tmp_path, crop=20)
+    train = ["train", "--arch", "baseline+hlac", "--dataset", str(data),
+             "--out", str(tmp_path / "run"), "--epochs", "1", "--eps", "0.1"]
+    assert cli_dispatch(train) == 1
+    assert capsys.readouterr().err == (
+        "error: --eps is not a setting of train --arch baseline+hlac\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
+TRAIN_SETTINGS = ["batch_size", "epochs", "lambda", "learning_rate", "momentum", "seed",
+                  "test_limit", "train_limit"]
+BANK_SETTINGS = ["c1", "c2", "eps", "kernel_h", "kernel_w", "num_kernels"]
+
+
+@pytest.mark.parametrize(
+    "arch,settings",
+    [
+        ("dhlac", sorted(TRAIN_SETTINGS + BANK_SETTINGS)),
+        ("cooc", sorted(TRAIN_SETTINGS + BANK_SETTINGS)),
+        ("baseline", TRAIN_SETTINGS),
+        ("baseline+hlac", TRAIN_SETTINGS),
+    ],
+)
+def test_train_prints_each_setting_it_reads(tmp_path, capsys, arch, settings):
+    data = tiny_stripes(tmp_path, crop=20)
+    capsys.readouterr()
+    train = ["train", "--arch", arch, "--dataset", str(data), "--out", str(tmp_path / "run"),
+             "--epochs", "1", "--seed", "3"]
+    assert cli_dispatch(train) == 0
+    out = capsys.readouterr().out.splitlines()
+    lines = [line for line in out if line.startswith("config ")]
+    assert [line[len("config "):].split("=")[0] for line in lines] == settings
+    assert "config seed=3" in lines and not any(line.startswith("seed ") for line in out)
+    if arch == "cooc":
+        assert "config kernel_h=1" in lines and "config kernel_w=1" in lines
 
 
 def test_negative_limit_rejected_before_reading(tmp_path, capsys):
@@ -140,6 +203,16 @@ def tiny_checkpoint(tmp_path):
              "--epochs", "1", "--num-kernels", "2"]
     assert cli_dispatch(train) == 0
     return tmp_path / "run.net", data
+
+
+def test_eval_rejects_labels_outside_the_classes(tmp_path, capsys):
+    ckpt, _data = tiny_checkpoint(tmp_path / "two")
+    four = tiny_stripes(tmp_path, classes=4)
+    capsys.readouterr()
+    assert cli_dispatch(["eval", "--ckpt", str(ckpt), "--dataset", str(four)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: label outside class range\n"
+    assert "accuracy" not in captured.out
 
 
 def test_nan_weight_in_blob_rejected(tmp_path, capsys):

@@ -335,3 +335,16 @@ def test_dataset_dir_round_trip(tmp_path):
     # u8 quantization: equal after one round trip through the writer
     np.testing.assert_allclose(tr.images, train.images, atol=0.5 / 255 + 1e-12)
     np.testing.assert_array_equal(tr.labels, train.labels)
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_dataset_dir_split_without_images_named(tmp_path, split):
+    image = np.full((1, 4, 4), 7, dtype=np.uint8)
+    for name in ("train", "test"):
+        make_idx_image_file(tmp_path / f"{name}-images.idx", image[:0] if name == split else image)
+        make_idx_label_file(tmp_path / f"{name}-labels.idx", [] if name == split else [0])
+    # an empty file is a valid IDX file, only not a usable split
+    assert load_idx_images(tmp_path / f"{split}-images.idx").shape == (0, 4, 4, 1)
+    with pytest.raises(ValueError) as err:
+        load_dataset_dir(tmp_path)
+    assert str(err.value) == f"{tmp_path}: {split} split has no images"

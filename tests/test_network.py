@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tmlnet import layers, network, tml
-from tmlnet.cli import DEFAULTS, build_network
+from tmlnet.cli import ARCHS, DEFAULTS, build_network
 from tmlnet.datasets import Dataset
 from tmlnet.gradcheck import _central_diff, _rel_err, tiny_network
 from tmlnet.layers import fc_forward, softmax_xent
@@ -86,7 +86,7 @@ class TestShapeChain:
             np.random.default_rng(0),
         )
         assert spec.side_params[0]["w"].shape == (3, 3, 2, 4)
-        cooc = build_network("cooc", (28, 28, 1), 10, dict(DEFAULTS, kernel_h=1, kernel_w=1))
+        cooc = build_network("cooc", (28, 28, 1), 10, dict(DEFAULTS, **ARCHS["cooc"].bank))
         cooc = init_params(cooc, np.random.default_rng(0))
         assert cooc.params[5]["w"].shape == (1, 1, 16, 8)
 

@@ -148,10 +148,9 @@ NON_FINITE = [np.nan, np.inf, -np.inf]
 def test_kernel_heatmap_rejects_non_finite_weights(bad):
     weights = np.full((3, 3, 2, 4), 0.1)
     weights[1, 2, 1, 3] = bad
-    kernels = tml.TmlKernels(TmlConfig(c1=1.0, c2=0.5), weights)
-    render_kernel_heatmap(kernels, 3, 0)  # the other channel's slice is finite
+    render_kernel_heatmap(weights, 0.5, 3, 0)  # the other channel's slice is finite
     with pytest.raises(ValueError, match="kernel 3 holds NaN or inf"):
-        render_kernel_heatmap(kernels, 3, 1)
+        render_kernel_heatmap(weights, 0.5, 3, 1)
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)

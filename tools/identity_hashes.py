@@ -39,13 +39,12 @@ import tempfile
 
 import numpy as np
 
-from tmlnet.cli import DEFAULTS, build_network, cli_dispatch
+from tmlnet.cli import ARCHS, DEFAULTS, build_network, cli_dispatch
 from tmlnet.datasets import StripeSpec, gen_stripe_dataset, write_idx_images, write_idx_labels
 from tmlnet.layers import softmax_xent
 from tmlnet.network import init_params, network_backward, network_forward
 from tmlnet.training import OptimizerState, TrainConfig, train_loop, train_step
 
-ARCHS = ("dhlac", "cooc", "baseline", "baseline+hlac")
 SIZES = ((32, 32), (64, 256))  # (crop, batch)
 CLASSES = 6
 
@@ -74,8 +73,8 @@ class Emitter:
 
 
 def build(arch: str, crop: int, seed: int):
-    # a 1x1 bank for cooc, as `tmlnet train` builds it
-    cfg = dict(DEFAULTS, kernel_h=1, kernel_w=1) if arch == "cooc" else DEFAULTS
+    # the bank's defaults, as `tmlnet train` builds it
+    cfg = dict(DEFAULTS, **(ARCHS[arch].bank or {}))
     spec = build_network(arch, (crop, crop, 1), CLASSES, cfg)
     return init_params(spec, np.random.default_rng(seed))
 
