@@ -4,14 +4,19 @@ Subcommands: gen-stripes, train, eval, gradcheck, viz-kernels, viz-features,
 viz-cooc, hlac-extract. gen-stripes, train and gradcheck take settings from
 flags layered over a plain-text key=value config file over built-in defaults.
 `SETTINGS` declares which settings each of them reads (train reads the bank's
-only for an architecture with a trainable bank, per `ARCHS`); a run prints
-every setting it reads, including the seed, before doing anything, so logs pin
-down reproducibility, and rejects any flag or config key it does not read.
+only for an architecture with a trainable bank, per `ARCHS`). A setting that
+sets a field of `StripeSpec`, `TrainConfig` or `TmlConfig` takes its default
+from that dataclass, and `FIELDS` names the field it sets; a run builds each
+dataclass through `FIELDS` too. A run prints every setting it reads, including
+the seed, before doing anything, so logs pin down reproducibility, and rejects
+any flag or config key it does not read.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -50,17 +55,45 @@ from .viz import (
     write_pgm,
 )
 
-# the settings each configurable command reads, with their defaults
-SEED = {"seed": 0}
-SETTINGS = {
-    "gen-stripes": SEED | {"classes": 6, "canvas": 1024, "crop": 32, "noise": 1.0, "samples": 100},
-    "gradcheck": SEED,
-    "train": SEED | {"epochs": 30, "batch_size": 32, "learning_rate": 0.05, "momentum": 0.9,
-                     "lambda": 0.01, "train_limit": 0, "test_limit": 0},  # limit 0: use all
+
+def _fields(cls, renamed: dict) -> dict:
+    """Setting name -> field of dataclass `cls`: each field is the setting of
+    its own name, unless `renamed` (setting -> field name) names another."""
+    setting = {field: key for key, field in renamed.items()}
+    return {setting.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+
+
+# each config dataclass's table of the settings that set its fields
+FIELDS = {
+    StripeSpec: _fields(StripeSpec, {"seed": "rng_seed", "classes": "num_classes",
+                                     "noise": "noise_amplitude", "samples": "samples_per_class"}),
+    TrainConfig: _fields(TrainConfig, {"seed": "rng_seed", "lambda": "lam"}),
+    TmlConfig: _fields(TmlConfig, {}),
 }
+
+
+def defaults(cls) -> dict:
+    """The settings of config dataclass `cls`, each with its field's default."""
+    return {key: f.default for key, f in FIELDS[cls].items()}
+
+
+def from_settings(cls, cfg: dict):
+    """An instance of config dataclass `cls` with each field from its setting in `cfg`."""
+    return cls(**{f.name: cfg[key] for key, f in FIELDS[cls].items()})
+
+
+def _default(fn, param: str):
+    """The default of `fn`'s parameter `param`, for the flag that passes it on."""
+    return inspect.signature(fn).parameters[param].default
+
+
+# the settings each configurable command reads, with their defaults
+SETTINGS = {"gen-stripes": defaults(StripeSpec), "train": defaults(TrainConfig),
+            "gradcheck": {"seed": _default(gradcheck.run_all, "seed")}}
 # what train reads besides for an architecture with a trainable bank
-BANK_SETTINGS = {"c1": 1.0, "c2": 0.5, "eps": 1e-6, "kernel_h": 3, "kernel_w": 3, "num_kernels": 8}
+BANK_SETTINGS = defaults(TmlConfig) | {"kernel_h": 3, "kernel_w": 3, "num_kernels": 8}
 DEFAULTS = SETTINGS["gen-stripes"] | SETTINGS["train"] | BANK_SETTINGS
+SPLITS = ("train", "test")  # the order `load_dataset_dir` and `gen_stripe_dataset` return them in
 
 
 class Arch(NamedTuple):
@@ -100,9 +133,9 @@ def parse_config_file(path, settings: dict, run: str) -> dict:
 
 def resolve_config(args) -> dict:
     """The settings the run reads, each from its flag, else the config file,
-    else the architecture's bank defaults, else `SETTINGS` and `BANK_SETTINGS`.
-    A flag or config key the run does not read is a ValueError, raised before
-    anything else runs."""
+    else the architecture's bank defaults, else `SETTINGS` and `BANK_SETTINGS`,
+    printed one `config key=value` line each. A flag or config key the run does
+    not read is a ValueError, raised before anything else runs."""
     run, bank = args.command, None
     if getattr(args, "arch", None):
         run, bank = f"{run} --arch {args.arch}", ARCHS[args.arch].bank
@@ -113,16 +146,10 @@ def resolve_config(args) -> dict:
             raise ValueError(f"--{key.replace('_', '-')} is not a setting of {run}")
     if args.config:
         cfg.update(parse_config_file(args.config, cfg, run))
-    return cfg | flags
-
-
-def print_config(cfg: dict) -> None:
+    cfg |= flags
     for key in sorted(cfg):
         print(f"config {key}={cfg[key]}")
-
-
-def _limited(ds, limit):
-    return ds.subset(limit) if limit and limit < len(ds) else ds
+    return cfg
 
 
 def build_network(arch: str, input_shape, num_classes: int, cfg: dict):
@@ -133,7 +160,7 @@ def build_network(arch: str, input_shape, num_classes: int, cfg: dict):
     build, bank = ARCHS[arch]
     if bank is None:
         return build(input_shape, num_classes)
-    tml = TmlConfig(c1=cfg["c1"], c2=cfg["c2"], eps=cfg["eps"])
+    tml = from_settings(TmlConfig, cfg)
     return build(input_shape, num_classes,
                  tml_layer(cfg["num_kernels"], cfg["kernel_h"], cfg["kernel_w"], tml))
 
@@ -145,18 +172,9 @@ def build_network(arch: str, input_shape, num_classes: int, cfg: dict):
 
 def cmd_gen_stripes(args) -> int:
     cfg = resolve_config(args)
-    print_config(cfg)
-    spec = StripeSpec(
-        num_classes=cfg["classes"],
-        canvas=cfg["canvas"],
-        crop=cfg["crop"],
-        noise_amplitude=cfg["noise"],
-        samples_per_class=cfg["samples"],
-        rng_seed=cfg["seed"],
-    )
-    train, test = gen_stripe_dataset(spec)
+    datasets = gen_stripe_dataset(from_settings(StripeSpec, cfg))
     os.makedirs(args.out, exist_ok=True)
-    for split, ds in (("train", train), ("test", test)):
+    for split, ds in zip(SPLITS, datasets):
         write_idx_images(ds.images, os.path.join(args.out, f"{split}-images.idx"))
         write_idx_labels(ds.labels.tolist(), os.path.join(args.out, f"{split}-labels.idx"))
         print(f"wrote {len(ds)} {split} images to {args.out}")
@@ -164,15 +182,12 @@ def cmd_gen_stripes(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_config(args)
     print(f"architecture {args.arch}")
-    print_config(cfg)
-    for key in ("train_limit", "test_limit"):
-        if cfg[key] < 0:
-            raise ValueError(f"{key} must be nonnegative (0 = use everything), got {cfg[key]}")
+    cfg = resolve_config(args)
+    tcfg = from_settings(TrainConfig, cfg)
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ValueError(f"output directory {os.path.dirname(args.out)} does not exist")
     train_ds, test_ds = load_dataset_dir(args.dataset)
-    train_ds = _limited(train_ds, cfg["train_limit"])
-    test_ds = _limited(test_ds, cfg["test_limit"])
     num_classes = int(max(train_ds.labels.max(), test_ds.labels.max())) + 1
     input_shape = train_ds.images.shape[1:]
     print(f"dataset {args.dataset}: {len(train_ds)} train / {len(test_ds)} test, "
@@ -180,9 +195,6 @@ def cmd_train(args) -> int:
 
     spec = build_network(args.arch, input_shape, num_classes, cfg)
     init_params(spec, np.random.default_rng(cfg["seed"]))
-    tcfg = TrainConfig(lam=cfg["lambda"], learning_rate=cfg["learning_rate"],
-                       momentum=cfg["momentum"], batch_size=cfg["batch_size"],
-                       epochs=cfg["epochs"], rng_seed=cfg["seed"])
     metrics_path = args.out + ".metrics.csv"
     train_loop(spec, train_ds, tcfg, test_ds=test_ds, metrics_path=metrics_path, log=print)
     save_network(spec, args.out + ".net")
@@ -192,8 +204,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     spec = load_network(args.ckpt)
-    train_ds, test_ds = load_dataset_dir(args.dataset)
-    ds = train_ds if args.split == "train" else test_ds
+    ds = load_dataset_dir(args.dataset)[SPLITS.index(args.split)]
     acc = evaluate(spec, ds)
     print(f"{args.split} accuracy {acc:.4f} ({len(ds)} samples)")
     return 0
@@ -201,7 +212,6 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = resolve_config(args)
-    print_config(cfg)
     ok = gradcheck.run_all(seed=cfg["seed"], trials=args.trials, emit=print)
     print("gradcheck " + ("passed" if ok else "FAILED"))
     return 0 if ok else 1
@@ -231,8 +241,7 @@ def cmd_viz_kernels(args) -> int:
 
 
 def _image_from_dataset(args):
-    train_ds, test_ds = load_dataset_dir(args.dataset)
-    ds = train_ds if args.split == "train" else test_ds
+    ds = load_dataset_dir(args.dataset)[SPLITS.index(args.split)]
     if not 0 <= args.index < len(ds):
         raise ValueError(f"index {args.index} outside dataset of {len(ds)} samples")
     return ds.images[args.index], int(ds.labels[args.index])
@@ -286,6 +295,13 @@ def _add_config_flags(p, settings: dict):
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=type(default))
 
 
+def _add_image_flags(p):
+    p.add_argument("ckpt")
+    p.add_argument("--dataset", required=True)
+    p.add_argument("--split", default="test", choices=SPLITS)
+    p.add_argument("--index", type=int, default=0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tmlnet",
@@ -309,11 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="report accuracy of a checkpoint")
     p.add_argument("--ckpt", required=True, help="checkpoint .net file")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--split", default="test", choices=["train", "test"])
+    p.add_argument("--split", default="test", choices=SPLITS)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=int, default=_default(gradcheck.run_all, "trials"))
     _add_config_flags(p, SETTINGS["gradcheck"])
     p.set_defaults(func=cmd_gradcheck)
 
@@ -323,20 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_viz_kernels)
 
     p = sub.add_parser("viz-features", help="render multiplication-layer outputs for one image")
-    p.add_argument("ckpt")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--split", default="test", choices=["train", "test"])
-    p.add_argument("--index", type=int, default=0)
+    _add_image_flags(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_viz_features)
 
     p = sub.add_parser("viz-cooc", help="overlay traced co-occurrence evidence on an image")
-    p.add_argument("ckpt")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--split", default="test", choices=["train", "test"])
-    p.add_argument("--index", type=int, default=0)
+    _add_image_flags(p)
     p.add_argument("--target-class", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=0.05,
+    p.add_argument("--threshold", type=float, default=_default(cooc_heat, "nonzero_frac"),
                    help="active-cell threshold as a fraction of c2")
     p.add_argument("--out", required=True, help="output PGM path")
     p.set_defaults(func=cmd_viz_cooc)

@@ -46,13 +46,14 @@ class TrainConfig:
         # a zero learning rate is allowed so a no-op update still exercises the projection
         for name, value in (
             ("lambda", self.lam),
-            ("learning rate", self.learning_rate),
+            ("learning_rate", self.learning_rate),
             ("momentum", self.momentum),
         ):
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be at least 1")
+        for name, value in (("batch_size", self.batch_size), ("epochs", self.epochs)):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
 
 
 @dataclass

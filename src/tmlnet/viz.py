@@ -85,11 +85,13 @@ def cooc_heat(
     Runs the forward pass up to the multiplication layer, picks the kernel
     behind the largest classifier weight for the target class, selects the
     input feature maps under that kernel's above-threshold cells
-    (weight > nonzero_frac * c2), and averages them upsampled to the input
-    size.
+    (weight > nonzero_frac * c2; a NaN, infinite or negative fraction is a
+    ValueError), and averages them upsampled to the input size.
 
     Returns (heat, kernel_index, channel_indices).
     """
+    if not 0 <= nonzero_frac < np.inf:  # also rejects NaN
+        raise ValueError(f"threshold must be finite and nonnegative, got {nonzero_frac!r}")
     t_idx, fc_idx = _coocc_structure(spec)
     layer = spec.layers[t_idx]
     if not 0 <= target_class < spec.num_classes:

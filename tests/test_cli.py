@@ -142,8 +142,7 @@ def test_bank_flag_rejected_for_a_frozen_bank(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
 
-TRAIN_SETTINGS = ["batch_size", "epochs", "lambda", "learning_rate", "momentum", "seed",
-                  "test_limit", "train_limit"]
+TRAIN_SETTINGS = ["batch_size", "epochs", "lambda", "learning_rate", "momentum", "seed"]
 BANK_SETTINGS = ["c1", "c2", "eps", "kernel_h", "kernel_w", "num_kernels"]
 
 
@@ -170,15 +169,44 @@ def test_train_prints_each_setting_it_reads(tmp_path, capsys, arch, settings):
         assert "config kernel_h=1" in lines and "config kernel_w=1" in lines
 
 
-def test_negative_limit_rejected_before_reading(tmp_path, capsys):
+def test_bad_training_value_rejected_before_reading(tmp_path, capsys):
     missing = tmp_path / "no-such-dataset"
-    for flag in ("--train-limit", "--test-limit"):
+    for flag, value, message in (
+        ("--epochs", "0", "epochs must be at least 1, got 0"),
+        ("--batch-size", "0", "batch_size must be at least 1, got 0"),
+        ("--learning-rate", "-1", "learning_rate must be finite and nonnegative, got -1.0"),
+        ("--lambda", "nan", "lambda must be finite and nonnegative, got nan"),
+    ):
         train = ["train", "--arch", "dhlac", "--dataset", str(missing), "--out",
-                 str(tmp_path / "run"), flag, "-25"]
+                 str(tmp_path / "run"), flag, value]
         assert cli_dispatch(train) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "must be nonnegative" in err
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_dataset_limits_are_not_settings(tmp_path, capsys):
+    data = tiny_stripes(tmp_path)
+    train = ["train", "--arch", "dhlac", "--dataset", str(data), "--out", str(tmp_path / "run")]
+    assert cli_dispatch(train + ["--train-limit", "5"]) == 2
+    assert "unrecognized arguments: --train-limit 5" in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text("train_limit=5\n")
+    assert cli_dispatch(train + ["--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}:1: unknown config key 'train_limit' for train --arch dhlac\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "run.cfg"]
+
+
+def test_train_out_directory_checked_before_reading(tmp_path, capsys):
+    data = tiny_stripes(tmp_path)
+    capsys.readouterr()
+    train = ["train", "--arch", "dhlac", "--dataset", str(data), "--out",
+             str(tmp_path / "nodir" / "run"), "--epochs", "1"]
+    assert cli_dispatch(train) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: output directory {tmp_path / 'nodir'} does not exist\n"
+    assert not any(line.startswith(("dataset ", "epoch ")) for line in captured.out.splitlines())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
 
 def test_zero_crop_rejected_before_writing(tmp_path, capsys):

@@ -140,6 +140,20 @@ def test_viz_cooc_cli_rejects_out_of_range_class(tmp_path, dataset_dir, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+def test_viz_cooc_cli_rejects_bad_threshold(tmp_path, dataset_dir, capsys, threshold):
+    # each once fell back to one map or averaged all of them, and wrote the PGM
+    ckpt = tmp_path / "cooc.net"
+    save_network(tiny_cooc_net(), ckpt)
+    out = tmp_path / "cooc.pgm"
+    argv = ["viz-cooc", str(ckpt), "--dataset", str(dataset_dir), "--threshold", threshold,
+            "--out", str(out)]
+    assert cli_dispatch(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: threshold must be finite and nonnegative, got {float(threshold)!r}\n")
+    assert not out.exists()
+
+
 NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
