@@ -160,7 +160,7 @@ def write_idx_labels(labels, path) -> None:
 def load_dataset_dir(directory) -> tuple[Dataset, Dataset]:
     """Read the four-file layout that `gen-stripes` writes: train-images.idx,
     train-labels.idx, test-images.idx, test-labels.idx. Each split must hold
-    an image."""
+    an image, and both splits' images must have one shape."""
 
     def one(split):
         images = load_idx_images(os.path.join(directory, f"{split}-images.idx"))
@@ -171,7 +171,11 @@ def load_dataset_dir(directory) -> tuple[Dataset, Dataset]:
             raise ValueError(f"{directory}: {split} image/label counts differ")
         return Dataset(images, labels)
 
-    return one("train"), one("test")
+    train, test = one("train"), one("test")
+    if train.images.shape[1:] != test.images.shape[1:]:
+        shapes = ["x".join(map(str, ds.images.shape[1:])) for ds in (train, test)]
+        raise ValueError(f"{directory}: train images are {shapes[0]}, test images {shapes[1]}")
+    return train, test
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ only where the first product holds a -0.0, and no GEMM tried on OpenBLAS
 returns one (zero and -0.0 weights and d_y, 1-16 x 1-8 by 1-1000 shapes),
 so d_x needs no +0.0 pass; a test pins its bytes to that sum. d_x is not
 blocked by images: the planes of the benchmarked nets fit L2 (ROADMAP item
-7). d_x is skipped for a layer that reads the network input. Max pooling's
+10). d_x is skipped for a layer that reads the network input. Max pooling's
 backward writes d_x in x's layout and GAP's writes it channel-major, so the
 ReLU and TML backwards beneath them multiply arrays of one layout. Dropout
 scales survivors by 1/(1-rate) at train time.

@@ -6,15 +6,19 @@ Each step computes gradients of
     E = mean batch loss + lambda * sum(|kernel weights|)
 
 over the CNN parameters and the multiplication-layer kernels, updates both
-with momentum SGD, then projects every trainable kernel bank back onto its
-constraint set (weights in [0, C2], per-kernel sum C1). Only kernel weights
-carry the L1 term and the projection; ordinary CNN parameters are untouched
-by either. The subgradient of |w| at w = 0 is taken as 0 so clipped-away
-weights stay put until the data gradient revives them. A kernel that the clip
-leaves all zero restarts as the uniform kernel (`tml.project_kernels` returns
-its index) and its momentum is cleared, so the old velocity does not drive it
-back to zero. A frozen bank gets no gradient from the backward pass, so the
-step neither updates nor projects it.
+with momentum SGD, and projects every trainable kernel bank's new weights
+back onto its constraint set (weights in [0, C2], per-kernel sum C1). Only
+kernel weights carry the L1 term and the projection; ordinary CNN parameters
+are untouched by either. The subgradient of |w| at w = 0 is taken as 0 so
+clipped-away weights stay put until the data gradient revives them. A kernel
+that the clip leaves all zero restarts as the uniform kernel
+(`tml.project_kernels` returns its index) and its new velocity is cleared, so
+the old momentum does not drive it back to zero. A frozen bank gets no
+gradient from the backward pass, so the step neither updates nor projects it.
+
+A step is all or nothing: every slot's update, check and projection is
+computed first, and parameters, velocities and the `InvariantLog` are written
+only once all of them have succeeded.
 
 Only the mean loss is reported: after projection every trainable kernel is
 nonnegative and sums to C1, so the L1 term is the constant lambda * M * C1.
@@ -109,7 +113,8 @@ def train_step(
     returns the batch's mean loss before the update.
 
     Raises ValueError on an empty batch or a non-finite loss, gradient or
-    update, with every parameter and velocity unchanged.
+    update. Whatever the step raises, a projection's error too, leaves every
+    parameter, velocity and `invariants` unchanged.
     """
     xb, labels = batch
     if len(labels) == 0:
@@ -121,17 +126,15 @@ def train_step(
     if not np.isfinite(mean_loss):
         raise ValueError("non-finite loss")
     grads = network_backward(spec, trace, d_logits / len(losses))
-    slots = list(
-        zip(
-            spec.layers + spec.side_layers,
-            spec.params + spec.side_params,
-            grads.main + grads.side,
-            state.velocities.main + state.velocities.side,
-        )
+    slots = zip(
+        spec.layers + spec.side_layers,
+        spec.params + spec.side_params,
+        grads.main + grads.side,
+        state.velocities.main + state.velocities.side,
     )
 
-    # compute every update first and commit only when all are finite, so a
-    # failed step leaves parameters and velocities as they were
+    # compute and project every update first and commit only when all have
+    # succeeded, so a failed step leaves parameters and velocities as they were
     updates = []
     for n, (layer, params, g, vel) in enumerate(slots):
         for key, d in g.items():
@@ -147,23 +150,20 @@ def train_step(
                     f"non-finite gradient or update for {layer.kind} layer {n} {key!r}; "
                     "parameters left unchanged"
                 )
-            updates.append((vel[key], v, params[key], new))
-    for v_old, v, p_old, new in updates:
-        v_old[...] = v
-        p_old[...] = new
-
-    for layer, params, g, vel in slots:
-        if layer.kind == "tml" and g:
-            projected, restarted = T.project_kernels(T.TmlKernels(layer.tml, params["w"]))
-            params["w"][...] = projected.weights
-            vel["w"][..., list(restarted)] = 0.0
-            if invariants is not None:
-                w = params["w"]
-                invariants.min_weight = min(invariants.min_weight, float(w.min()))
-                sums = w.sum(axis=(0, 1, 2))
-                invariants.max_sum_abs_err = max(
-                    invariants.max_sum_abs_err, float(np.abs(sums - layer.tml.c1).max())
-                )
+            if layer.kind == "tml":
+                projected, restarted = T.project_kernels(T.TmlKernels(layer.tml, new))
+                new = projected.weights
+                v[..., list(restarted)] = 0.0
+            updates.append((layer, params[key], new, vel[key], v))
+    for layer, p, new, vel, v in updates:
+        p[...] = new
+        vel[...] = v
+        if layer.kind == "tml" and invariants is not None:
+            invariants.min_weight = min(invariants.min_weight, float(p.min()))
+            sums = p.sum(axis=(0, 1, 2))
+            invariants.max_sum_abs_err = max(
+                invariants.max_sum_abs_err, float(np.abs(sums - layer.tml.c1).max())
+            )
     if invariants is not None:
         invariants.steps += 1
     return mean_loss

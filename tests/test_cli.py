@@ -209,6 +209,21 @@ def test_train_out_directory_checked_before_reading(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
 
+def test_train_rejects_splits_of_two_shapes_before_training(tmp_path, capsys):
+    data = tiny_stripes(tmp_path, crop=24)
+    small = tiny_stripes(tmp_path / "small", crop=16)
+    for name in ("test-images.idx", "test-labels.idx"):
+        (small / name).replace(data / name)
+    capsys.readouterr()
+    train = ["train", "--arch", "dhlac", "--dataset", str(data), "--out", str(tmp_path / "run"),
+             "--epochs", "1"]
+    assert cli_dispatch(train) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {data}: train images are 24x24x1, test images 16x16x1\n"
+    assert not any(line.startswith(("dataset ", "epoch ")) for line in captured.out.splitlines())
+    assert not list(tmp_path.glob("run*"))
+
+
 def test_zero_crop_rejected_before_writing(tmp_path, capsys):
     out = tmp_path / "data"
     assert cli_dispatch(["gen-stripes", "--out", str(out), "--crop", "0"]) == 1

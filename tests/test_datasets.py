@@ -348,3 +348,15 @@ def test_dataset_dir_split_without_images_named(tmp_path, split):
     with pytest.raises(ValueError) as err:
         load_dataset_dir(tmp_path)
     assert str(err.value) == f"{tmp_path}: {split} split has no images"
+
+
+@pytest.mark.parametrize("test_shape", [(6, 4), (4, 6), (3, 3)])
+def test_dataset_dir_splits_of_two_shapes_named(tmp_path, test_shape):
+    make_idx_image_file(tmp_path / "train-images.idx", np.zeros((1, 4, 4), dtype=np.uint8))
+    make_idx_image_file(tmp_path / "test-images.idx", np.zeros((1, *test_shape), dtype=np.uint8))
+    for name in ("train", "test"):
+        make_idx_label_file(tmp_path / f"{name}-labels.idx", [0])
+    with pytest.raises(ValueError) as err:
+        load_dataset_dir(tmp_path)
+    rows, cols = test_shape
+    assert str(err.value) == f"{tmp_path}: train images are 4x4x1, test images {rows}x{cols}x1"

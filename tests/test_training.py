@@ -277,6 +277,30 @@ class TestTrainStep:
                 for key in a:
                     np.testing.assert_array_equal(b[key], a[key])
 
+    def test_failed_projection_changes_nothing(self, monkeypatch):
+        # the bank is a side layer, after every main slot, so a step that
+        # committed before it projected would already have moved the convs
+        bank = tml_layer(4, 3, 3, TmlConfig(c1=1.0, c2=0.5))
+        spec = init_params(build_dhlac_net((16, 16, 1), 2, bank), np.random.default_rng(13))
+        cfg = TrainConfig(learning_rate=0.1, lam=0.01, momentum=0.9)
+        state = OptimizerState.zeros_like(spec)
+        rng = np.random.default_rng(14)
+        train_step(spec, toy_batch(rng, shape=(16, 16, 1)), cfg, state, rng)  # nonzero velocities
+        arrays = spec.params + spec.side_params + state.velocities.main + state.velocities.side
+        before = [{k: v.copy() for k, v in p.items()} for p in arrays]
+        inv = InvariantLog()
+
+        def failing_rescale(kernels):
+            raise ValueError("rescale failed")
+
+        monkeypatch.setattr(tml, "rescale_step", failing_rescale)
+        with pytest.raises(ValueError, match="rescale failed"):
+            train_step(spec, toy_batch(rng, shape=(16, 16, 1)), cfg, state, rng, invariants=inv)
+        for a, b in zip(before, arrays):
+            for key in a:
+                assert b[key].tobytes() == a[key].tobytes()
+        assert inv == InvariantLog()
+
     def test_l1_subgradient_applied(self, monkeypatch):
         # with momentum 0 and projection off, the kernel moves by
         # -lr * (data_grad + lam * sign(w)); compare lam=0 vs lam>0
