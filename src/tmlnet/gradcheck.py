@@ -53,14 +53,15 @@ def _central_diff(loss, arr, step):
 def check_layer(layer: LayerSpec, params: dict, x, r, need_dx: bool = True) -> dict:
     """Errors of the gradients `KINDS[layer.kind]`'s eval-mode backward
     returns for the probe loss sum(r * forward(x)), keyed "x" for d_x (when
-    `need_dx`) and by parameter name. With `need_dx` False the backward must
-    return d_x None."""
+    `need_dx`) and by parameter name. The backward reads the cache of a
+    forward told to keep it; the probe's forwards keep none. With `need_dx`
+    False the backward must return d_x None."""
     kind = KINDS[layer.kind]
 
     def loss():
-        return float((r * kind.forward(layer, params, x, False, None)[0]).sum())
+        return float((r * kind.forward(layer, params, x, False, None, False)[0]).sum())
 
-    _y, cache = kind.forward(layer, params, x, False, None)
+    _y, cache = kind.forward(layer, params, x, False, None, True)
     d_x, grads = kind.backward(layer, params, cache, r, need_dx)
     if need_dx:
         grads = {"x": d_x, **grads}

@@ -38,18 +38,24 @@ scales survivors by 1/(1-rate) at train time.
 
 Max pooling is 2x2 stride 2; odd trailing rows or columns are dropped and get
 a zero gradient. The forward takes the elementwise max of the four strided
-views x[:, p::2, q::2] of the blocks, with no copy and no index array. The
-backward finds the routing from the input alone, so a trace keeps no pooled
-output for it: it recomputes the max, and each d_y goes to the first position
-of its block, in (0,0),(0,1),(1,0),(1,1) order, whose value equals the max, so
-tied values get the gradient once (first max wins, as an argmax would pick). A
-block holding a NaN pools to NaN, which equals nothing, so that block gets no
-gradient; NaN logits are rejected by `softmax_xent` before any backward runs.
-A block whose max is a zero held as both 0.0 and -0.0 may pool to either.
-ReLU's backward reads its output: y > 0 exactly where x > 0.
+views x[:, p::2, q::2] of the blocks, with no copy and no index array. A
+forward whose backward will run also returns a route (`return_route`): one
+uint8 per block, the first position of the block, in (0,0),(0,1),(1,0),(1,1)
+order, whose value equals the max, so tied values get the gradient once
+(first max wins, as an argmax would pick). It is built from compares of the
+four views against the max the forward already has, and a trace keeps it in
+place of x, a 32nd of x's bytes: the backward routes each d_y by it and
+recomputes no max. A block holding a NaN pools to NaN, which equals nothing,
+so its route is 4 and it gets no gradient; NaN logits are rejected by
+`softmax_xent` before any backward runs. A block whose max is a zero held as
+both 0.0 and -0.0 may pool to either, and routes to the first of them, since
+the two compare equal. ReLU's backward reads its output: y > 0 exactly where
+x > 0.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -154,8 +160,17 @@ def _quarters(a: np.ndarray, h2: int, w2: int) -> list[np.ndarray]:
     return [a[:, p : 2 * h2 : 2, q : 2 * w2 : 2] for p in (0, 1) for q in (0, 1)]
 
 
-def maxpool_forward(x: np.ndarray) -> np.ndarray:
-    """2x2/2 max pool: the elementwise max of x's four block views."""
+class PoolRoute(NamedTuple):
+    """What a 2x2/2 max pool's backward reads in place of its input x."""
+
+    code: np.ndarray  # uint8, one per block: its first max's position 0-3, 4 for NaN
+    x_shape: tuple  # x's (B, H, W, C)
+    x_axes: tuple  # x's axes, outermost in memory first: d_x's layout
+
+
+def maxpool_forward(x: np.ndarray, return_route: bool = False):
+    """2x2/2 max pool: the elementwise max y of x's four block views; with
+    `return_route`, (y, the `PoolRoute` that `maxpool_backward` reads)."""
     _, h, w, _ = x.shape
     h2, w2 = h // 2, w // 2
     if h2 == 0 or w2 == 0:
@@ -164,25 +179,35 @@ def maxpool_forward(x: np.ndarray) -> np.ndarray:
     y = np.maximum(v[0], v[1])
     np.maximum(y, v[2], out=y)
     np.maximum(y, v[3], out=y)
-    return y
+    if not return_route:
+        return y
+    # code is the index of the first view equal to y, 4 if none is (a NaN
+    # block): after view k, missed holds whether views 0..k all differ from
+    # y, and code sums missed over k
+    code = np.not_equal(v[0], y).view(np.uint8)
+    missed, ne = code.astype(bool), np.empty_like(code, dtype=bool)
+    for q in v[1:]:
+        np.not_equal(q, y, out=ne)
+        missed &= ne
+        code += missed.view(np.uint8)
+    axes = tuple(sorted(range(4), key=lambda a: -x.strides[a]))
+    return y, PoolRoute(code, x.shape, axes)
 
 
-def maxpool_backward(d_y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Routes each d_y to the first position of its block whose value equals
-    the max, which it recomputes from the input x."""
-    y = maxpool_forward(x)
-    h2, w2 = y.shape[1], y.shape[2]
-    d_x = np.zeros_like(x)
-    free = np.ones_like(y, dtype=bool)  # blocks whose max is not yet found
-    hit = np.empty_like(y, dtype=bool)
+def maxpool_backward(d_y: np.ndarray, route: PoolRoute) -> np.ndarray:
+    """Routes each d_y to the position `route.code` names in its block of d_x
+    (x's shape and layout); a NaN block's code, 4, names none. The route
+    stands in for x, so no max is recomputed: one compare and one copy per
+    block position."""
+    code, x_shape, axes = route
+    d_x = np.zeros([x_shape[a] for a in axes]).transpose(np.argsort(axes))
+    hit = np.empty_like(code, dtype=bool)
     bits = np.asarray(d_y, dtype=np.float64).view(np.int64)
-    for v, dv in zip(_quarters(x, h2, w2), _quarters(d_x, h2, w2)):
-        np.equal(v, y, out=hit)
-        hit &= free
+    for k, dv in enumerate(_quarters(d_x, *code.shape[1:3])):
+        np.equal(code, k, out=hit)
         # multiplying bit patterns copies d_y exactly where hit and writes +0.0
         # elsewhere; a float product would leave -0.0 (or NaN from an inf) there
         np.multiply(bits, hit, out=dv.view(np.int64))
-        free ^= hit
     return d_x
 
 

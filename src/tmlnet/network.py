@@ -226,23 +226,23 @@ def _weight_grads(d_x, d_w, d_b):
     return d_x, {"w": d_w, "b": d_b}
 
 
-def _sigmoid_forward(layer, p, a, train_mode, rng):
+def _sigmoid_forward(layer, p, a, train_mode, rng, keep):
     y = L.sigmoid_forward(a)
     return y, y
 
 
-def _relu_forward(layer, p, a, train_mode, rng):
+def _relu_forward(layer, p, a, train_mode, rng, keep):
     y = L.relu_forward(a)
     return y, y
 
 
-def _dropout_forward(layer, p, a, train_mode, rng):
+def _dropout_forward(layer, p, a, train_mode, rng, keep):
     if train_mode and layer.rate > 0 and rng is None:
         raise ValueError("training forward through dropout needs an rng")
     return L.dropout_forward(a, layer.rate, rng, train_mode)
 
 
-def _tml_forward(layer, p, a, train_mode, rng):
+def _tml_forward(layer, p, a, train_mode, rng, keep):
     kernels = T.TmlKernels(layer.tml, p["w"])
     if not layer.trainable:  # its backward computes d_x alone, from x and y
         y = T.forward_batch(a, kernels)
@@ -277,19 +277,22 @@ class Kind:
     when it is False. Param grads hold only the arrays that train: a frozen
     tml bank returns {}.
 
-    The cache a forward returns for its backward, which the trace keeps only
-    for a layer whose backward runs: conv, fc and maxpool keep their input x
-    (the pool's backward recomputes the max from it); relu and sigmoid their
-    output y; gap the input shape; dropout its keep mask (None in eval mode);
-    tml (x, y, z) with z = log(x + eps), which d_w reads, and a frozen bank
-    (x, y). A cached input is the array the layer beneath returned, not a
-    copy, so the trace holds each activation once: in a conv -> maxpool ->
-    relu stack the conv's output is the pool's x, and the relu's pooled
-    output is also the next layer's x; in a relu -> maxpool stack (older
-    checkpoints) the relu's output is also the pool's x.
+    A forward is passed `keep`: whether the trace keeps its cache, which it
+    does only for a layer whose backward runs. The cache: conv and fc keep
+    their input x; maxpool its route (`layers.PoolRoute`: one uint8 per
+    block naming the position its d_y goes to, with x's shape and layout),
+    which it computes only when kept; relu and sigmoid their output y; gap
+    the input shape; dropout its keep mask (None in eval mode); tml (x, y, z)
+    with z = log(x + eps), which d_w reads, and a frozen bank (x, y). A
+    cached input is the array the layer beneath returned, not a copy, so the
+    trace holds each activation once. In a conv -> maxpool -> relu stack no
+    cache holds the conv's output: the pool keeps its route, a 32nd of that
+    output's bytes, and the relu's pooled output y is also the next layer's
+    x. In a relu -> maxpool stack (older checkpoints) the relu keeps its
+    whole unpooled output.
     """
 
-    forward: Callable  # (layer, params, a, train_mode, rng) -> (y, cache)
+    forward: Callable  # (layer, params, a, train_mode, rng, keep) -> (y, cache)
     backward: Callable  # (layer, params, cache, d_y, need_dx) -> (d_x, param grads)
     out_shape: Callable = lambda layer, shape: shape  # (h, w, c) volume or (d,) vector
     param_shapes: Callable = lambda layer, in_shape: {}
@@ -301,7 +304,9 @@ class Kind:
 
 KINDS = {
     "conv": Kind(
-        forward=lambda layer, p, a, train_mode, rng: (L.conv2d_forward(a, p["w"], p["b"]), a),
+        forward=lambda layer, p, a, train_mode, rng, keep: (
+            L.conv2d_forward(a, p["w"], p["b"]), a
+        ),
         backward=lambda layer, p, x, d_y, need_dx: _weight_grads(
             *L.conv2d_backward(x, p["w"], d_y, need_dx=need_dx)
         ),
@@ -316,8 +321,10 @@ KINDS = {
         make=conv,
     ),
     "maxpool": Kind(
-        forward=lambda layer, p, a, train_mode, rng: (L.maxpool_forward(a), a),
-        backward=lambda layer, p, x, d_y, need_dx: (L.maxpool_backward(d_y, x), {}),
+        forward=lambda layer, p, a, train_mode, rng, keep: (
+            L.maxpool_forward(a, return_route=True) if keep else (L.maxpool_forward(a), None)
+        ),
+        backward=lambda layer, p, route, d_y, need_dx: (L.maxpool_backward(d_y, route), {}),
         out_shape=_pool_shape,
     ),
     "relu": Kind(
@@ -329,7 +336,7 @@ KINDS = {
         backward=lambda layer, p, y, d_y, need_dx: (L.sigmoid_backward(d_y, y), {}),
     ),
     "fc": Kind(
-        forward=lambda layer, p, a, train_mode, rng: (L.fc_forward(a, p["w"], p["b"]), a),
+        forward=lambda layer, p, a, train_mode, rng, keep: (L.fc_forward(a, p["w"], p["b"]), a),
         backward=lambda layer, p, x, d_y, need_dx: _weight_grads(*L.fc_backward(x, p["w"], d_y)),
         out_shape=lambda layer, shape: (layer.units,),
         param_shapes=lambda layer, in_shape: {
@@ -342,7 +349,7 @@ KINDS = {
         make=fc,
     ),
     "gap": Kind(
-        forward=lambda layer, p, a, train_mode, rng: (L.gap_forward(a), a.shape),
+        forward=lambda layer, p, a, train_mode, rng, keep: (L.gap_forward(a), a.shape),
         backward=lambda layer, p, in_shape, d_y, need_dx: (L.gap_backward(d_y, in_shape), {}),
         out_shape=lambda layer, shape: (_volume(layer, shape)[2],),
     ),
@@ -527,16 +534,17 @@ def _chain_forward(layers, params, walk: ChainWalk, a, train_mode, rng, block, c
         layer = layers[i]
         if side is not None and i == len(layers) - 1:
             a = np.concatenate([side, a.reshape(len(a), -1)], axis=1)
-        a, cache = KINDS[layer.kind].forward(layer, params[i], a, train_mode, rng)
+        keep = caches is not None and walk.steps[i][0]
+        a, cache = KINDS[layer.kind].forward(layer, params[i], a, train_mode, rng, keep)
         if caches is not None:
-            caches.append(cache if walk.steps[i][0] else None)
+            caches.append(cache if keep else None)
     return a
 
 
 def _forward_block(layers, params, a):
     """`layers` in eval mode over one block of images, keeping no cache; returns the output."""
     for layer, p in zip(layers, params):
-        a, _ = KINDS[layer.kind].forward(layer, p, a, False, None)
+        a, _ = KINDS[layer.kind].forward(layer, p, a, False, None, False)
     return a
 
 

@@ -172,9 +172,12 @@ def train_step(
 def evaluate(spec: NetworkSpec, ds: Dataset, batch_size: int = 256) -> float:
     """Fraction of samples whose arg-max logit matches the label (eval mode).
 
-    Raises ValueError on an empty dataset, a label no logit stands for, or
-    non-finite logits, whose argmax would be a meaningless class.
+    Raises ValueError on a batch_size below 1, an empty dataset, a label no
+    logit stands for, or non-finite logits, whose argmax would be a
+    meaningless class.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
     if len(ds) == 0:
         raise ValueError("empty dataset")
     _check_labels(ds.labels, spec.num_classes)

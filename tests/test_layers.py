@@ -306,6 +306,11 @@ def argmax_maxpool(x):
 POOL_SHAPES = [(2, 5, 7, 1), (3, 8, 9, 6), (1, 11, 6, 16), (4, 2, 3, 6), (2, 7, 7, 16)]
 
 
+def pool_backward(d_y, x):
+    """maxpool_backward through the route a forward of x records."""
+    return maxpool_backward(d_y, maxpool_forward(x, return_route=True)[1])
+
+
 class TestMaxpool:
     def test_single_block(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)
@@ -319,14 +324,23 @@ class TestMaxpool:
 
     def test_backward_routes_to_argmax(self):
         x = np.array([[1.0, 4.0], [3.0, 2.0]]).reshape(1, 2, 2, 1)
-        d_x = maxpool_backward(np.full((1, 1, 1, 1), 5.0), x)
+        d_x = pool_backward(np.full((1, 1, 1, 1), 5.0), x)
         np.testing.assert_array_equal(d_x.reshape(2, 2), [[0.0, 5.0], [0.0, 0.0]])
 
     def test_tie_routes_once(self):
         # equal entries must receive the gradient exactly once in total
         x = np.full((1, 2, 2, 1), 7.0)
-        d_x = maxpool_backward(np.ones((1, 1, 1, 1)), x)
+        d_x = pool_backward(np.ones((1, 1, 1, 1)), x)
         assert d_x.sum() == 1.0
+
+    def test_route_is_a_byte_per_block(self):
+        x = np.arange(4 * 5 * 7 * 3, dtype=np.float64).reshape(4, 5, 7, 3)
+        y, route = maxpool_forward(x, return_route=True)
+        assert route.code.dtype == np.uint8 and route.code.shape == y.shape == (4, 2, 3, 3)
+        assert route.x_shape == x.shape
+        # increasing values: every block's max is its last position
+        np.testing.assert_array_equal(route.code, 3)
+        assert y.tobytes() == maxpool_forward(x).tobytes()
 
     @pytest.mark.parametrize("shape", POOL_SHAPES)
     def test_matches_argmax_reference_bytes(self, shape):
@@ -340,9 +354,9 @@ class TestMaxpool:
         ref_d_x = ref_backward(d_y)
         for layout in LAYOUTS.values():
             x_l = layout(x)
-            y = maxpool_forward(x_l)
+            y, route = maxpool_forward(x_l, return_route=True)
             assert y.shape == ref_y.shape and y.tobytes() == ref_y.tobytes()
-            d_x = maxpool_backward(layout(d_y), x_l)
+            d_x = maxpool_backward(layout(d_y), route)
             assert d_x.shape == x.shape and d_x.tobytes() == ref_d_x.tobytes()
             # d_x has x's layout, so the ReLU backward below reads one layout
             assert is_channel_major(d_x) == is_channel_major(x_l)
@@ -350,9 +364,18 @@ class TestMaxpool:
 
     def test_nan_block_gets_no_gradient(self):
         x = np.array([[1.0, np.nan], [3.0, 2.0]]).reshape(1, 2, 2, 1)
-        y = maxpool_forward(x)
-        assert np.isnan(y).all()
-        np.testing.assert_array_equal(maxpool_backward(np.ones_like(y), x), 0.0)
+        y, route = maxpool_forward(x, return_route=True)
+        assert np.isnan(y).all() and route.code.reshape(()) == 4
+        np.testing.assert_array_equal(maxpool_backward(np.ones_like(y), route), 0.0)
+
+    @pytest.mark.parametrize("signs", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zero_max_routes_to_its_first_zero(self, signs):
+        # 0.0 == -0.0: the first zero gets the gradient, whichever sign it has
+        x = np.array([[-1.0, signs[0]], [signs[1], -2.0]]).reshape(1, 2, 2, 1)
+        y, route = maxpool_forward(x, return_route=True)
+        assert y.reshape(()) == 0.0 and route.code.reshape(()) == 1
+        d_x = maxpool_backward(np.full((1, 1, 1, 1), -3.0), route)
+        assert d_x.tobytes() == np.array([0.0, -3.0, 0.0, 0.0]).tobytes()
 
 
 class TestActivations:

@@ -447,14 +447,96 @@ class TestPoolBeforeRelu:
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("arch", sorted(SHIPPED_NETS))
-    def test_trace_holds_each_activation_once(self, arch):
-        # the pool keeps the conv's output and the ReLU the pooled map, which
-        # the layer above reads: what relu -> maxpool keeps, byte for byte
+    def test_each_pool_keeps_a_byte_route(self, arch):
+        # a pool keeps one uint8 per block, not the conv output it read; what
+        # relu -> maxpool keeps also holds the ReLU's unpooled output
         spec = init_params(SHIPPED_NETS[arch](), np.random.default_rng(0))
         xb = tied_batch(spec)
+        shapes = validate_network(spec)[0].shapes
+        _, trace = network_forward(spec, xb)
+        pools = [i for i, layer in enumerate(spec.layers) if layer.kind == "maxpool"]
+        assert len(pools) == (1 if arch == "cooc" else 2)
+        for i in pools:
+            route = trace.caches[i]
+            assert route.code.dtype == np.uint8
+            assert route.code.shape == (len(xb), *shapes[i + 1])
+            assert all(part.shape != (len(xb), *shapes[i])
+                       for part in route if isinstance(part, np.ndarray))
         sizes = [trace_bytes(network_forward(net, xb)[1])
                  for net in (spec, relu_before_pool(spec)[0])]
-        assert sizes[0] == sizes[1]
+        assert sizes[0] < sizes[1]
+
+
+def record_routes(monkeypatch):
+    """Replace `layers.maxpool_forward` by a recorder; returns the
+    `return_route` flag of each call."""
+    flags, pool = [], layers.maxpool_forward
+
+    def call(x, return_route=False):
+        flags.append(return_route)
+        return pool(x, return_route=return_route)
+
+    monkeypatch.setattr(layers, "maxpool_forward", call)
+    return flags
+
+
+def pool_net():
+    """Pools whose backward does not run: one on the main chain beneath every
+    layer that trains, behind a dropout, and one on a frozen side chain."""
+    frozen = tml_layer(2, 2, 2, TmlConfig(c1=1.0, c2=0.6), trainable=False)
+    spec = NetworkSpec(
+        layers=[dropout(0.5), LayerSpec("maxpool"), conv(2, 3, 3), LayerSpec("maxpool"),
+                LayerSpec("relu"), fc(3)],
+        input_shape=(12, 12, 1),
+        num_classes=3,
+        side_layers=[frozen, LayerSpec("maxpool"), LayerSpec("gap")],
+    )
+    return init_params(spec, np.random.default_rng(0))
+
+
+class TestPoolRoute:
+    """Only a pool whose backward runs computes a route, and the trace keeps
+    it in place of the pool's input: a trace-free forward, and the pools of a
+    traced one that no backward reads, pool alone."""
+
+    @pytest.mark.parametrize("arch", sorted(SHIPPED_NETS))
+    def test_one_route_per_pool_of_a_traced_forward(self, monkeypatch, arch):
+        spec = init_params(SHIPPED_NETS[arch](), np.random.default_rng(0))
+        xb = np.random.default_rng(1).uniform(size=(7, *spec.input_shape))
+        blocks_of_three(monkeypatch, spec)
+        flags = record_routes(monkeypatch)
+        network_forward(spec, xb, trace=False)
+        pools = sum(layer.kind == "maxpool" for layer in spec.layers)
+        assert flags == [False] * 3 * pools
+        flags.clear()
+        network_forward(spec, xb)
+        assert flags == [True] * pools
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_pools_no_backward_reads_compute_no_route(self, monkeypatch, mode):
+        # eval: the first main pool and the side pool run in the blocks;
+        # train: the dropout ends the main chain's blocked run, and the first
+        # pool runs over the whole batch, still with no backward
+        spec = pool_net()
+        xb = np.random.default_rng(1).uniform(0.1, 1.0, size=(7, 12, 12, 1))
+        sizes = blocks_of_three(monkeypatch, spec)
+        flags = record_routes(monkeypatch)
+        logits, trace = network_forward(spec, xb, train_mode=mode == "train",
+                                        rng=np.random.default_rng(2))
+        assert sizes == ([3, 3, 1] * 2 if mode == "eval" else [3, 3, 1])
+        assert flags == [False] * (6 if mode == "eval" else 4) + [True]
+        assert trace.caches[1] is None and trace.side_caches == [None, None, None]
+        assert trace.caches[3].code.shape == (7, 2, 2, 2)
+        grads = network_backward(spec, trace, np.cos(logits))
+        assert all(np.any(g) for g in grads.main[2].values())
+
+    def test_hlac_trace_at_64_px_fits_45_mib_at_b256(self):
+        # every cache is per image, so B=2 scales to the B=256 of hlac-eval's
+        # checkpoint check: 41.1 MiB, where keeping each pool's conv output
+        # made it 124.8 MiB
+        spec = init_params(build_baseline_hlac_net((64, 64, 1), 8), np.random.default_rng(0))
+        xb = np.random.default_rng(1).uniform(size=(2, 64, 64, 1))
+        assert trace_bytes(network_forward(spec, xb)[1]) * 128 <= 45 << 20
 
 
 class TestBackward:

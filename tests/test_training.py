@@ -357,6 +357,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty dataset"):
             train_loop(spec, ds, TrainConfig(epochs=1), test_ds=ds.subset(0))
 
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        # -3 read no batch and returned 0.0; 0 failed inside range()
+        ds = Dataset(np.ones((5, 1, 1, 1)), np.zeros(5, dtype=int))
+        with pytest.raises(ValueError, match=f"batch_size must be positive, got {batch_size}"):
+            evaluate(fc_toy_net(), ds, batch_size=batch_size)
+
     def test_nonfinite_logits_rejected(self):
         # the argmax of NaN logits is class 0, which would read as an accuracy
         spec = fc_toy_net()
