@@ -123,7 +123,7 @@ def to_u8(values: np.ndarray) -> np.ndarray:
 def write_idx_images(images, path) -> None:
     """Inverse of load_idx_images for [0, 1] images, given as an (N, rows,
     cols[, 1]) array or a sequence of (rows, cols[, 1]) images. Every image is
-    checked (one size, one channel, no NaN pixel) and converted before the
+    checked (one size, one channel, every pixel finite) and converted before the
     file is opened, so a rejected input leaves no partial file."""
     if len(images) == 0:
         raise ValueError("cannot write an empty IDX image file")
@@ -142,9 +142,9 @@ def write_idx_images(images, path) -> None:
         # a view of an array's images; a sequence's are stacked here
         chunk = np.asarray(images[start : start + IDX_WRITE_CHUNK])
         chunk = chunk.reshape(len(chunk), rows, cols)
-        if np.isnan(chunk.min()):
-            bad = start + int(np.isnan(chunk).any(axis=(1, 2)).argmax())
-            raise ValueError(f"IDX image {bad} has NaN pixels")
+        if not (np.isfinite(chunk.min()) and np.isfinite(chunk.max())):  # NaN, or an inf
+            bad = start + int((~np.isfinite(chunk)).any(axis=(1, 2)).argmax())
+            raise ValueError(f"IDX image {bad} has NaN or infinite pixels")
         payload[start : start + len(chunk)] = to_u8(chunk)
     with open(path, "wb") as f:
         f.write(struct.pack(">4I", IDX_IMAGE_MAGIC, len(images), rows, cols))

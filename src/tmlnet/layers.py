@@ -5,13 +5,16 @@ Arrays flow through as float64 with a leading batch axis: feature volumes are
 stride-1 cross-correlation (`correlate`, shared with the multiplication layer)
 plus a bias. Forward and d_w read the window matrix `_cols`: one row per
 kernel cell in (p, q, k) order, one column per output position in (b, i, j)
-order. Each call builds one (kh, kw, Cin, B, H', W') view of x with one
-`as_strided` call, from x's own strides (`_windows`), and copies each block's
-matrix from a slice of that view: an `as_strided` call costs about 8 us of
-Python, and one per block would make 14 calls per 5-image block of the HLAC
-net's eval. Activations are already channel-major, so each row is built from
-whole image rows, runs of W' values, where one row per output position would
-copy runs of only kw*Cin values. Forward and d_w are GEMMs over blocks of
+order. One blocked window loop, `window_blocks`, hands out each block's
+matrix to `correlate`, `correlate_grad_weights` and the multiplication
+layer's pooled step (`tml.forward_batch(..., pool=True)`). Each call builds
+one (kh, kw, Cin, B, H', W') view of x with one `as_strided` call, from x's
+own strides (`_windows`), and copies each block's matrix from a slice of
+that view: an `as_strided` call costs about 8 us of Python, and one per
+block would make 14 calls per 5-image block of the HLAC net's eval.
+Activations are already channel-major, so each row is built from whole image
+rows, runs of W' values, where one row per output position would copy runs
+of only kw*Cin values. Forward and d_w are GEMMs over blocks of
 whole images. A block holds as many images as fit in `_BLOCK_BYTES` (half the
 2 MiB L2) with their window-matrix rows and their output rows, H'*W' float64s
 each: an image takes (kh*kw*Cin + Cout) * H'*W' * 8 bytes. Counting the output
@@ -32,9 +35,11 @@ returns one (zero and -0.0 weights and d_y, 1-16 x 1-8 by 1-1000 shapes),
 so d_x needs no +0.0 pass; a test pins its bytes to that sum. d_x is not
 blocked by images: the planes of the benchmarked nets fit L2 (ROADMAP item
 10). d_x is skipped for a layer that reads the network input. Max pooling's
-backward writes d_x in x's layout and GAP's writes it channel-major, so the
-ReLU and TML backwards beneath them multiply arrays of one layout. Dropout
-scales survivors by 1/(1-rate) at train time.
+backward writes d_x in x's layout, so the ReLU backward beneath it
+multiplies arrays of one layout. GAP's backward is a read-only broadcast
+view of d_y / (H*W), which allocates nothing: a pooled bank reads one
+position of it per image, and the TML maps path writes its product in the
+maps' layout. Dropout scales survivors by 1/(1-rate) at train time.
 
 Max pooling is 2x2 stride 2; odd trailing rows or columns are dropped and get
 a zero gradient. The forward takes the elementwise max of the four strided
@@ -89,30 +94,48 @@ def _cols(win: np.ndarray) -> np.ndarray:
     return win.reshape(kh * kw * c_in, -1)
 
 
-def correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Bias-free correlation: x (B,H,W,Cin), w (kh,kw,Cin,Cout) -> (B,H',W',Cout), channel-major."""
+def window_blocks(x: np.ndarray, kh: int, kw: int, c_out: int):
+    """The blocked window loop: yields (images, cols) per GEMM block of x's
+    whole images, a slice of the batch and its window matrix (`_cols`), with
+    as many images per block as fit their kh*kw*Cin window rows and `c_out`
+    output rows in `_BLOCK_BYTES`. Every bank and conv GEMM over windows runs
+    in it: `correlate`, `correlate_grad_weights` and the multiplication
+    layer's pooled step. A caller drops each block's matrix before it asks
+    for the next, so the allocator builds the next one in the memory, still
+    in L2, that this one held: a loop variable kept alive made dhlac's
+    trace-free eval 6% slower."""
     b, h, wd, c_in = x.shape
-    kh, kw, _, c_out = w.shape
     oh, ow = h - kh + 1, wd - kw + 1
-    w_t = w.reshape(-1, c_out).T
-    y = np.empty((c_out, b, oh, ow))
     win = _windows(x, kh, kw)
     per = _block_images(kh * kw * c_in + c_out, oh, ow)
     for s in range(0, b, per):
-        np.matmul(w_t, _cols(win[:, :, :, s : s + per]), out=y[:, s : s + per].reshape(c_out, -1))
+        yield slice(s, s + per), _cols(win[:, :, :, s : s + per])
+
+
+def correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Bias-free correlation: x (B,H,W,Cin), w (kh,kw,Cin,Cout) -> (B,H',W',Cout), channel-major."""
+    b, h, wd, _ = x.shape
+    kh, kw, _, c_out = w.shape
+    w_t = w.reshape(-1, c_out).T
+    y = np.empty((c_out, b, h - kh + 1, wd - kw + 1))
+    for images, cols in window_blocks(x, kh, kw, c_out):
+        np.matmul(w_t, cols, out=y[:, images].reshape(c_out, -1))
+        del cols  # before the next block's is built (window_blocks)
     return y.transpose(1, 2, 3, 0)
 
 
 def correlate_grad_weights(x, d_y, kh: int, kw: int) -> np.ndarray:
     """d(sum d_y * correlate(x, w)) / dw: cols @ d_y over the B*H'*W' output
     positions, summed over blocks of whole images."""
-    b, oh, ow, c_out = d_y.shape
-    c_in = x.shape[3]
-    win = _windows(x, kh, kw)
-    per = _block_images(kh * kw * c_in + c_out, oh, ow)
-    d_w = _cols(win[:, :, :, :per]) @ d_y[:per].reshape(-1, c_out)
-    for s in range(per, b, per):
-        d_w += _cols(win[:, :, :, s : s + per]) @ d_y[s : s + per].reshape(-1, c_out)
+    c_in, c_out = x.shape[3], d_y.shape[3]
+    d_w = None
+    for images, cols in window_blocks(x, kh, kw, c_out):
+        part = cols @ d_y[images].reshape(-1, c_out)
+        del cols  # before the next block's is built (window_blocks)
+        if d_w is None:
+            d_w = part
+        else:
+            d_w += part
     return d_w.reshape(kh, kw, c_in, c_out)
 
 
@@ -222,11 +245,11 @@ def relu_backward(d_y, y):
 
 
 def sigmoid_forward(x):
-    # each side of 0 takes the formula whose exp() cannot overflow; the
-    # other's inf and nan are computed and dropped
-    with np.errstate(over="ignore", invalid="ignore"):
-        ex = np.exp(x)
-        return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), ex / (1.0 + ex))
+    """Each side of 0 takes the formula whose exp() cannot overflow: with
+    e = exp(min(x, -x)), 1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere.
+    min, not -|x|, keeps a NaN's sign."""
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid_backward(d_y, y):
@@ -273,11 +296,11 @@ def gap_forward(x: np.ndarray) -> np.ndarray:
 
 
 def gap_backward(d_y: np.ndarray, in_shape) -> np.ndarray:
-    """Spreads d_y / (H*W) over each map; channel-major, like the maps it feeds back to."""
-    b, h, w, c = in_shape
-    d_x = np.empty((c, b, h, w))
-    d_x[...] = (d_y.T / (h * w))[:, :, None, None]
-    return d_x.transpose(1, 2, 3, 0)
+    """Spreads d_y / (H*W) over each map: a read-only broadcast view, which
+    allocates nothing. A multiplication layer after a pooled forward reads
+    one position of it per image; the maps path multiplies it into y's layout."""
+    _, h, w, _ = in_shape
+    return np.broadcast_to((d_y / (h * w))[:, None, None, :], in_shape)
 
 
 def softmax_xent(logits: np.ndarray, onehot: np.ndarray):

@@ -27,7 +27,15 @@ beneath it runs its backward; the shape walk (`_chain_shapes`) works out
 this step. The backward runs the main chain's last layer, the side chain,
 then the rest of the main chain. baseline+hlac's side chain, the frozen HLAC
 bank and its GAP, runs none: the bank's 25 maps of 64-px crops are 197 MB at
-B=256, and the GAP gradient its backward would fill is as large.
+B=256.
+
+A tml bank whose only consumer is a gap, and whose input gradient nothing
+reads (the walk's `pooled`: the side banks of dhlac and baseline+hlac, not
+cooc's), runs with the gap as one pooled step, traced or not
+(`tml.forward_batch(..., pool=True)`): it returns the gap's vector, bit-equal
+to the gap of the maps, and never holds the maps. A bank that trains caches
+each image's product q (`tml`'s docstring), its gap the maps' shape, and
+the gap's backward, a broadcast view, hands the bank the d_y its d_w reads.
 
 The side chain runs forward first. The leading layers of a chain whose
 caches nothing reads run depth-first: the batch is cut into blocks of whole
@@ -247,13 +255,22 @@ def _tml_forward(layer, p, a, train_mode, rng, keep):
     if not layer.trainable:  # its backward computes d_x alone, from x and y
         y = T.forward_batch(a, kernels)
         return y, (a, y)
-    y, z = T.forward_batch(a, kernels, return_log=True)
+    y, z = T.forward_batch(a, kernels, return_cache=True)
     return y, (a, y, z)
 
 
-def _tml_backward(layer, p, cache, d_y, need_dx):
-    x, y = cache[:2]
+def _tml_pooled(layer, p, a, keep):
     kernels = T.TmlKernels(layer.tml, p["w"])
+    if keep:  # the bank trains: its d_w reads q
+        return T.forward_batch(a, kernels, return_cache=True, pool=True)
+    return T.forward_batch(a, kernels, pool=True), None
+
+
+def _tml_backward(layer, p, cache, d_y, need_dx):
+    kernels = T.TmlKernels(layer.tml, p["w"])
+    if not isinstance(cache, tuple):  # the pooled step's q: a d_w, and no d_x
+        return None, {"w": T.backward_weights_batch(cache, None, d_y, kernels)}
+    x, y = cache[:2]
     d_x = T.backward_input_batch(x, y, d_y, kernels) if need_dx else None
     if not layer.trainable:
         return d_x, {}
@@ -283,7 +300,9 @@ class Kind:
     block naming the position its d_y goes to, with x's shape and layout),
     which it computes only when kept; relu and sigmoid their output y; gap
     the input shape; dropout its keep mask (None in eval mode); tml (x, y, z)
-    with z = log(x + eps), which d_w reads, and a frozen bank (x, y). A
+    with z = log(x + eps), which d_w reads, and a frozen bank (x, y). `pooled`
+    runs a layer and the gap after it as one step and returns the gap's
+    vector: a tml bank keeps q, (B, kh*kw*K, M), its d_w's only input. A
     cached input is the array the layer beneath returned, not a copy, so the
     trace holds each activation once. In a conv -> maxpool -> relu stack no
     cache holds the conv's output: the pool keeps its route, a 32nd of that
@@ -300,6 +319,7 @@ class Kind:
     check: Callable = lambda layer: None  # raises ValueError on a bad hyperparameter
     fields: tuple = ()  # checkpoint fields: (key, LayerSpec attribute path, parser)
     make: Callable | None = None  # builds the LayerSpec from the parsed fields, in order
+    pooled: Callable | None = None  # (layer, params, a, keep) -> (gap's vector, cache)
 
 
 KINDS = {
@@ -379,6 +399,7 @@ KINDS["tml"] = Kind(
         ("trainable", "trainable", lambda text: bool(int(text))),
     ),
     make=_tml_from_fields,
+    pooled=_tml_pooled,
 )
 
 
@@ -389,6 +410,7 @@ class ChainWalk(NamedTuple):
     steps: list  # per layer: its backward's (runs, need_dx)
     shapes: list  # the chain's input shape, then each layer's output shape
     stop: int  # the block stop
+    pooled: frozenset  # layers that run with the gap after them as one pooled step
 
 
 def _chain_shapes(layers: list[LayerSpec], shape, side: ChainWalk | None = None) -> ChainWalk:
@@ -417,7 +439,11 @@ def _chain_shapes(layers: list[LayerSpec], shape, side: ChainWalk | None = None)
             stop = i
         shape = out
         shapes.append(shape)
-    return ChainWalk(param_shapes, steps, shapes, stop)
+    pooled = frozenset(
+        i for i, (layer, after) in enumerate(zip(layers, layers[1:]))
+        if KINDS[layer.kind].pooled and after.kind == "gap" and not steps[i][1]
+    )
+    return ChainWalk(param_shapes, steps, shapes, stop, pooled)
 
 
 def validate_network(spec: NetworkSpec):
@@ -507,7 +533,9 @@ def layer_input(spec: NetworkSpec, chain: str, index: int, xb) -> np.ndarray:
     main = chain == "main"
     layers = (spec.layers if main else spec.side_layers)[:index]
     params = (spec.params if main else spec.side_params)[:index]
-    return _forward_block(layers, params, _checked_batch(spec, xb))
+    xb = _checked_batch(spec, xb)
+    walk = validate_network(spec)[0 if main else 1]
+    return _forward_block(layers, params, walk.pooled, xb)
 
 
 def _chain_forward(layers, params, walk: ChainWalk, a, train_mode, rng, block, caches, side=None):
@@ -528,23 +556,41 @@ def _chain_forward(layers, params, walk: ChainWalk, a, train_mode, rng, block, c
         # flattens without a copy; the blocks' outputs are channel-major
         out = np.empty((len(a), *walk.shapes[stop]))
         for i in range(0, len(a), block):
-            out[i : i + block] = _forward_block(layers[:stop], params[:stop], a[i : i + block])
+            out[i : i + block] = _forward_block(layers[:stop], params[:stop], walk.pooled,
+                                                a[i : i + block])
         a = out
     for i in range(stop, len(layers)):
         layer = layers[i]
         if side is not None and i == len(layers) - 1:
             a = np.concatenate([side, a.reshape(len(a), -1)], axis=1)
         keep = caches is not None and walk.steps[i][0]
-        a, cache = KINDS[layer.kind].forward(layer, params[i], a, train_mode, rng, keep)
+        if i > stop and i - 1 in walk.pooled:  # the bank's pooled step made this gap's vector
+            cache = (len(a), *walk.shapes[i])
+        else:
+            a, cache = _layer_forward(layer, params[i], i in walk.pooled, a, train_mode, rng, keep)
         if caches is not None:
             caches.append(cache if keep else None)
     return a
 
 
-def _forward_block(layers, params, a):
-    """`layers` in eval mode over one block of images, keeping no cache; returns the output."""
-    for layer, p in zip(layers, params):
-        a, _ = KINDS[layer.kind].forward(layer, p, a, False, None, False)
+def _layer_forward(layer, p, pooled: bool, a, train_mode, rng, keep):
+    """One layer's forward, (output, cache); with `pooled`, the pooled step
+    of the layer and the gap after it, which returns the gap's vector."""
+    kind = KINDS[layer.kind]
+    if pooled:
+        return kind.pooled(layer, p, a, keep)
+    return kind.forward(layer, p, a, train_mode, rng, keep)
+
+
+def _forward_block(layers, params, pooled, a):
+    """`layers` in eval mode over one block of images, keeping no cache;
+    returns the output. A layer in `pooled` runs the pooled step with its gap
+    when that gap is in `layers` too."""
+    for i, (layer, p) in enumerate(zip(layers, params)):
+        if i - 1 in pooled:  # a gap whose vector the pooled step made
+            continue
+        pair = i in pooled and i + 1 < len(layers)
+        a, _ = _layer_forward(layer, p, pair, a, False, None, False)
     return a
 
 
@@ -773,6 +819,9 @@ def load_network(path) -> NetworkSpec:
     version, total = struct.unpack("<IQ", blob[4:16])
     if version != NET_BLOB_VERSION:
         raise ValueError(f"{path}.bin: unsupported parameter blob version {version}")
+    if (len(blob) - 16) % 8:
+        raise ValueError(f"{path}.bin: {len(blob) - 16}-byte payload is not a whole number "
+                         "of float64 values")
     values = np.frombuffer(blob[16:], dtype="<f8")
     if values.size != total:
         raise ValueError(f"{path}.bin: expected {total} values, found {values.size}")

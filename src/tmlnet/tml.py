@@ -10,8 +10,18 @@ Products are evaluated in the log domain, y = exp(correlate(log(x + eps), W)),
 by the convolution's kernels (`layers.correlate` and its gradients, which get
 g = d_y * y), so long chains of small factors neither underflow nor overflow.
 The weight gradient correlates the forward's log(x + eps), which
-`forward_batch(..., return_log=True)` returns, so the log is taken once per
-step. With binary weights the layer computes a local auto-correlation
+`forward_batch(..., return_cache=True)` returns, so the log is taken once per
+step.
+
+A bank whose maps are only averaged (a GAP after it, and no input gradient
+read) runs as the pooled step, `forward_batch(..., pool=True)`: per block of
+`layers.window_blocks`, the maps are exp'd in place and summed over each
+image's positions, bit-equal to `layers.gap_forward` of the whole maps,
+which are never held. Since GAP's gradient d_y[b] is one vector per image,
+the weight gradient sum over b, i, j of cols * (d_y * y) is
+sum_b q[b] * d_y[b, 0, 0, :] with q[b] = cols_b @ y_b^T, a (kh*kw*K, M)
+product per image that the step keeps in place of the maps and z. With
+binary weights the layer computes a local auto-correlation
 integrand (`hlac.masks_to_binary_kernels` builds such a bank); training
 the weights under the clip/rescale projection below learns which positions
 get multiplied together.
@@ -90,30 +100,69 @@ def _check_input(xb: np.ndarray, weights: np.ndarray) -> None:
         raise ValueError("multiplication layer requires nonnegative inputs, got NaN or < 0")
 
 
-def forward_batch(xb: np.ndarray, kernels: TmlKernels, return_log: bool = False):
-    """Batched forward: xb (B, N1, N2, K) -> y (B, N1-H+1, N2-W+1, M), or (y, z)
-    with z = log(xb + eps), what `backward_weights_batch` reads, when `return_log`."""
+def forward_batch(xb: np.ndarray, kernels: TmlKernels, return_cache: bool = False,
+                  pool: bool = False):
+    """Batched forward: xb (B, N1, N2, K) -> y (B, N1-H+1, N2-W+1, M), or with
+    `return_cache` (y, z), z = log(xb + eps), what `backward_weights_batch`
+    reads.
+
+    With `pool`, the pooled step: y's position means, (B, M), bit-equal to
+    `layers.gap_forward(y)`, and y is never held whole; with `return_cache`,
+    (means, q) with q[b] = cols_b @ y_b^T (kh*kw*K, M) per image, in place of
+    (y, z)."""
     _check_input(xb, kernels.weights)
     z = xb + kernels.config.eps
     np.log(z, out=z)
+    if pool:
+        return _pooled(z, kernels.weights, return_cache)
     y = L.correlate(z, kernels.weights)
     np.exp(y, out=y)
-    return (y, z) if return_log else y
+    return (y, z) if return_cache else y
+
+
+def _pooled(zb: np.ndarray, w: np.ndarray, keep_q: bool):
+    """Per block of `layers.window_blocks`: the block's maps, exp'd in place,
+    summed over each image's positions, and with `keep_q` each image's
+    product q[b] = cols_b @ y_b^T. Returns (means (B, M), q or None)."""
+    kh, kw, _, m = w.shape
+    b, h, wd, _ = zb.shape
+    n = (h - kh + 1) * (wd - kw + 1)
+    w_t = w.reshape(-1, m).T
+    sums = np.empty((m, b))
+    q = np.empty((b, w_t.shape[1], m)) if keep_q else None
+    for images, cols in L.window_blocks(zb, kh, kw, m):
+        y = (w_t @ cols).reshape(m, -1, n)
+        np.exp(y, out=y)
+        # the sum over each contiguous run of n positions is the one gap_forward takes
+        np.add.reduce(y, axis=2, out=sums[:, images])
+        if keep_q:
+            np.matmul(cols.reshape(len(cols), -1, n).transpose(1, 0, 2), y.transpose(1, 2, 0),
+                      out=q[images])
+        del cols, y  # before the next block's are built (layers.window_blocks)
+    sums /= n
+    return (sums.T, q) if keep_q else sums.T
 
 
 def _log_grad(yb: np.ndarray, d_yb: np.ndarray) -> np.ndarray:
-    """d(loss)/d(log y) = d_y * y, what the log-domain correlation receives."""
+    """d(loss)/d(log y) = d_y * y, what the log-domain correlation receives,
+    in y's layout (d_y may be GAP's broadcast view)."""
     if yb.shape != d_yb.shape:
         raise ValueError(f"d_y shape {d_yb.shape} does not match y shape {yb.shape}")
-    return d_yb * yb
+    return np.multiply(d_yb, yb, out=np.empty_like(yb))
 
 
 def backward_weights_batch(
-    zb: np.ndarray, yb: np.ndarray, d_yb: np.ndarray, kernels: TmlKernels
+    cache: np.ndarray, yb: np.ndarray | None, d_yb: np.ndarray, kernels: TmlKernels
 ) -> np.ndarray:
     """Gradient w.r.t. weights, summed over batch and output positions, from
-    the forward's zb = log(xb + eps) (`forward_batch(..., return_log=True)`)."""
-    return L.correlate_grad_weights(zb, _log_grad(yb, d_yb), *kernels.weights.shape[:2])
+    what `forward_batch(..., return_cache=True)` returned: z = log(xb + eps)
+    with the maps yb, or after a pooled forward q with yb None. There d_yb is
+    GAP's backward, d_y[b, 0, 0, :] at every position of image b, so the
+    gradient is sum_b q[b] * d_y[b, 0, 0, :]."""
+    if yb is not None:
+        return L.correlate_grad_weights(cache, _log_grad(yb, d_yb), *kernels.weights.shape[:2])
+    d_w = np.einsum("bcm,bm->cm", cache, d_yb[:, 0, 0, :])
+    return d_w.reshape(kernels.weights.shape)
 
 
 def backward_input_batch(

@@ -156,10 +156,17 @@ class TestIdxWriterRejects:
             write_idx_images(images, p)
         assert not p.exists()
 
-    def test_infinities_clamp(self, tmp_path):
+    def test_infinite_pixels(self, tmp_path):
+        # clamped to 255 or 0, an infinity would read back as a plain 1.0 or 0.0
         p = tmp_path / "img.idx"
-        write_idx_images([np.array([[np.inf, -np.inf]])], p)
-        assert p.read_bytes()[-2:] == bytes([255, 0])
+        for value in (np.inf, -np.inf):
+            images = np.full((IDX_WRITE_CHUNK + 2, 3, 3, 1), 0.5)
+            images[IDX_WRITE_CHUNK + 1, 0, 1, 0] = value
+            with pytest.raises(ValueError, match=f"image {IDX_WRITE_CHUNK + 1} has NaN or inf"):
+                write_idx_images(images, p)
+            with pytest.raises(ValueError, match="image 0 has NaN or inf"):
+                write_idx_images([np.array([[value, 0.5]])], p)
+        assert not p.exists()
 
 
 def sha256(a) -> str:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from tmlnet import layers
+from tmlnet import layers, tml
 from tmlnet.gradcheck import DEFAULT_STEP, _central_diff, _rel_err
 from tmlnet.layers import (
     conv2d_backward,
@@ -409,13 +409,17 @@ class TestActivations:
             out[~pos] = ex / (1.0 + ex)
             return out
 
-        edges = np.array([0.0, -0.0, 745.0, -745.0, 1e3, -1e3])
+        nans = np.array([np.nan, -np.nan])
+        assert np.signbit(nans).tolist() == [False, True]
+        edges = np.array([0.0, -0.0, 745.0, -745.0, 1e3, -1e3, np.inf, -np.inf, *nans])
         x = np.concatenate([edges, np.random.default_rng(2).normal(scale=20.0, size=224)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow or invalid warning leaks out
             y = sigmoid_forward(x)
         assert y.tobytes() == two_branch(x).tobytes()
-        np.testing.assert_array_equal(y[:6], [0.5, 0.5, 1.0, 5e-324, 1.0, 0.0])
+        np.testing.assert_array_equal(y[:10], [0.5, 0.5, 1.0, 5e-324, 1.0, 0.0, 1.0, 0.0,
+                                               np.nan, np.nan])
+        assert np.signbit(y[8:10]).tolist() == [False, True]  # a NaN keeps its sign
 
     def test_sigmoid_gradient(self):
         rng = np.random.default_rng(1)
@@ -498,12 +502,19 @@ class TestGap:
         d = gap_backward(np.array([[2.0]]), (1, 2, 2, 1))
         np.testing.assert_array_equal(d.reshape(2, 2), np.full((2, 2), 0.5))
 
-    def test_backward_is_channel_major(self):
-        # like the TML and conv outputs it feeds back to
+    def test_backward_is_a_read_only_broadcast_view(self):
+        # it allocates no maps; the TML's maps path multiplies it into y's
+        # layout, channel-major like the maps, and a pooled bank reads one
+        # position per image
         d_y = np.arange(6.0).reshape(2, 3)
         d = gap_backward(d_y, (2, 4, 5, 3))
-        assert is_channel_major(d)
+        assert d.shape == (2, 4, 5, 3) and not d.flags.writeable
+        assert d.strides[1:3] == (0, 0) and d.base is not None
         np.testing.assert_array_equal(d, np.broadcast_to(d_y[:, None, None, :] / 20, d.shape))
+        y = channel_major(np.random.default_rng(0).uniform(size=d.shape))
+        g = tml._log_grad(y, d)
+        assert is_channel_major(g) and g.strides == y.strides
+        np.testing.assert_array_equal(g, np.asarray(d) * np.asarray(y))
 
 
 class TestSoftmaxXent:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -54,8 +55,11 @@ class TestShapeChain:
         xb = np.random.default_rng(1).uniform(0, 1, size=(2, 28, 28, 1))
         logits, trace = network_forward(spec, xb)
         assert logits.shape == (2, 10)
-        x_tml, y_tml, _z = trace.side_caches[0]
-        assert y_tml.shape == (2, 26, 26, 8)  # valid padding
+        # the bank and its GAP run as one pooled step: the bank keeps each
+        # image's 3*3*1 x 8 product q, and the GAP the shape of the maps
+        q, maps = trace.side_caches
+        assert q.shape == (2, 9, 8)
+        assert maps == (2, 26, 26, 8)  # valid padding
         assert validate_network(spec)[1].shapes[-1] == (8,)  # pooled vector length
 
     def test_dhlac_stripes_shapes(self):
@@ -63,7 +67,8 @@ class TestShapeChain:
         spec = init_params(spec, np.random.default_rng(0))
         xb = np.random.default_rng(1).uniform(0, 1, size=(1, 32, 32, 1))
         _, trace = network_forward(spec, xb)
-        assert trace.side_caches[0][1].shape == (1, 24, 24, 4)
+        assert trace.side_caches[0].shape == (1, 81, 4)
+        assert trace.side_caches[1] == (1, 24, 24, 4)
 
     def test_minimal_single_kernel_net(self):
         spec = build_dhlac_net((16, 16, 1), 2, tml_layer(1, 3, 3, TmlConfig(c1=1.0, c2=1.0)))
@@ -212,7 +217,8 @@ SHIPPED_NETS = {
 class TestLayerInput:
     @pytest.mark.parametrize("arch", sorted(SHIPPED_NETS))
     def test_is_what_a_traced_forward_hands_the_layer(self, arch):
-        # a conv caches its input x, a trainable bank (x, y, z)
+        # a conv caches its input x, a trainable bank on the maps path
+        # (x, y, z), and a pooled one the product q its input makes
         spec = init_params(SHIPPED_NETS[arch](), np.random.default_rng(0))
         xb = np.random.default_rng(1).uniform(size=(3, *spec.input_shape))
         _, trace = network_forward(spec, xb)
@@ -220,10 +226,16 @@ class TestLayerInput:
         for chain, layers, caches in (("main", spec.layers, trace.caches),
                                       ("side", spec.side_layers, trace.side_caches)):
             for i, (layer, cache) in enumerate(zip(layers, caches)):
-                if layer.kind in ("conv", "tml") and cache is not None:
-                    x = cache[0] if layer.kind == "tml" else cache
-                    np.testing.assert_array_equal(network.layer_input(spec, chain, i, xb), x)
-                    checked += 1
+                if layer.kind not in ("conv", "tml") or cache is None:
+                    continue
+                x = network.layer_input(spec, chain, i, xb)
+                if layer.kind == "tml" and not isinstance(cache, tuple):
+                    kernels = tml.TmlKernels(layer.tml, spec.param_dict(chain, i)["w"])
+                    cache = tml.forward_batch(x, kernels, return_cache=True, pool=True)[1]
+                    np.testing.assert_array_equal(cache, caches[i])
+                else:
+                    np.testing.assert_array_equal(x, cache[0] if layer.kind == "tml" else cache)
+                checked += 1
         assert checked >= 2
 
     @pytest.mark.parametrize(
@@ -247,12 +259,26 @@ def blocks_of_three(monkeypatch, spec):
     monkeypatch.setattr(network, "_EVAL_BLOCK_BYTES", 8 * widest * 3 + 7)
     run, sizes = network._forward_block, []
 
-    def counting_run(layers, params, a):
+    def counting_run(layers, params, pooled, a):
         sizes.append(len(a))
-        return run(layers, params, a)
+        return run(layers, params, pooled, a)
 
     monkeypatch.setattr(network, "_forward_block", counting_run)
     return sizes
+
+
+def record_banks(monkeypatch):
+    """Replace `tml.forward_batch` by a recorder; returns {"maps": [...],
+    "pooled": [...]}, the batch size of each call by whether it ran the
+    pooled step."""
+    calls, forward = {"maps": [], "pooled": []}, tml.forward_batch
+
+    def call(xb, kernels, return_cache=False, pool=False):
+        calls["pooled" if pool else "maps"].append(len(xb))
+        return forward(xb, kernels, return_cache, pool)
+
+    monkeypatch.setattr(tml, "forward_batch", call)
+    return calls
 
 
 def record_batch_sizes(monkeypatch, module, *names):
@@ -282,16 +308,20 @@ class TestTraceFreeForward:
     @pytest.mark.parametrize("arch", sorted(SHIPPED_NETS))
     def test_fc_runs_once_per_batch(self, monkeypatch, arch):
         # an fc reads its whole weight for every call, so it runs on the
-        # whole batch; GAP turns the large maps into a vector inside the blocks
+        # whole batch; GAP turns the large maps into a vector inside the
+        # blocks, on its own (cooc) or in a bank's pooled step (the side banks)
         spec = init_params(SHIPPED_NETS[arch](), np.random.default_rng(0))
         xb = np.random.default_rng(1).uniform(size=(7, *spec.input_shape))
         blocks_of_three(monkeypatch, spec)
         calls = record_batch_sizes(monkeypatch, layers, "fc_forward", "gap_forward")
+        banks = record_banks(monkeypatch)
         network_forward(spec, xb, trace=False)
         fcs = sum(layer.kind == "fc" for layer in spec.layers + spec.side_layers)
         gaps = sum(layer.kind == "gap" for layer in spec.layers + spec.side_layers)
+        pooled = len(spec.side_layers) // 2
         assert calls["fc_forward"] == [7] * fcs
-        assert sorted(calls["gap_forward"]) == sorted([3, 3, 1] * gaps)
+        assert sorted(calls["gap_forward"] + banks["pooled"]) == sorted([3, 3, 1] * gaps)
+        assert banks["pooled"] == [3, 3, 1] * pooled
 
     def test_train_mode_rejected(self):
         spec = tiny_branched_net()
@@ -336,18 +366,20 @@ class TestTracedBlocks:
     @pytest.mark.parametrize("mode", ["eval", "train"])
     @pytest.mark.parametrize("arch", sorted(SHIPPED_NETS))
     def test_only_the_frozen_side_chain_runs_in_blocks(self, monkeypatch, arch, mode):
-        # baseline+hlac's side chain trains nothing, so its bank maps and GAP
-        # run per block; every other net takes the whole batch through
+        # baseline+hlac's side chain trains nothing, so its bank's pooled step
+        # runs per block; every other net takes the whole batch through, the
+        # side banks as a pooled step and cooc's bank as maps and a GAP
         spec = init_params(SHIPPED_NETS[arch](), np.random.default_rng(0))
         xb = np.random.default_rng(1).uniform(size=(7, *spec.input_shape))
         sizes = blocks_of_three(monkeypatch, spec)
-        calls = record_batch_sizes(monkeypatch, tml, "forward_batch")
+        calls = record_banks(monkeypatch)
         calls.update(record_batch_sizes(monkeypatch, layers, "gap_forward"))
         network_forward(spec, xb, train_mode=mode == "train", rng=np.random.default_rng(2))
         blocked = arch == "baseline+hlac"
         expected = [3, 3, 1] if blocked else [7] * (arch != "baseline")
+        maps = expected if arch == "cooc" else []
         assert sizes == ([3, 3, 1] if blocked else [])
-        assert calls == {"forward_batch": expected, "gap_forward": expected}
+        assert calls == {"maps": maps, "pooled": [] if maps else expected, "gap_forward": maps}
 
     @pytest.mark.parametrize("mode", ["eval", "train"])
     @pytest.mark.parametrize("arch", sorted(SHIPPED_NETS) + ["dropout"])
@@ -370,15 +402,18 @@ class TestTracedBlocks:
         xb = np.random.default_rng(1).uniform(size=(7, 8, 8, 1))
         sizes = blocks_of_three(monkeypatch, spec)
         calls = record_batch_sizes(monkeypatch, layers, "gap_forward", "dropout_forward")
+        calls.update(record_banks(monkeypatch))
         _, trace = network_forward(spec, xb, train_mode=True, rng=np.random.default_rng(2))
         assert sizes == [3, 3, 1]
-        assert calls == {"gap_forward": [3, 3, 1], "dropout_forward": [7, 7]}
+        # the frozen bank and its GAP run as one pooled step per block
+        assert calls == {"gap_forward": [], "dropout_forward": [7, 7], "maps": [],
+                         "pooled": [3, 3, 1]}
         # nothing beneath either dropout trains: the trace keeps no cache of it
         assert trace.side_caches == [None, None, None] and trace.caches[0] is None
         # in eval mode both dropouts run in the blocks, the side chain's first
         _, trace = network_forward(spec, xb)
         assert sizes == [3, 3, 1] * 3 and calls["dropout_forward"][2:] == [3, 3, 1] * 2
-        assert calls["gap_forward"] == [3, 3, 1] * 2 and trace.caches[1].shape == (7, 8, 8, 1)
+        assert calls["pooled"] == [3, 3, 1] * 2 and trace.caches[1].shape == (7, 8, 8, 1)
 
 
 def relu_before_pool(spec):
@@ -537,6 +572,43 @@ class TestPoolRoute:
         spec = init_params(build_baseline_hlac_net((64, 64, 1), 8), np.random.default_rng(0))
         xb = np.random.default_rng(1).uniform(size=(2, 64, 64, 1))
         assert trace_bytes(network_forward(spec, xb)[1]) * 128 <= 45 << 20
+
+
+class TestPooledBank:
+    """A bank whose only consumer is a GAP, and whose input gradient nothing
+    reads, runs with the GAP as one pooled step: its trace keeps no maps."""
+
+    def test_walk_pools_the_side_banks_only(self):
+        pooled = {arch: [walk.pooled for walk in validate_network(
+            init_params(build(), np.random.default_rng(0)))[:2]]
+            for arch, build in SHIPPED_NETS.items()}
+        # cooc's bank passes an input gradient to the conv beneath it
+        assert pooled == {"dhlac": [set(), {0}], "baseline+hlac": [set(), {0}],
+                          "cooc": [set(), set()], "baseline": [set(), set()]}
+
+    def test_dhlac_trace_at_b256_keeps_no_maps_and_fits_5_mib(self):
+        # the B=256 forward of dhlac-train's checkpoint check: besides the
+        # input batch, which the first conv caches, the trace held 20.1 MiB,
+        # 14 MiB of it the maps and 2 MiB z = log(x + eps)
+        spec = init_params(build_network("dhlac", (32, 32, 1), 6, DEFAULTS),
+                           np.random.default_rng(0))
+        xb = np.random.default_rng(1).uniform(size=(256, 32, 32, 1))
+        maps = math.prod(validate_network(spec)[1].shapes[1])
+        _, trace = network_forward(spec, xb)
+        arrays = [c for cache in trace.caches + trace.side_caches
+                  for c in (cache if isinstance(cache, tuple) else (cache,))
+                  if isinstance(c, np.ndarray)]
+        assert arrays and all(a.size < 256 * maps for a in arrays)
+        assert trace.caches[0] is xb
+        assert trace_bytes(trace) - xb.nbytes <= 5 << 20
+
+    def test_layer_input_of_the_gap_is_the_maps(self):
+        # a pair cut at its GAP runs the bank alone, on the maps path
+        spec = init_params(SHIPPED_NETS["dhlac"](), np.random.default_rng(0))
+        xb = np.random.default_rng(1).uniform(size=(3, *spec.input_shape))
+        kernels = tml.TmlKernels(spec.side_layers[0].tml, spec.side_params[0]["w"])
+        want = tml.forward_batch(xb, kernels)
+        np.testing.assert_array_equal(network.layer_input(spec, "side", 1, xb), want)
 
 
 class TestBackward:
@@ -722,12 +794,17 @@ class TestBackward:
         spec = build()
         xb = np.random.default_rng(1).uniform(0.1, 1.0, size=(3, *spec.input_shape))
         logits, trace = network_forward(spec, xb)
+        trains = spec.side_layers[0].trainable
+        if trains:  # the pooled step kept each image's product q, not the maps
+            kh, kw, k, m = spec.side_params[0]["w"].shape
+            q, maps = trace.side_caches
+            assert q.shape == (3, kh * kw * k, m)
+            assert maps == (3, *validate_network(spec)[1].shapes[1])
         calls = record_batch_sizes(
             monkeypatch, tml, "backward_weights_batch", "backward_input_batch"
         )
         calls.update(record_batch_sizes(monkeypatch, layers, "gap_backward"))
         grads = network_backward(spec, trace, np.cos(logits))
-        trains = spec.side_layers[0].trainable
         assert calls == {
             "backward_weights_batch": [3] * trains,
             "backward_input_batch": [],
@@ -888,6 +965,17 @@ class TestSerialization:
         blob = (tmp_path / "ckpt.net.bin").read_bytes()
         (tmp_path / "ckpt.net.bin").write_bytes(blob[:-8])
         with pytest.raises(ValueError):
+            load_network(path)
+
+    def test_payload_of_part_of_a_float_rejected(self, tmp_path):
+        # numpy's own error would name neither the file nor the byte count
+        path = tmp_path / "ckpt.net"
+        save_network(tiny_branched_net(), path)
+        blob = (tmp_path / "ckpt.net.bin").read_bytes()
+        (tmp_path / "ckpt.net.bin").write_bytes(blob + b"abc")
+        payload = len(blob) - 16 + 3
+        with pytest.raises(ValueError, match=rf"ckpt\.net\.bin: {payload}-byte payload is not a "
+                                             "whole number of float64 values"):
             load_network(path)
 
     def test_unknown_blob_version_rejected(self, tmp_path):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from tmlnet import gradcheck, network
+from tmlnet import gradcheck, layers, network
+from tmlnet.hlac import default_mask_set, masks_to_binary_kernels
+from tmlnet.layers import gap_backward, gap_forward
 from tmlnet.gradcheck import DEFAULT_STEP, _central_diff, _rel_err
 from tmlnet.tml import (
     TmlConfig,
@@ -173,7 +175,7 @@ class TestMatchesEinsumReference:
         xb = rng.uniform(0.0, 2.0, size=(3, 7, 6, k))
         xb[xb < 0.3] = 0.0  # exact zeros, as after a ReLU
         ref_y, ref_backward = einsum_tml(xb, kernels)
-        y, z = forward_batch(xb, kernels, return_log=True)
+        y, z = forward_batch(xb, kernels, return_cache=True)
         np.testing.assert_array_equal(y, ref_y)
         np.testing.assert_array_equal(forward_batch(xb, kernels), ref_y)
         np.testing.assert_array_equal(z, np.log(xb + kernels.config.eps))
@@ -185,19 +187,72 @@ class TestMatchesEinsumReference:
         assert _rel_err(backward_input_batch(xb, y, d_y, kernels), ref_dx) < 1e-12
 
 
+def pooled_instances():
+    """(name, batch, bank) at the shapes the pooled step runs on: dhlac's
+    trainable 3x3x1 bank of 8 kernels at 32 px, gradcheck's tiny branched
+    net, and baseline+hlac's frozen 25-mask bank at 64 px."""
+    rng = np.random.default_rng(21)
+    dhlac = init_kernels(TmlConfig(), (3, 3, 1, 8), rng)
+    tiny_layer = gradcheck.tiny_network().side_layers[0]
+    tiny = init_kernels(tiny_layer.tml, (2, 2, 1, 2), rng)
+    hlac = TmlKernels(TmlConfig(1.0, 1.0, network.HLAC_EPS),
+                      masks_to_binary_kernels(default_mask_set(), 3, 3))
+    return {
+        "dhlac": (rng.uniform(size=(32, 32, 32, 1)), dhlac),
+        "tiny": (rng.uniform(0.1, 2.0, size=(2, 6, 6, 1)), tiny),
+        "hlac": (rng.uniform(size=(3, 64, 64, 1)), hlac),
+    }
+
+
+class TestPooledStep:
+    """A bank and the GAP after it as one step: the means of the maps, and
+    each image's product q in place of the maps and their log."""
+
+    @pytest.mark.parametrize("name", ["dhlac", "hlac"])
+    def test_means_are_gap_of_the_maps_bit_for_bit(self, name):
+        xb, kernels = pooled_instances()[name]
+        want = gap_forward(forward_batch(xb, kernels))
+        means, q = forward_batch(xb, kernels, return_cache=True, pool=True)
+        assert means.shape == want.shape and means.tobytes() == want.tobytes()
+        assert forward_batch(xb, kernels, pool=True).tobytes() == want.tobytes()
+        kh, kw, k, m = kernels.weights.shape
+        assert q.shape == (len(xb), kh * kw * k, m)
+
+    @pytest.mark.parametrize("name", ["dhlac", "tiny"])
+    def test_weight_gradient_matches_the_maps_path(self, name):
+        xb, kernels = pooled_instances()[name]
+        y, z = forward_batch(xb, kernels, return_cache=True)
+        d_y = gap_backward(np.random.default_rng(3).normal(size=(len(xb), y.shape[3])), y.shape)
+        want = backward_weights_batch(z, y, d_y, kernels)
+        q = forward_batch(xb, kernels, return_cache=True, pool=True)[1]
+        got = backward_weights_batch(q, None, d_y, kernels)
+        assert got.shape == kernels.weights.shape
+        assert _rel_err(got, want) < 1e-13
+
+    def test_blocks_of_images_give_the_same_bytes(self, monkeypatch):
+        # one GEMM block per image, then the whole batch in one block
+        xb, kernels = pooled_instances()["dhlac"]
+        monkeypatch.setattr(layers, "_BLOCK_BYTES", 1)
+        one = forward_batch(xb, kernels, return_cache=True, pool=True)
+        monkeypatch.setattr(layers, "_BLOCK_BYTES", 1 << 30)
+        whole = forward_batch(xb, kernels, return_cache=True, pool=True)
+        for a, b in zip(one, whole):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestBackwardWeights:
     def test_log_one_inputs_give_zero_gradient(self):
         cfg = TmlConfig(eps=1e-6)
         kernels = init_kernels(cfg, (2, 2, 1, 2), np.random.default_rng(0))
         x = np.full((4, 4, 1), 1.0 - cfg.eps)
-        y, z = forward_batch(x[None], kernels, return_log=True)
+        y, z = forward_batch(x[None], kernels, return_cache=True)
         d_w = backward_weights_batch(z, y, np.ones_like(y), kernels)
         np.testing.assert_allclose(d_w, 0.0, atol=1e-12)
 
     def test_zero_upstream_gradient(self):
         rng = np.random.default_rng(1)
         x, kernels = random_instance(rng)
-        y, z = forward_batch(x[None], kernels, return_log=True)
+        y, z = forward_batch(x[None], kernels, return_cache=True)
         d_w = backward_weights_batch(z, y, np.zeros_like(y), kernels)
         assert np.all(d_w == 0.0)
 
@@ -205,7 +260,7 @@ class TestBackwardWeights:
         rng = np.random.default_rng(7)
         for _ in range(10):
             x, kernels = random_instance(rng)
-            y, z = forward_batch(x[None], kernels, return_log=True)
+            y, z = forward_batch(x[None], kernels, return_cache=True)
             r = rng.normal(size=y.shape[1:])  # fixed linear functional: L = sum(r * y)
             analytic = backward_weights_batch(z, y, r[None], kernels)
             numeric = _central_diff(
@@ -218,7 +273,7 @@ class TestBackwardWeights:
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(8)
         x, kernels = random_instance(rng)
-        y, z = forward_batch(x[None], kernels, return_log=True)
+        y, z = forward_batch(x[None], kernels, return_cache=True)
         with pytest.raises(ValueError):
             backward_weights_batch(z, y, y[:, :-1], kernels)
 

@@ -383,9 +383,9 @@ class TestEvaluate:
             calls.append(kwargs.get("trace"))
             return forward(*args, **kwargs)
 
-        def recording_run(layers, params, a):
+        def recording_run(layers, params, pooled, a):
             blocks.append(len(a))
-            return run(layers, params, a)
+            return run(layers, params, pooled, a)
 
         monkeypatch.setattr(training, "network_forward", recording_forward)
         monkeypatch.setattr(network, "ForwardTrace", lambda *args: traces.append(args))
