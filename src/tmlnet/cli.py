@@ -26,9 +26,10 @@ import numpy as np
 from . import gradcheck
 from .datasets import (
     StripeSpec,
+    from_u8,
     gen_stripe_dataset,
     load_dataset_dir,
-    load_idx_images,
+    read_idx_images,
     write_idx_images,
     write_idx_labels,
 )
@@ -189,7 +190,7 @@ def cmd_train(args) -> int:
         raise ValueError(f"output directory {os.path.dirname(args.out)} does not exist")
     train_ds, test_ds = load_dataset_dir(args.dataset)
     num_classes = int(max(train_ds.labels.max(), test_ds.labels.max())) + 1
-    input_shape = train_ds.images.shape[1:]
+    input_shape = train_ds.take(0).shape
     print(f"dataset {args.dataset}: {len(train_ds)} train / {len(test_ds)} test, "
           f"{input_shape[0]}x{input_shape[1]}x{input_shape[2]}, {num_classes} classes")
 
@@ -244,7 +245,7 @@ def _image_from_dataset(args):
     ds = load_dataset_dir(args.dataset)[SPLITS.index(args.split)]
     if not 0 <= args.index < len(ds):
         raise ValueError(f"index {args.index} outside dataset of {len(ds)} samples")
-    return ds.images[args.index], int(ds.labels[args.index])
+    return ds.take(args.index), int(ds.labels[args.index])
 
 
 def cmd_viz_features(args) -> int:
@@ -276,9 +277,8 @@ def cmd_viz_cooc(args) -> int:
 
 
 def cmd_hlac_extract(args) -> int:
-    images = load_idx_images(args.images)
     masks = default_mask_set()
-    rows = [hlac_vector(img, masks) for img in images]
+    rows = [hlac_vector(from_u8(img), masks) for img in read_idx_images(args.images)]
     write_features_csv(rows, args.out)
     print(f"wrote {len(rows)} feature rows ({len(rows[0]) if rows else 0} columns) to {args.out}")
     return 0

@@ -5,9 +5,13 @@ IDX files are parsed bit-exactly: big-endian magic (0x00000803 for image
 files, 0x00000801 for label files), big-endian u32 dimensions, then raw u8
 payload. A file is read whole and must be exactly as long as its header and
 the product of its dimensions, so a header cannot ask for more memory than
-the file holds. Pixels map to [0, 1] by dividing by 255; the writer inverts
+the file holds. Pixel byte k reads as k / 255 (`from_u8`); the writer inverts
 that mapping with round-half-up so load -> write reproduces a file byte for
-byte.
+byte. `load_idx_images` divides a whole file at once. `load_dataset_dir`
+keeps each split's bytes as the file held them, one byte per pixel, and the
+/255 happens when a batch is read (`Dataset.take`, which `batches` and
+`training.evaluate` call): it is the same elementwise division, so every
+float a network sees is bit-identical to the whole-file conversion.
 
 The stripe set draws one periodic line pattern per class on a large black
 canvas, adds uniform noise, clamps to [0, 1], and cuts random crops; test
@@ -55,24 +59,59 @@ STRIPE_STYLES = [
 STRIPE_THICKNESS = 2
 
 
-@dataclass
 class Dataset:
-    """Stacked images (N, rows, cols, channels) with integer labels (N,)."""
+    """Stacked images (N, rows, cols, channels) with one integer label per image.
 
-    images: np.ndarray
-    labels: np.ndarray
+    `pixels` holds the images as they were given. A uint8 array is IDX bytes,
+    byte k reading as k / 255; any other array is stored as float64 in
+    [0, 1]. `take` returns float64 images either way, and for bytes divides
+    only the images it reads by 255 (`from_u8`), so a loaded split costs one
+    byte per pixel. `images` is every image as float64: the stored array of a
+    float set, or, for a byte-backed set, a conversion made on each access
+    and returned read-only, since a write to it would be lost.
+    """
 
-    def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.images.ndim != 4 or len(self.images) != len(self.labels):
-            raise ValueError("dataset needs (N,h,w,c) images and N labels")
+    def __init__(self, images, labels):
+        pixels = np.asarray(images)
+        if pixels.dtype != np.uint8:
+            pixels = pixels.astype(np.float64, copy=False)
+        if pixels.ndim != 4:
+            raise ValueError(f"dataset needs (N,h,w,c) images, got shape {pixels.shape}")
+        self.pixels = pixels
+        self.labels = _integer_labels(np.asarray(labels), len(pixels))
 
     def __len__(self) -> int:
         return len(self.labels)
 
+    def take(self, index) -> np.ndarray:
+        """Float64 images in [0, 1] at `index`: an int, a slice or an index array."""
+        raw = self.pixels[index]
+        return from_u8(raw) if raw.dtype == np.uint8 else raw
+
+    @property
+    def images(self) -> np.ndarray:
+        if self.pixels.dtype != np.uint8:
+            return self.pixels
+        images = from_u8(self.pixels)
+        images.flags.writeable = False
+        return images
+
     def subset(self, n: int) -> "Dataset":
-        return Dataset(self.images[:n], self.labels[:n])
+        return Dataset(self.pixels[:n], self.labels[:n])
+
+
+def _integer_labels(labels: np.ndarray, n: int) -> np.ndarray:
+    """`labels` as int64, checked to be one integer per image of `n`."""
+    if labels.shape != (n,):
+        raise ValueError(f"dataset needs one label per image: {n} images, labels of shape "
+                         f"{labels.shape}")
+    if labels.dtype.kind == "f":
+        bad = np.flatnonzero(~np.isfinite(labels) | (labels != np.trunc(labels)))
+        if bad.size:
+            raise ValueError(f"label {bad[0]} is {labels[bad[0]].item()!r}, not an integer")
+    elif labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    return labels.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -98,17 +137,28 @@ def _read_idx(path, magic: int, ndim: int, what: str) -> np.ndarray:
     return np.frombuffer(blob, dtype=np.uint8, offset=header).reshape(dims)
 
 
-def load_idx_images(path) -> np.ndarray:
-    """Parse an IDX image file into (N, rows, cols, 1) float64 in [0, 1]."""
+def read_idx_images(path) -> np.ndarray:
+    """The u8 pixels of an IDX image file as a read-only (N, rows, cols, 1)
+    view of the bytes read, with no copy."""
     raw = _read_idx(path, IDX_IMAGE_MAGIC, 3, "image")
     if 0 in raw.shape[1:]:
         raise ValueError(f"{path}: empty IDX image size {raw.shape[1]}x{raw.shape[2]}")
-    return np.divide(raw, 255.0, dtype=np.float64)[..., None]
+    return raw[..., None]
+
+
+def load_idx_images(path) -> np.ndarray:
+    """Parse an IDX image file into (N, rows, cols, 1) float64 in [0, 1]."""
+    return from_u8(read_idx_images(path))
 
 
 def load_idx_labels(path) -> np.ndarray:
     """Parse an IDX label file into int64 (N,)."""
     return _read_idx(path, IDX_LABEL_MAGIC, 1, "label").astype(np.int64)
+
+
+def from_u8(raw: np.ndarray) -> np.ndarray:
+    """u8 pixels -> float64 in [0, 1], byte k reading as k / 255."""
+    return np.divide(raw, 255.0, dtype=np.float64)
 
 
 def to_u8(values: np.ndarray) -> np.ndarray:
@@ -160,10 +210,11 @@ def write_idx_labels(labels, path) -> None:
 def load_dataset_dir(directory) -> tuple[Dataset, Dataset]:
     """Read the four-file layout that `gen-stripes` writes: train-images.idx,
     train-labels.idx, test-images.idx, test-labels.idx. Each split must hold
-    an image, and both splits' images must have one shape."""
+    an image, and both splits' images must have one shape. Each split keeps
+    its file's pixel bytes, with no copy (see `Dataset`)."""
 
     def one(split):
-        images = load_idx_images(os.path.join(directory, f"{split}-images.idx"))
+        images = read_idx_images(os.path.join(directory, f"{split}-images.idx"))
         labels = load_idx_labels(os.path.join(directory, f"{split}-labels.idx"))
         if len(images) == 0:
             raise ValueError(f"{directory}: {split} split has no images")
@@ -172,8 +223,8 @@ def load_dataset_dir(directory) -> tuple[Dataset, Dataset]:
         return Dataset(images, labels)
 
     train, test = one("train"), one("test")
-    if train.images.shape[1:] != test.images.shape[1:]:
-        shapes = ["x".join(map(str, ds.images.shape[1:])) for ds in (train, test)]
+    if train.pixels.shape[1:] != test.pixels.shape[1:]:
+        shapes = ["x".join(map(str, ds.pixels.shape[1:])) for ds in (train, test)]
         raise ValueError(f"{directory}: train images are {shapes[0]}, test images {shapes[1]}")
     return train, test
 
@@ -259,4 +310,4 @@ def batches(ds: Dataset, batch_size: int, rng: np.random.Generator):
     order = rng.permutation(len(ds))
     for start in range(0, len(ds), batch_size):
         idx = order[start : start + batch_size]
-        yield ds.images[idx], ds.labels[idx]
+        yield ds.take(idx), ds.labels[idx]

@@ -172,6 +172,9 @@ def train_step(
 def evaluate(spec: NetworkSpec, ds: Dataset, batch_size: int = 256) -> float:
     """Fraction of samples whose arg-max logit matches the label (eval mode).
 
+    Each batch is read through `Dataset.take`, so a split loaded from IDX
+    files is divided by 255 one batch at a time and never held as float64.
+
     Raises ValueError on a batch_size below 1, an empty dataset, a label no
     logit stands for, or non-finite logits, whose argmax would be a
     meaningless class.
@@ -183,7 +186,7 @@ def evaluate(spec: NetworkSpec, ds: Dataset, batch_size: int = 256) -> float:
     _check_labels(ds.labels, spec.num_classes)
     hits = 0
     for start in range(0, len(ds), batch_size):
-        xb = ds.images[start : start + batch_size]
+        xb = ds.take(slice(start, start + batch_size))
         yb = ds.labels[start : start + batch_size]
         logits, _ = network_forward(spec, xb, train_mode=False, trace=False)
         if not np.isfinite(logits).all():

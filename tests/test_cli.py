@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tmlnet.cli import DEFAULTS, build_network, cli_dispatch
-from tmlnet.datasets import load_dataset_dir
-from tmlnet.hlac import default_mask_set, hlac_vector
+from tmlnet.datasets import load_dataset_dir, load_idx_images
+from tmlnet.hlac import default_mask_set, hlac_vector, write_features_csv
 from tmlnet.network import load_network
 from tmlnet.training import evaluate
 from tmlnet.viz import render_kernel_heatmap
@@ -71,6 +71,17 @@ def tiny_stripes(tmp_path, crop=16, classes=2):
            "--canvas", "64", "--crop", str(crop), "--samples", "4"]
     assert cli_dispatch(gen) == 0
     return data
+
+
+def test_hlac_extract_writes_the_rows_of_the_whole_file_conversion(tmp_path):
+    # the command widens one image at a time; its CSV is byte for byte the one
+    # written from load_idx_images of the whole file
+    images = tiny_stripes(tmp_path) / "train-images.idx"
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    assert cli_dispatch(["hlac-extract", "--images", str(images), "--out", str(got)]) == 0
+    write_features_csv([hlac_vector(img, default_mask_set()) for img in load_idx_images(images)],
+                       want)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_train_reads_config_file_under_flags(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from tmlnet.datasets import (
     write_idx_images,
     write_idx_labels,
 )
+from tmlnet import training
 from tmlnet.hlac import default_mask_set, hlac_vector
+from tmlnet.network import build_dhlac_net, init_params, tml_layer
+from tmlnet.tml import TmlConfig
 
 
 def make_idx_image_file(path, images_u8):
@@ -367,3 +371,122 @@ def test_dataset_dir_splits_of_two_shapes_named(tmp_path, test_shape):
         load_dataset_dir(tmp_path)
     rows, cols = test_shape
     assert str(err.value) == f"{tmp_path}: train images are 4x4x1, test images {rows}x{cols}x1"
+
+
+class TestDatasetLabels:
+    def test_one_label_per_image_required(self):
+        with pytest.raises(ValueError, match=r"3 images, labels of shape \(3, 2\)"):
+            Dataset(np.zeros((3, 2, 2, 1)), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=r"3 images, labels of shape \(2,\)"):
+            Dataset(np.zeros((3, 2, 2, 1)), [0, 1])
+
+    @pytest.mark.parametrize("labels, bad", [([0.5, 1.7, 2.2], "label 0 is 0.5"),
+                                             ([0.0, 1.0, np.nan], "label 2 is nan"),
+                                             ([0.0, np.inf, 2.0], "label 1 is inf")])
+    def test_labels_that_are_not_integers_named(self, labels, bad):
+        # [0.5, 1.7, 2.2] was silently truncated to [0, 1, 2]
+        with pytest.raises(ValueError, match=f"{bad}, not an integer"):
+            Dataset(np.zeros((3, 2, 2, 1)), labels)
+
+    def test_labels_of_a_non_number_dtype_rejected(self):
+        with pytest.raises(ValueError, match="labels must be integers, got dtype bool"):
+            Dataset(np.zeros((2, 2, 2, 1)), [True, False])
+
+    def test_whole_float_labels_become_int64(self):
+        ds = Dataset(np.zeros((3, 2, 2, 1)), [2.0, 0.0, -0.0])
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [2, 0, 0]
+
+
+def write_stripe_dir(path, spec):
+    for split, ds in zip(("train", "test"), gen_stripe_dataset(spec)):
+        write_idx_images(ds.images, path / f"{split}-images.idx")
+        write_idx_labels(ds.labels.tolist(), path / f"{split}-labels.idx")
+
+
+class TestByteBackedSplit:
+    """A loaded split keeps its IDX bytes, and what it hands a network is
+    bit-equal to a float64 set built from `load_idx_images` of its file."""
+
+    @pytest.fixture
+    def splits(self, tmp_path):
+        write_stripe_dir(tmp_path, StripeSpec(canvas=64, crop=16, samples_per_class=5, rng_seed=2))
+        floats = [Dataset(load_idx_images(tmp_path / f"{split}-images.idx"),
+                          load_idx_labels(tmp_path / f"{split}-labels.idx"))
+                  for split in ("train", "test")]
+        return list(zip(load_dataset_dir(tmp_path), floats))
+
+    def test_holds_one_byte_per_pixel(self, splits):
+        for loaded, floats in splits:
+            n, h, w, c = floats.pixels.shape
+            assert loaded.pixels.dtype == np.uint8 and loaded.pixels.shape == (n, h, w, c)
+            assert loaded.pixels.nbytes == n * h * w
+
+    @pytest.mark.parametrize("index", [0, 7, slice(3, 9), slice(None), np.array([5, 0, 5, 2])])
+    def test_take_is_bit_equal(self, splits, index):
+        for loaded, floats in splits:
+            got, want = loaded.take(index), floats.take(index)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_images_are_bit_equal_and_read_only(self, splits):
+        for loaded, floats in splits:
+            images = loaded.images
+            assert images.dtype == np.float64 and images.tobytes() == floats.images.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                images[0, 0, 0, 0] = 0.5
+        # a float set's images are its own array, written as before
+        floats.images[0, 0, 0, 0] = 0.5
+        assert floats.pixels[0, 0, 0, 0] == 0.5
+
+    def test_batches_are_bit_equal(self, splits):
+        for loaded, floats in splits:
+            got = list(batches(loaded, 8, np.random.default_rng(3)))
+            want = list(batches(floats, 8, np.random.default_rng(3)))
+            assert len(got) == len(want) == 4
+            for (xa, ya), (xb, yb) in zip(got, want):
+                assert xa.dtype == np.float64 and xa.tobytes() == xb.tobytes()
+                np.testing.assert_array_equal(ya, yb)
+
+    def test_evaluate_reads_bit_equal_batches(self, splits, monkeypatch):
+        spec = build_dhlac_net((16, 16, 1), 6, tml_layer(2, 3, 3, TmlConfig()))
+        init_params(spec, np.random.default_rng(4))
+        forward, seen = training.network_forward, []
+
+        def recording_forward(spec, xb, **kwargs):
+            seen.append(xb.copy())
+            return forward(spec, xb, **kwargs)
+
+        monkeypatch.setattr(training, "network_forward", recording_forward)
+        for loaded, floats in splits:
+            runs = []
+            for ds in (loaded, floats):
+                seen.clear()
+                runs.append((training.evaluate(spec, ds, batch_size=8), list(seen)))
+            (acc, got), (want_acc, want) = runs
+            assert acc == want_acc and len(got) == len(want) == 4
+            for xa, xb in zip(got, want):
+                assert xa.dtype == np.float64 and xa.tobytes() == xb.tobytes()
+
+    def test_subset_keeps_the_bytes(self, splits):
+        loaded, floats = splits[0]
+        sub = loaded.subset(4)
+        assert sub.pixels.dtype == np.uint8 and sub.pixels.nbytes == 4 * 16 * 16
+        assert np.shares_memory(sub.pixels, loaded.pixels)
+        assert sub.take(slice(None)).tobytes() == floats.take(slice(0, 4)).tobytes()
+
+
+def test_dataset_dir_load_allocates_one_byte_per_pixel(tmp_path):
+    # 1024 64-px images per split: 4 MiB of bytes each, 32 MiB each as float64
+    rng = np.random.default_rng(0)
+    for split in ("train", "test"):
+        make_idx_image_file(tmp_path / f"{split}-images.idx",
+                            rng.integers(0, 256, size=(1024, 64, 64), dtype=np.uint8))
+        make_idx_label_file(tmp_path / f"{split}-labels.idx", [3] * 1024)
+    tracemalloc.start()
+    try:
+        train, test = load_dataset_dir(tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, f"loading two 4 MiB splits allocated {peak / 1e6:.1f} MB"
+    assert train.pixels.nbytes == test.pixels.nbytes == 1024 * 64 * 64

@@ -2,7 +2,9 @@
 
 It hashes the images and labels of the two stripe sets the benchmark
 generates at canvas 1024 (`StripeSpec()` and hlac-eval's 8 classes of 128
-64-px crops), and the IDX files written from them. For dhlac, cooc, baseline
+64-px crops), and the IDX files written from them. It hashes what each split
+loaded back from those files hands a network: `take` of the whole split and
+the first batch of 32 that `batches` yields from it. For dhlac, cooc, baseline
 and baseline+hlac at 32-px crops in batches of 32 and 64-px crops in batches
 of 256, it hashes the initial parameters, the logits and every parameter
 gradient of a traced forward in eval and in train mode, the logits of a
@@ -40,7 +42,14 @@ import tempfile
 import numpy as np
 
 from tmlnet.cli import ARCHS, DEFAULTS, build_network, cli_dispatch
-from tmlnet.datasets import StripeSpec, gen_stripe_dataset, write_idx_images, write_idx_labels
+from tmlnet.datasets import (
+    StripeSpec,
+    batches,
+    gen_stripe_dataset,
+    load_dataset_dir,
+    write_idx_images,
+    write_idx_labels,
+)
 from tmlnet.layers import softmax_xent
 from tmlnet.network import init_params, network_backward, network_forward
 from tmlnet.training import OptimizerState, TrainConfig, train_loop, train_step
@@ -100,12 +109,18 @@ def stripe_hashes(emit: Emitter, seed: int) -> None:
                 tag = f"stripes {name} {split}"
                 emit(f"{tag} images", ds.images)
                 emit(f"{tag} labels", ds.labels)
-                for what, write, data in (("images", write_idx_images, list(ds.images)),
+                for what, write, data in (("images", write_idx_images, ds.images),
                                           ("labels", write_idx_labels, ds.labels.tolist())):
                     path = os.path.join(root, f"{split}-{what}.idx")
                     write(data, path)
                     with open(path, "rb") as f:
                         emit(f"{tag} {what}.idx", f.read())
+            for split, ds in zip(("train", "test"), load_dataset_dir(root)):
+                tag = f"stripes {name} {split} loaded"
+                emit(f"{tag} take", ds.take(slice(None)))
+                xb, labels = next(batches(ds, 32, np.random.default_rng(seed)))
+                emit(f"{tag} first batch images", xb)
+                emit(f"{tag} first batch labels", labels)
 
 
 def network_hashes(emit: Emitter, seed: int) -> None:
