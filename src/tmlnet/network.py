@@ -26,8 +26,7 @@ cache in the trace, and it computes its input's gradient only if a layer
 beneath it runs its backward; the shape walk (`_chain_shapes`) works out
 this step. The backward runs the main chain's last layer, the side chain,
 then the rest of the main chain. baseline+hlac's side chain, the frozen HLAC
-bank and its GAP, runs none: the bank's 25 maps of 64-px crops are 197 MB at
-B=256.
+bank and its GAP, runs none, and keeps no cache.
 
 A tml bank whose only consumer is a gap, and whose input gradient nothing
 reads (the walk's `pooled`: the side banks of dhlac and baseline+hlac, not
@@ -37,35 +36,37 @@ to the gap of the maps, and never holds the maps. A bank that trains caches
 each image's product q (`tml`'s docstring), its gap the maps' shape, and
 the gap's backward, a broadcast view, hands the bank the d_y its d_w reads.
 
-The side chain runs forward first. The leading layers of a chain whose
-caches nothing reads run depth-first: the batch is cut into blocks of whole
-images, and each block runs through them up to the chain's block stop, keeps
-no cache and is copied into the whole batch's output there before the next
-block starts. Without a trace (`trace=False`, eval mode only) those are all
-layers; with one, the layers that run no backward, up to a train-mode
-dropout, whose masks are drawn for the whole batch in chain order; a chain
-with none cuts no blocks. A chain's block stop is its first layer that has
-weights and a vector output (an fc), and with a side chain at the latest the
-main chain's last layer, which reads the joined vector; the rest of both
-chains, and the join, then run once over the whole batch. So an fc weight is
-read once per batch, not once per block (baseline's 2.4 MB fc(64) weight was
-streamed 52 times per 256-image batch of 64-px crops), while GAP, which
-turns a volume into a vector, still runs inside the blocks. A block holds
+The side chain runs forward first. A traced forward runs every layer of
+both chains over the whole batch, and a train-mode dropout draws its masks
+for the whole batch in chain order; the pooled step keeps baseline+hlac's
+frozen bank from ever holding its 25 maps (197 MB for 64-px crops at
+B=256). A forward without a trace (`trace=False`, eval mode only) runs each
+chain's leading layers depth-first: the batch is cut into blocks of whole
+images, and each block runs through them up to the chain's block stop and
+is copied into the whole batch's output there before the next block starts.
+A chain's block stop is its first layer that has weights and a vector
+output (an fc), and with a side chain at the latest the main chain's last
+layer, which reads the joined vector; the rest of both chains, and the
+join, then run once over the whole batch. So an fc weight is read once per
+batch, not once per block (baseline's 2.4 MB fc(64) weight was streamed 52
+times per 256-image batch of 64-px crops), while GAP, which turns a volume
+into a vector, still runs inside the blocks. A block holds
 `_EVAL_BLOCK_BYTES // (8 * widest)` images, at least one, where `widest` is
 the largest per-image activation on the shape walk of either chain. So each
 layer's output for a block is at most 4 MiB, and the allocator serves it
 from freed heap memory: an eval pass of 1024 64-px crops through the HLAC
-net takes no page faults. A whole-batch output (197 MB for that net's 25-map
-bank at B=256) is fresh pages the kernel zero-fills on every batch, 4532
-faults and a sixth of the pass's CPU time, and the next layer reads it back
-from memory. The size scales with the activation because no fixed image
-count fits every net: on a 2-core Xeon the 64-px HLAC net ran fastest with
-4-8 images per block and at 58% of that rate with the whole batch, while the
-32-px dhlac net ran fastest with 16-48 and slower with 8 than with the whole
-batch. Blocked logits can differ from whole-batch ones in the last bits
-(relative 3e-13 at most on the shipped nets), because OpenBLAS may sum a
-GEMM in an order that depends on its shape and the block sets the shape; a
-whole-batch forward already differs the same way between batch sizes.
+net takes no page faults. A whole-batch output (63 MB for that net's first
+conv at B=256) is fresh pages the kernel zero-fills on every batch, and the
+next layer reads it back from memory: on a 2-vCPU Xeon that net's eval ran
+at 1328 images per CPU-second with the whole batch as one block and at 1698
+with the blocks (medians of 8 alternating passes). The size scales with the
+activation because no fixed image count fits every net: the 64-px HLAC net
+ran fastest with 4-8 images per block, while the 32-px dhlac net ran
+fastest with 16-48 and slower with 8 than with the whole batch. Blocked
+logits can differ from whole-batch ones in the last bits (relative 3e-13 at
+most on the shipped nets), because OpenBLAS may sum a GEMM in an order that
+depends on its shape and the block sets the shape; a whole-batch forward
+already differs the same way between batch sizes.
 """
 
 from __future__ import annotations
@@ -277,6 +278,12 @@ def _tml_backward(layer, p, cache, d_y, need_dx):
     return d_x, {"w": T.backward_weights_batch(cache[2], y, d_y, kernels)}
 
 
+def _flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"a flag must be 0 or 1, got {text!r}")
+    return text == "1"
+
+
 def _tml_from_fields(out_channels, kh, kw, c1, c2, eps, trainable):
     return tml_layer(out_channels, kh, kw, T.TmlConfig(c1, c2, eps), trainable)
 
@@ -396,7 +403,7 @@ KINDS["tml"] = Kind(
         ("c1", "tml.c1", float),
         ("c2", "tml.c2", float),
         ("eps", "tml.eps", float),
-        ("trainable", "trainable", lambda text: bool(int(text))),
+        ("trainable", "trainable", _flag),
     ),
     make=_tml_from_fields,
     pooled=_tml_pooled,
@@ -495,14 +502,16 @@ def network_forward(spec: NetworkSpec, xb, train_mode: bool = False, rng=None, t
     """Run a batch through the network; returns (logits, ForwardTrace).
 
     `trace=False` says the caller needs only the logits: the call returns
-    (logits, None) and runs in eval mode only. The module docstring says
-    which layers run over blocks of images and which caches a trace keeps.
+    (logits, None) and runs in eval mode only, cutting the layers before each
+    chain's block stop into blocks of images. A traced forward runs every
+    layer over the whole batch. The module docstring says which caches a
+    trace keeps.
     """
     if train_mode and not trace:
         raise ValueError("a forward without trace runs in eval mode only")
     xb = _checked_batch(spec, xb)
     main, side, widest = validate_network(spec)
-    block = max(1, _EVAL_BLOCK_BYTES // (8 * widest))
+    block = None if trace else max(1, _EVAL_BLOCK_BYTES // (8 * widest))
     caches, side_caches = ([], []) if trace else (None, None)
     s = None
     if spec.side_layers:
@@ -531,66 +540,50 @@ def layer_input(spec: NetworkSpec, chain: str, index: int, xb) -> np.ndarray:
     `xb`: the eval-mode output of the chain's first `index` layers (for the
     main chain's last layer, before the side vector joins it)."""
     main = chain == "main"
-    layers = (spec.layers if main else spec.side_layers)[:index]
-    params = (spec.params if main else spec.side_params)[:index]
     xb = _checked_batch(spec, xb)
     walk = validate_network(spec)[0 if main else 1]
-    return _forward_block(layers, params, walk.pooled, xb)
+    return _run_layers(spec.layers if main else spec.side_layers,
+                       spec.params if main else spec.side_params, walk, range(index), xb)
 
 
 def _chain_forward(layers, params, walk: ChainWalk, a, train_mode, rng, block, caches, side=None):
-    """Run a chain over the batch `a`; returns its output. The layers before
-    its block stop run over blocks of `block` images: all of them without a
-    trace (`caches` None), else those whose backward does not run, up to a
-    train-mode dropout. The rest run over the whole batch and append to
-    `caches` the cache of each layer whose backward runs (None for the
-    others); the last one reads the side vector `side`, when given, ahead of
-    its flattened input."""
-    stop = walk.stop
-    if caches is not None:
-        stop = next((i for i, (layer, (runs, _)) in enumerate(zip(layers[:stop], walk.steps))
-                     if runs or train_mode and layer.kind == "dropout"), stop)
-        caches.extend([None] * stop)
+    """Run a chain over the batch `a`; returns its output. Without a trace
+    (`caches` None), the layers before its block stop run over blocks of
+    `block` images; the rest, and with a trace every layer, run over the
+    whole batch (`_run_layers`)."""
+    stop = walk.stop if caches is None else 0
     if stop:
         # in C order, which the fc reading the main chain's activation
         # flattens without a copy; the blocks' outputs are channel-major
         out = np.empty((len(a), *walk.shapes[stop]))
         for i in range(0, len(a), block):
-            out[i : i + block] = _forward_block(layers[:stop], params[:stop], walk.pooled,
-                                                a[i : i + block])
+            out[i : i + block] = _run_layers(layers, params, walk, range(stop), a[i : i + block])
         a = out
-    for i in range(stop, len(layers)):
+    return _run_layers(layers, params, walk, range(stop, len(layers)), a, train_mode, rng, caches,
+                       side)
+
+
+def _run_layers(layers, params, walk: ChainWalk, span: range, a, train_mode=False, rng=None,
+                caches=None, side=None):
+    """Run the chain's layers in `span` over `a`; returns the output. Appends
+    to `caches`, when given, the cache of each layer whose backward runs
+    (None for the others). The chain's last layer reads the side vector
+    `side`, when given, ahead of its flattened input. A layer in
+    `walk.pooled` runs the pooled step with its gap when that gap is in
+    `span` too."""
+    for i in span:
         layer = layers[i]
         if side is not None and i == len(layers) - 1:
             a = np.concatenate([side, a.reshape(len(a), -1)], axis=1)
         keep = caches is not None and walk.steps[i][0]
-        if i > stop and i - 1 in walk.pooled:  # the bank's pooled step made this gap's vector
+        if i - 1 in walk.pooled and i - 1 in span:  # the pooled step made this gap's vector
             cache = (len(a), *walk.shapes[i])
+        elif i in walk.pooled and i + 1 in span:
+            a, cache = KINDS[layer.kind].pooled(layer, params[i], a, keep)
         else:
-            a, cache = _layer_forward(layer, params[i], i in walk.pooled, a, train_mode, rng, keep)
+            a, cache = KINDS[layer.kind].forward(layer, params[i], a, train_mode, rng, keep)
         if caches is not None:
             caches.append(cache if keep else None)
-    return a
-
-
-def _layer_forward(layer, p, pooled: bool, a, train_mode, rng, keep):
-    """One layer's forward, (output, cache); with `pooled`, the pooled step
-    of the layer and the gap after it, which returns the gap's vector."""
-    kind = KINDS[layer.kind]
-    if pooled:
-        return kind.pooled(layer, p, a, keep)
-    return kind.forward(layer, p, a, train_mode, rng, keep)
-
-
-def _forward_block(layers, params, pooled, a):
-    """`layers` in eval mode over one block of images, keeping no cache;
-    returns the output. A layer in `pooled` runs the pooled step with its gap
-    when that gap is in `layers` too."""
-    for i, (layer, p) in enumerate(zip(layers, params)):
-        if i - 1 in pooled:  # a gap whose vector the pooled step made
-            continue
-        pair = i in pooled and i + 1 < len(layers)
-        a, _ = _layer_forward(layer, p, pair, a, False, None, False)
     return a
 
 
@@ -786,8 +779,12 @@ def load_network(path) -> NetworkSpec:
     for ln in lines:
         try:
             if ln.startswith("layer "):
-                fields = dict(part.split("=", 1) for part in ln.split()[1:])
+                pairs = [part.split("=", 1) for part in ln.split()[1:]]
+                fields = dict(pairs)
                 kind = KINDS[fields["kind"]]
+                keys = ["chain", "kind", *(key for key, _attr, _parse in kind.fields)]
+                if sorted(key for key, _value in pairs) != sorted(keys):
+                    raise ValueError(f"keys must be {', '.join(keys)}, each once")
                 values = [parse(fields[key]) for key, _attr, parse in kind.fields]
                 layer = kind.make(*values) if kind.make else LayerSpec(fields["kind"])
                 chains[fields["chain"]].append(layer)

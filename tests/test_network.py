@@ -257,13 +257,15 @@ def blocks_of_three(monkeypatch, spec):
     one run of blocks per chain that cuts them, the side chain first."""
     widest = validate_network(spec)[2]
     monkeypatch.setattr(network, "_EVAL_BLOCK_BYTES", 8 * widest * 3 + 7)
-    run, sizes = network._forward_block, []
+    run, sizes = network._run_layers, []
 
-    def counting_run(layers, params, pooled, a):
-        sizes.append(len(a))
-        return run(layers, params, pooled, a)
+    def counting_run(layers, params, walk, span, a, *rest):
+        # a block runs the layers up to the block stop, with no mode, trace or side vector
+        if not rest and span == range(walk.stop):
+            sizes.append(len(a))
+        return run(layers, params, walk, span, a, *rest)
 
-    monkeypatch.setattr(network, "_forward_block", counting_run)
+    monkeypatch.setattr(network, "_run_layers", counting_run)
     return sizes
 
 
@@ -350,8 +352,8 @@ def traced_step(spec, xb, mode):
 
 
 def dropout_net():
-    """Dropout in both chains ahead of every layer that trains: in train mode
-    each chain's blocked run must end there."""
+    """Dropout in both chains ahead of every layer that trains, and a frozen
+    side bank pooled by a GAP."""
     frozen = tml_layer(2, 2, 2, TmlConfig(c1=1.0, c2=0.6), trainable=False)
     spec = NetworkSpec(
         layers=[dropout(0.5), conv(2, 3, 3), LayerSpec("relu"), fc(3)],
@@ -363,23 +365,30 @@ def dropout_net():
 
 
 class TestTracedBlocks:
+    @pytest.mark.parametrize("block_bytes", [8, None], ids=["one-image", "three-images"])
     @pytest.mark.parametrize("mode", ["eval", "train"])
-    @pytest.mark.parametrize("arch", sorted(SHIPPED_NETS))
-    def test_only_the_frozen_side_chain_runs_in_blocks(self, monkeypatch, arch, mode):
-        # baseline+hlac's side chain trains nothing, so its bank's pooled step
-        # runs per block; every other net takes the whole batch through, the
-        # side banks as a pooled step and cooc's bank as maps and a GAP
-        spec = init_params(SHIPPED_NETS[arch](), np.random.default_rng(0))
+    @pytest.mark.parametrize("arch", sorted(SHIPPED_NETS) + ["dropout"])
+    def test_runs_every_layer_over_the_whole_batch(self, monkeypatch, arch, mode, block_bytes):
+        # whatever the block size, a traced forward cuts no block: the side
+        # banks (baseline+hlac's frozen one too) run as one pooled step of
+        # the whole batch, and cooc's bank as maps and a GAP
+        spec = dropout_net() if arch == "dropout" else SHIPPED_NETS[arch]()
+        spec = init_params(spec, np.random.default_rng(0))
         xb = np.random.default_rng(1).uniform(size=(7, *spec.input_shape))
         sizes = blocks_of_three(monkeypatch, spec)
+        if block_bytes:
+            monkeypatch.setattr(network, "_EVAL_BLOCK_BYTES", block_bytes)
         calls = record_banks(monkeypatch)
         calls.update(record_batch_sizes(monkeypatch, layers, "gap_forward"))
-        network_forward(spec, xb, train_mode=mode == "train", rng=np.random.default_rng(2))
-        blocked = arch == "baseline+hlac"
-        expected = [3, 3, 1] if blocked else [7] * (arch != "baseline")
-        maps = expected if arch == "cooc" else []
-        assert sizes == ([3, 3, 1] if blocked else [])
-        assert calls == {"maps": maps, "pooled": [] if maps else expected, "gap_forward": maps}
+        _, trace = network_forward(spec, xb, train_mode=mode == "train",
+                                   rng=np.random.default_rng(2))
+        maps = [7] * (arch == "cooc")
+        pooled = [7] * (arch not in ("cooc", "baseline"))
+        assert sizes == []
+        assert calls == {"maps": maps, "pooled": pooled, "gap_forward": maps}
+        if arch == "dropout":
+            # nothing beneath either dropout trains: the trace keeps no cache of it
+            assert trace.side_caches == [None, None, None] and trace.caches[0] is None
 
     @pytest.mark.parametrize("mode", ["eval", "train"])
     @pytest.mark.parametrize("arch", sorted(SHIPPED_NETS) + ["dropout"])
@@ -396,24 +405,6 @@ class TestTracedBlocks:
         assert len(grads) == len(one_grads) > 0
         for got, want in zip(grads, one_grads):
             np.testing.assert_array_equal(got, want)
-
-    def test_dropout_ends_a_blocked_run_in_train_mode(self, monkeypatch):
-        spec = dropout_net()
-        xb = np.random.default_rng(1).uniform(size=(7, 8, 8, 1))
-        sizes = blocks_of_three(monkeypatch, spec)
-        calls = record_batch_sizes(monkeypatch, layers, "gap_forward", "dropout_forward")
-        calls.update(record_banks(monkeypatch))
-        _, trace = network_forward(spec, xb, train_mode=True, rng=np.random.default_rng(2))
-        assert sizes == [3, 3, 1]
-        # the frozen bank and its GAP run as one pooled step per block
-        assert calls == {"gap_forward": [], "dropout_forward": [7, 7], "maps": [],
-                         "pooled": [3, 3, 1]}
-        # nothing beneath either dropout trains: the trace keeps no cache of it
-        assert trace.side_caches == [None, None, None] and trace.caches[0] is None
-        # in eval mode both dropouts run in the blocks, the side chain's first
-        _, trace = network_forward(spec, xb)
-        assert sizes == [3, 3, 1] * 3 and calls["dropout_forward"][2:] == [3, 3, 1] * 2
-        assert calls["pooled"] == [3, 3, 1] * 2 and trace.caches[1].shape == (7, 8, 8, 1)
 
 
 def relu_before_pool(spec):
@@ -549,17 +540,16 @@ class TestPoolRoute:
 
     @pytest.mark.parametrize("mode", ["eval", "train"])
     def test_pools_no_backward_reads_compute_no_route(self, monkeypatch, mode):
-        # eval: the first main pool and the side pool run in the blocks;
-        # train: the dropout ends the main chain's blocked run, and the first
-        # pool runs over the whole batch, still with no backward
+        # the side pool and the first main pool run over the whole batch,
+        # with no backward, so they pool alone
         spec = pool_net()
         xb = np.random.default_rng(1).uniform(0.1, 1.0, size=(7, 12, 12, 1))
         sizes = blocks_of_three(monkeypatch, spec)
         flags = record_routes(monkeypatch)
         logits, trace = network_forward(spec, xb, train_mode=mode == "train",
                                         rng=np.random.default_rng(2))
-        assert sizes == ([3, 3, 1] * 2 if mode == "eval" else [3, 3, 1])
-        assert flags == [False] * (6 if mode == "eval" else 4) + [True]
+        assert sizes == []
+        assert flags == [False, False, True]
         assert trace.caches[1] is None and trace.side_caches == [None, None, None]
         assert trace.caches[3].code.shape == (7, 2, 2, 2)
         grads = network_backward(spec, trace, np.cos(logits))
@@ -1004,6 +994,11 @@ class TestSerialization:
             (tiny_branched_net, "out=2", "out=0"),
             (tiny_branched_net, "units=5", "units=-5"),
             (hlac_net, "rate=0.5", "rate=1.5"),
+            (tiny_branched_net, "kind=relu", "kind=relu units=5 bogus=1"),
+            (tiny_branched_net, "out=2 kh=3 kw=3", "out=6 kh=3 kw=3 rate=0.9"),
+            (hlac_net, "trainable=0", "trainable=7"),
+            (hlac_net, "trainable=0", "trainable=-1"),
+            (tiny_branched_net, "units=5", "units=5 units=7"),
         ],
         ids=[
             "missing-key",
@@ -1013,6 +1008,11 @@ class TestSerialization:
             "zero-out",
             "negative-units",
             "rate-past-one",
+            "keys-a-relu-lacks",
+            "key-of-another-kind",
+            "trainable-seven",
+            "trainable-negative",
+            "key-given-twice",
         ],
     )
     def test_malformed_layer_line_named(self, tmp_path, build, old, new):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tmlnet import tml, training
+from tmlnet import network, tml, training
 from tmlnet.datasets import Dataset, StripeSpec, gen_stripe_dataset
 from tmlnet.layers import softmax_xent
 from tmlnet.network import (
@@ -334,6 +334,18 @@ class TestTrainStep:
         assert np.any(state.velocities.main[0]["w"])
 
 
+def record_layer_runs(monkeypatch):
+    """Record each run of `network._run_layers`; returns [(span, batch size)]."""
+    run, runs = network._run_layers, []
+
+    def recording_run(layers, params, walk, span, a, *rest):
+        runs.append((span, len(a)))
+        return run(layers, params, walk, span, a, *rest)
+
+    monkeypatch.setattr(network, "_run_layers", recording_run)
+    return runs
+
+
 class TestEvaluate:
     def test_all_correct(self):
         spec = fc_toy_net()
@@ -374,31 +386,24 @@ class TestEvaluate:
 
     def test_previous_batch_trace_is_freed(self, monkeypatch):
         # evaluate's forwards build no trace, so none outlives its batch
-        from tmlnet import network
-
-        forward, run = training.network_forward, network._forward_block
-        calls, traces, blocks = [], [], []
+        forward, calls, traces = training.network_forward, [], []
 
         def recording_forward(*args, **kwargs):
             calls.append(kwargs.get("trace"))
             return forward(*args, **kwargs)
 
-        def recording_run(layers, params, pooled, a):
-            blocks.append(len(a))
-            return run(layers, params, pooled, a)
-
         monkeypatch.setattr(training, "network_forward", recording_forward)
         monkeypatch.setattr(network, "ForwardTrace", lambda *args: traces.append(args))
-        monkeypatch.setattr(network, "_forward_block", recording_run)
+        runs = record_layer_runs(monkeypatch)
         monkeypatch.setattr(network, "_EVAL_BLOCK_BYTES", 8)  # one image per block
         ds = Dataset(np.ones((5, 4, 4, 1)), np.zeros(5, dtype=int))
         evaluate(tml_toy_net(), ds, batch_size=2)
         assert calls == [False] * 3  # one trace-free forward per batch of 2, 2, 1
-        assert blocks == [1] * 5 and traces == []
+        # per batch, the bank and its GAP in one-image blocks, then the fc over the batch
+        assert runs == [r for b in (2, 2, 1) for r in [(range(2), 1)] * b + [(range(2, 3), b)]]
+        assert traces == []
 
     def test_trace_free_forward_of_an_fc_first_net_cuts_no_block(self, monkeypatch):
-        from tmlnet import network
-
         spec = fc_toy_net()
         xb = np.ones((5, 1, 1, 1))
         traced, _ = network_forward(spec, xb)
@@ -407,9 +412,9 @@ class TestEvaluate:
             raise AssertionError("a trace-free forward of an fc-first net built this")
 
         monkeypatch.setattr(network, "ForwardTrace", forbidden)
-        monkeypatch.setattr(network, "_forward_block", forbidden)
+        runs = record_layer_runs(monkeypatch)
         logits, trace = network_forward(spec, xb, trace=False)
-        assert trace is None
+        assert trace is None and runs == [(range(1), 5)]  # the fc, once over the batch
         np.testing.assert_array_equal(logits, traced)
 
 

@@ -9,11 +9,14 @@ and baseline+hlac at 32-px crops in batches of 32 and 64-px crops in batches
 of 256, it hashes the initial parameters, the logits and every parameter
 gradient of a traced forward in eval and in train mode, the logits of a
 trace-free forward, and the per-epoch metrics and parameters after a 2-epoch
-`train_loop`. It hashes the parameters and velocities after a `train_step`
-whose projection restarts a dhlac bank kernel that clipped to all zeros. It
-then runs the command line (gen-stripes, hlac-extract, gradcheck, and train,
-eval, viz-kernels, viz-features and viz-cooc for each net) in a scratch
-directory and hashes every output and every file written.
+`train_loop`. At 32 px it hashes `layer_input` of the first 4 images for
+every index 1..len of each chain; the main chain of a net with a side chain
+stops at len - 1, because its last layer reads the joined vector. It hashes
+the parameters and velocities after a `train_step` whose projection
+restarts a dhlac bank kernel that clipped to all zeros. It then runs the
+command line (gen-stripes, hlac-extract, gradcheck, and train, eval,
+viz-kernels, viz-features and viz-cooc for each net) in a scratch directory
+and hashes every output and every file written.
 Each line reads `<sha256>  <what>`.
 
 Two trees give the same bytes exactly when `diff` of their outputs is empty:
@@ -51,7 +54,7 @@ from tmlnet.datasets import (
     write_idx_labels,
 )
 from tmlnet.layers import softmax_xent
-from tmlnet.network import init_params, network_backward, network_forward
+from tmlnet.network import init_params, layer_input, network_backward, network_forward
 from tmlnet.training import OptimizerState, TrainConfig, train_loop, train_step
 
 SIZES = ((32, 32), (64, 256))  # (crop, batch)
@@ -142,10 +145,19 @@ def network_hashes(emit: Emitter, seed: int) -> None:
                 grads = network_backward(spec, trace, d_logits / batch)
                 emit_arrays(emit, f"{tag} {mode} grad", grads.main, grads.side)
             emit(f"{tag} trace-free logits", network_forward(spec, xb, trace=False)[0])
+            if crop == 32:
+                emit_layer_inputs(emit, f"{arch} {crop}px B=4", spec, xb[:4])
             cfg = TrainConfig(epochs=2, batch_size=batch, rng_seed=seed)
             metrics = train_loop(spec, train.subset(batch), cfg)
             emit(f"{tag} train_loop metrics", repr(metrics))
             emit_params(emit, f"{tag} train_loop", spec)
+
+
+def emit_layer_inputs(emit: Emitter, tag: str, spec, xb) -> None:
+    for chain, layers in (("main", spec.layers), ("side", spec.side_layers)):
+        last = len(layers) - (chain == "main" and bool(spec.side_layers))
+        for i in range(1, last + 1):
+            emit(f"{tag} layer_input {chain}[:{i}]", layer_input(spec, chain, i, xb))
 
 
 def restart_hashes(emit: Emitter, seed: int) -> None:
