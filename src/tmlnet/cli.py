@@ -113,8 +113,8 @@ ARCHS = {
 
 def parse_config_file(path, settings: dict, run: str) -> dict:
     """key=value lines, each key one of `settings` (typed by its default);
-    blank lines and #-comments ignored."""
-    values = {}
+    blank lines and #-comments ignored; a key given twice is an error."""
+    values, first = {}, {}
     with open(path) as f:
         for ln_no, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()
@@ -125,6 +125,10 @@ def parse_config_file(path, settings: dict, run: str) -> dict:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in settings:
                 raise ValueError(f"{path}:{ln_no}: unknown config key {key!r} for {run}")
+            if key in first:
+                raise ValueError(f"{path}:{ln_no}: config key {key!r} given twice "
+                                 f"(first on line {first[key]})")
+            first[key] = ln_no
             try:
                 values[key] = type(settings[key])(val)
             except ValueError as err:

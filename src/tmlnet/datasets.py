@@ -57,6 +57,8 @@ STRIPE_STYLES = [
     (135, 8),
 ]
 STRIPE_THICKNESS = 2
+# per orientation, the stripe normal (dr, dc): a pixel's phase is dr * row + dc * col
+STRIPE_NORMALS = {0: (1, 0), 90: (0, 1), 45: (1, 1), 135: (1, -1)}
 
 
 class Dataset:
@@ -202,9 +204,15 @@ def write_idx_images(images, path) -> None:
 
 
 def write_idx_labels(labels, path) -> None:
+    """Labels must be integers in 0..255; the first that is not is named
+    before the file is opened."""
+    values = _integer_labels(np.asarray(labels), len(labels))
+    if values.size and not 0 <= values.min() <= values.max() <= 255:
+        bad = np.flatnonzero((values < 0) | (values > 255))[0]
+        raise ValueError(f"IDX label {bad} is {values[bad]}, outside 0..255")
     with open(path, "wb") as f:
-        f.write(struct.pack(">2I", IDX_LABEL_MAGIC, len(labels)))
-        f.write(bytes(int(v) for v in labels))
+        f.write(struct.pack(">2I", IDX_LABEL_MAGIC, len(values)))
+        f.write(values.astype(np.uint8))
 
 
 def load_dataset_dir(directory) -> tuple[Dataset, Dataset]:
@@ -261,16 +269,8 @@ class StripeSpec:
 def stripe_pattern(cls: int, size: int) -> np.ndarray:
     """Clean periodic line pattern for one class: 1.0 on stripes, 0.0 off."""
     angle, period = STRIPE_STYLES[cls]
-    r = np.arange(period)[:, None]
-    c = np.arange(period)[None, :]
-    if angle == 0:
-        phase = np.broadcast_to(r, (period, period))
-    elif angle == 90:
-        phase = np.broadcast_to(c, (period, period))
-    elif angle == 45:
-        phase = r + c
-    else:  # 135
-        phase = r - c
+    dr, dc = STRIPE_NORMALS[angle]
+    phase = dr * np.arange(period)[:, None] + dc * np.arange(period)[None, :]
     tile = (np.mod(phase, period) < STRIPE_THICKNESS).astype(np.float64)
     reps = -(-size // period)
     return np.tile(tile, (reps, reps))[:size, :size]

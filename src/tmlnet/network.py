@@ -35,6 +35,10 @@ cooc's), runs with the gap as one pooled step, traced or not
 to the gap of the maps, and never holds the maps. A bank that trains caches
 each image's product q (`tml`'s docstring), its gap the maps' shape, and
 the gap's backward, a broadcast view, hands the bank the d_y its d_w reads.
+The walk alone says which banks pool, and every forward pairs each with its
+gap: a block stop is a layer with weights, and a gap has none, so no block
+splits a pair. `layer_input` runs with no bank pooled, so a gap's input is
+its bank's maps.
 
 The side chain runs forward first. A traced forward runs every layer of
 both chains over the whole batch, and a train-mode dropout draws its masks
@@ -537,13 +541,21 @@ def _checked_batch(spec: NetworkSpec, xb) -> np.ndarray:
 
 def layer_input(spec: NetworkSpec, chain: str, index: int, xb) -> np.ndarray:
     """What layer `index` of `chain` ("main" or "side") reads for the batch
-    `xb`: the eval-mode output of the chain's first `index` layers (for the
-    main chain's last layer, before the side vector joins it)."""
+    `xb`: the eval-mode output of the chain's first `index` layers, with no
+    bank pooled, so a gap reads its bank's maps. `index` runs to the chain's
+    length, but for the main chain of a net with a side chain only to its
+    last layer, which reads the joined vector."""
+    if chain not in ("main", "side"):
+        raise ValueError(f"chain must be 'main' or 'side', got {chain!r}")
     main = chain == "main"
     xb = _checked_batch(spec, xb)
+    layers = spec.layers if main else spec.side_layers
+    last = len(layers) - (main and bool(spec.side_layers))
+    if not 0 <= index <= last:
+        raise ValueError(f"{chain} layer index must be in 0..{last}, got {index!r}")
     walk = validate_network(spec)[0 if main else 1]
-    return _run_layers(spec.layers if main else spec.side_layers,
-                       spec.params if main else spec.side_params, walk, range(index), xb)
+    return _run_layers(layers, spec.params if main else spec.side_params,
+                       walk._replace(pooled=frozenset()), range(index), xb)
 
 
 def _chain_forward(layers, params, walk: ChainWalk, a, train_mode, rng, block, caches, side=None):
@@ -569,16 +581,16 @@ def _run_layers(layers, params, walk: ChainWalk, span: range, a, train_mode=Fals
     to `caches`, when given, the cache of each layer whose backward runs
     (None for the others). The chain's last layer reads the side vector
     `side`, when given, ahead of its flattened input. A layer in
-    `walk.pooled` runs the pooled step with its gap when that gap is in
-    `span` too."""
+    `walk.pooled` runs the pooled step with the gap after it, which `span`
+    holds too: no block stop falls between them, since a gap has no weights."""
     for i in span:
         layer = layers[i]
         if side is not None and i == len(layers) - 1:
             a = np.concatenate([side, a.reshape(len(a), -1)], axis=1)
         keep = caches is not None and walk.steps[i][0]
-        if i - 1 in walk.pooled and i - 1 in span:  # the pooled step made this gap's vector
+        if i - 1 in walk.pooled:  # the pooled step made this gap's vector
             cache = (len(a), *walk.shapes[i])
-        elif i in walk.pooled and i + 1 in span:
+        elif i in walk.pooled:
             a, cache = KINDS[layer.kind].pooled(layer, params[i], a, keep)
         else:
             a, cache = KINDS[layer.kind].forward(layer, params[i], a, train_mode, rng, keep)
@@ -648,19 +660,44 @@ def _lenet_branch() -> list[LayerSpec]:
     ]
 
 
+def _baseline_branch() -> list[LayerSpec]:
+    """Three conv blocks with pooling and dropout, then a small fully
+    connected layer. The first two convs are pooled before their ReLU, for
+    the reason `_lenet_branch` gives."""
+    return [
+        conv(8, 3, 3),
+        LayerSpec("maxpool"),
+        LayerSpec("relu"),
+        dropout(0.25),
+        conv(16, 3, 3),
+        LayerSpec("maxpool"),
+        LayerSpec("relu"),
+        dropout(0.25),
+        conv(32, 3, 3),
+        LayerSpec("relu"),
+        fc(64),
+        LayerSpec("relu"),
+        dropout(0.5),
+    ]
+
+
+def _net(layers, input_shape, num_classes: int, bank=None, bank_w=None) -> NetworkSpec:
+    """The validated net whose main chain is `layers` and the classifying
+    fc(num_classes), joined, given a `bank`, by the side chain [bank, gap]; a
+    frozen bank comes with its weights `bank_w`."""
+    spec = NetworkSpec(layers + [fc(num_classes)], tuple(input_shape), num_classes,
+                       side_layers=[bank, LayerSpec("gap")] if bank else [],
+                       side_params=[{"w": bank_w}, {}] if bank_w is not None else [])
+    validate_network(spec)
+    return spec
+
+
 def build_dhlac_net(input_shape, num_classes: int, bank: LayerSpec) -> NetworkSpec:
     """Auto-correlation topology: the multiplication layer `bank` (a
     `tml_layer`) reads the input image, average pooling turns its maps into a
     vector, and that vector is concatenated with the convolutional branch's
     last hidden features ahead of the classifying layer."""
-    spec = NetworkSpec(
-        layers=_lenet_branch() + [fc(num_classes)],
-        input_shape=tuple(input_shape),
-        num_classes=num_classes,
-        side_layers=[bank, LayerSpec("gap")],
-    )
-    validate_network(spec)
-    return spec
+    return _net(_lenet_branch(), input_shape, num_classes, bank)
 
 
 def build_cooc_net(input_shape, num_classes: int, bank: LayerSpec) -> NetworkSpec:
@@ -669,41 +706,13 @@ def build_cooc_net(input_shape, num_classes: int, bank: LayerSpec) -> NetworkSpe
     outputs feed the classifying layer directly (required by the
     co-occurrence tracing tools). The LeNet branch up to conv2 feeds the bank
     16 channels, conv2's maps rectified but not pooled."""
-    spec = NetworkSpec(
-        layers=_lenet_branch()[:4] + [LayerSpec("relu"), bank, LayerSpec("gap"), fc(num_classes)],
-        input_shape=tuple(input_shape),
-        num_classes=num_classes,
-    )
-    validate_network(spec)
-    return spec
+    return _net(_lenet_branch()[:4] + [LayerSpec("relu"), bank, LayerSpec("gap")], input_shape,
+                num_classes)
 
 
 def build_baseline_net(input_shape, num_classes: int) -> NetworkSpec:
-    """Plain CNN stand-in: three conv blocks with pooling and dropout, then
-    a small fully connected classifier. The first two convs are pooled
-    before their ReLU, for the reason `_lenet_branch` gives."""
-    spec = NetworkSpec(
-        layers=[
-            conv(8, 3, 3),
-            LayerSpec("maxpool"),
-            LayerSpec("relu"),
-            dropout(0.25),
-            conv(16, 3, 3),
-            LayerSpec("maxpool"),
-            LayerSpec("relu"),
-            dropout(0.25),
-            conv(32, 3, 3),
-            LayerSpec("relu"),
-            fc(64),
-            LayerSpec("relu"),
-            dropout(0.5),
-            fc(num_classes),
-        ],
-        input_shape=tuple(input_shape),
-        num_classes=num_classes,
-    )
-    validate_network(spec)
-    return spec
+    """Plain CNN stand-in: `_baseline_branch` and the classifying layer."""
+    return _net(_baseline_branch(), input_shape, num_classes)
 
 
 def build_baseline_hlac_net(input_shape, num_classes: int) -> NetworkSpec:
@@ -713,18 +722,9 @@ def build_baseline_hlac_net(input_shape, num_classes: int) -> NetworkSpec:
     takes single-channel input. The bank is the classical features' oracle,
     so its eps is `HLAC_EPS`, not a setting: a larger one would turn its
     maps into products of x + eps."""
-    base = build_baseline_net(input_shape, num_classes)
-    bank = masks_to_binary_kernels(default_mask_set(), 3, 3)
-    frozen = tml_layer(bank.shape[3], 3, 3, T.TmlConfig(1.0, 1.0, HLAC_EPS), trainable=False)
-    spec = NetworkSpec(
-        layers=base.layers,
-        input_shape=tuple(input_shape),
-        num_classes=num_classes,
-        side_layers=[frozen, LayerSpec("gap")],
-        side_params=[{"w": bank}, {}],
-    )
-    validate_network(spec)
-    return spec
+    w = masks_to_binary_kernels(default_mask_set(), 3, 3)
+    frozen = tml_layer(w.shape[3], 3, 3, T.TmlConfig(1.0, 1.0, HLAC_EPS), trainable=False)
+    return _net(_baseline_branch(), input_shape, num_classes, frozen, w)
 
 
 # ---------------------------------------------------------------------------
@@ -764,6 +764,13 @@ def save_network(spec: NetworkSpec, path) -> None:
             f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+def _each_once(pairs, keys) -> dict:
+    """The (key, value) `pairs` as a dict, once their keys are `keys`, each once."""
+    if sorted(key for key, _value in pairs) != sorted(keys):
+        raise ValueError(f"keys must be {', '.join(keys)}, each once")
+    return dict(pairs)
+
+
 def load_network(path) -> NetworkSpec:
     try:
         with open(path) as f:
@@ -773,27 +780,24 @@ def load_network(path) -> NetworkSpec:
     fmt = next((ln.split("=", 1)[1] for ln in lines if ln.startswith("format=")), None)
     if fmt != NET_FORMAT:
         raise ValueError(f"{path}: unsupported network format {fmt!r}")
-    kv = {}
-    main, side = [], []
+    header, main, side = [], [], []
     chains = {"main": main, "side": side}
     for ln in lines:
         try:
             if ln.startswith("layer "):
                 pairs = [part.split("=", 1) for part in ln.split()[1:]]
-                fields = dict(pairs)
-                kind = KINDS[fields["kind"]]
-                keys = ["chain", "kind", *(key for key, _attr, _parse in kind.fields)]
-                if sorted(key for key, _value in pairs) != sorted(keys):
-                    raise ValueError(f"keys must be {', '.join(keys)}, each once")
+                kind = KINDS[dict(pairs)["kind"]]
+                fields = _each_once(pairs, ["chain", "kind", *(key for key, *_ in kind.fields)])
                 values = [parse(fields[key]) for key, _attr, parse in kind.fields]
                 layer = kind.make(*values) if kind.make else LayerSpec(fields["kind"])
                 chains[fields["chain"]].append(layer)
             else:
-                k, v = ln.split("=", 1)
-                kv[k] = v
+                key, value = ln.split("=", 1)
+                header.append((key, value))
         except (KeyError, ValueError) as err:
             raise ValueError(f"{path}: malformed line {ln!r}: {err!r}") from err
     try:
+        kv = _each_once(header, ["format", "input", "classes"])
         h, w, c = (int(v) for v in kv["input"].split("x"))
         num_classes = int(kv["classes"])
     except (KeyError, ValueError) as err:

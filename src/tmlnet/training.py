@@ -27,7 +27,7 @@ nonnegative and sums to C1, so the L1 term is the constant lambda * M * C1.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -195,22 +195,13 @@ def evaluate(spec: NetworkSpec, ds: Dataset, batch_size: int = 256) -> float:
     return hits / len(ds)
 
 
-METRIC_FIELDS = ("epoch", "mean_loss", "train_acc", "test_acc")
-
-
 def write_metrics_csv(metrics: list[EpochMetrics], path) -> None:
+    """One column per `EpochMetrics` field: a value's repr, empty for None."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(METRIC_FIELDS)
+        writer.writerow(field.name for field in fields(EpochMetrics))
         for m in metrics:
-            writer.writerow(
-                [
-                    m.epoch,
-                    repr(m.mean_loss),
-                    repr(m.train_acc),
-                    "" if m.test_acc is None else repr(m.test_acc),
-                ]
-            )
+            writer.writerow("" if v is None else repr(v) for v in astuple(m))
 
 
 def train_loop(

@@ -106,6 +106,7 @@ def test_train_reads_config_file_under_flags(tmp_path, capsys):
         ("# header\nseed 3\n", ":2: expected key=value"),
         ("seed=1.5\n", ":1: bad value for 'seed'"),
         ("epochs=2\nlambda=small\n", ":2: bad value for 'lambda'"),
+        ("lambda=0.1\n\nlambda=0.2\n", ":3: config key 'lambda' given twice (first on line 1)"),
     ],
 )
 def test_bad_config_file_names_file_and_line(tmp_path, capsys, text, message):

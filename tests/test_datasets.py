@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import tracemalloc
 
@@ -158,6 +159,23 @@ class TestIdxWriterRejects:
         p = tmp_path / "img.idx"
         with pytest.raises(ValueError, match=f"image {bad} has NaN"):
             write_idx_images(images, p)
+        assert not p.exists()
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([0, 1.7, 2], "label 1 is 1.7, not an integer"),
+            ([0, float("nan")], "label 1 is nan, not an integer"),
+            ([0, 300], "IDX label 1 is 300, outside 0..255"),
+            ([0, 2, -1], "IDX label 2 is -1, outside 0..255"),
+        ],
+        ids=["fraction", "nan", "past-255", "negative"],
+    )
+    def test_labels_not_bytes_named_before_the_file_opens(self, tmp_path, labels, message):
+        # 1.7 used to be written as 1, and 300 to leave an 8-byte header behind
+        p = tmp_path / "labels.idx"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_idx_labels(labels, p)
         assert not p.exists()
 
     def test_infinite_pixels(self, tmp_path):

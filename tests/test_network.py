@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -250,6 +251,31 @@ class TestLayerInput:
         with pytest.raises(ValueError) as input_err:
             network.layer_input(spec, "main", 2, np.zeros(shape))
         assert str(input_err.value) == str(forward_err.value)
+
+    @pytest.mark.parametrize(
+        "arch, chain, index, message",
+        [
+            ("dhlac", "bogus", 1, "chain must be 'main' or 'side', got 'bogus'"),
+            # the main chain's last layer reads the joined vector
+            ("dhlac", "main", 11, "main layer index must be in 0..10, got 11"),
+            ("dhlac", "main", 40, "main layer index must be in 0..10, got 40"),
+            ("dhlac", "main", -1, "main layer index must be in 0..10, got -1"),
+            ("dhlac", "side", 3, "side layer index must be in 0..2, got 3"),
+            ("cooc", "main", 9, "main layer index must be in 0..8, got 9"),
+        ],
+        ids=["bogus-chain", "joined-last", "past-the-end", "negative", "side-past-the-end",
+             "one-chain-past-the-end"],
+    )
+    def test_bad_chain_or_index_rejected(self, arch, chain, index, message):
+        spec = init_params(SHIPPED_NETS[arch](), np.random.default_rng(0))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            network.layer_input(spec, chain, index, np.zeros((1, *spec.input_shape)))
+
+    def test_whole_chain_of_one_chain_net_gives_the_logits(self):
+        spec = init_params(SHIPPED_NETS["cooc"](), np.random.default_rng(0))
+        xb = np.random.default_rng(1).uniform(size=(3, *spec.input_shape))
+        logits = network_forward(spec, xb)[0]
+        np.testing.assert_array_equal(network.layer_input(spec, "main", 8, xb), logits)
 
 
 def blocks_of_three(monkeypatch, spec):
@@ -591,6 +617,20 @@ class TestPooledBank:
         assert arrays and all(a.size < 256 * maps for a in arrays)
         assert trace.caches[0] is xb
         assert trace_bytes(trace) - xb.nbytes <= 5 << 20
+
+    @pytest.mark.parametrize("arch", sorted(ARCHS) + ["pool", "dropout"])
+    def test_no_block_stop_falls_inside_a_pooled_pair(self, arch):
+        # every forward runs a pooled bank with the GAP after it, so the
+        # blocks of a trace-free one must not stop between the two
+        if arch in ARCHS:
+            cfg = dict(DEFAULTS, **(ARCHS[arch].bank or {}))
+            spec = build_network(arch, (32, 32, 1), 6, cfg)
+        else:
+            spec = pool_net() if arch == "pool" else dropout_net()
+        walks = validate_network(spec)[:2]
+        assert any(walk.pooled for walk in walks) == (arch in ("dhlac", "baseline+hlac", "dropout"))
+        for walk in walks:
+            assert all(walk.stop != i + 1 for i in walk.pooled)
 
     def test_layer_input_of_the_gap_is_the_maps(self):
         # a pair cut at its GAP runs the bank alone, on the maps path
@@ -1032,6 +1072,20 @@ class TestSerialization:
         path.write_text("\n".join(ln for ln in path.read_text().splitlines()
                                   if not ln.startswith("classes=")))
         with pytest.raises(ValueError, match="classes"):
+            load_network(path)
+
+    @pytest.mark.parametrize("line", ["bogus=1", "classes=2", "input=6x6x1",
+                                      f"format={network.NET_FORMAT}", "format=tmlnet-net-v2"],
+                             ids=["unknown-key", "classes-twice", "input-twice",
+                                  "format-twice", "second-format-differs"])
+    def test_header_key_other_or_twice_rejected(self, tmp_path, line):
+        # the first format= line is right, so the header's keys are what fail
+        path = tmp_path / "ckpt.net"
+        save_network(tiny_branched_net(), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + [line] + lines[3:]) + "\n")
+        with pytest.raises(ValueError, match="malformed header: .*keys must be format, input, "
+                                             "classes, each once"):
             load_network(path)
 
     def test_frozen_flag_survives(self, tmp_path):

@@ -15,8 +15,9 @@ stops at len - 1, because its last layer reads the joined vector. It hashes
 the parameters and velocities after a `train_step` whose projection
 restarts a dhlac bank kernel that clipped to all zeros. It then runs the
 command line (gen-stripes, hlac-extract, gradcheck, and train, eval,
-viz-kernels, viz-features and viz-cooc for each net) in a scratch directory
-and hashes every output and every file written.
+viz-kernels, viz-features and viz-cooc for each net, then a dhlac train that
+reads a config file and overrides one of its keys by a flag) in a scratch
+directory and hashes every output and every file written.
 Each line reads `<sha256>  <what>`.
 
 Two trees give the same bytes exactly when `diff` of their outputs is empty:
@@ -207,6 +208,13 @@ def cli_hashes(emit: Emitter, seed: int) -> None:
                 dataset = [] if viz == "viz-kernels" else ["--dataset", data]
                 out = out + ".pgm" if viz == "viz-cooc" else out
                 run_cli(emit, root, f"{arch} {viz}", [viz, ckpt, *dataset, "--out", out])
+        # a config file's settings, one of them overridden by its flag
+        config = os.path.join(root, "run.cfg")
+        with open(config, "w") as f:
+            f.write("# dhlac, smaller\nepochs = 2\nnum_kernels=4  # of 8\nlambda=0.02\nseed=7\n")
+        run_cli(emit, root, "dhlac train --config", ["train", "--arch", "dhlac", "--dataset", data,
+                                                     "--out", os.path.join(root, "configured"),
+                                                     "--config", config, "--epochs", "1"])
         for folder, _dirs, files in sorted(os.walk(root)):
             for name in sorted(files):
                 path = os.path.join(folder, name)
