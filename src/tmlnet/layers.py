@@ -303,16 +303,22 @@ def gap_backward(d_y: np.ndarray, in_shape) -> np.ndarray:
     return np.broadcast_to((d_y / (h * w))[:, None, None, :], in_shape)
 
 
-def softmax_xent(logits: np.ndarray, onehot: np.ndarray):
-    """Softmax cross-entropy of a batch of (B, C) logits against one-hot teachers.
+def softmax_xent(logits: np.ndarray, labels: np.ndarray):
+    """Softmax cross-entropy of (B, C) logits against B integer labels in 0..C-1.
 
-    Returns per-sample losses and the gradient of their sum: softmax(logits) - onehot.
+    Returns per-sample losses, -log softmax(logits)[b, labels[b]], and the
+    gradient of their sum: softmax(logits) less 1 at each label.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise ValueError("non-finite logits")
-    t = np.asarray(onehot, dtype=np.float64)
+    labels = np.asarray(labels)
+    if (labels.shape != logits.shape[:1] or labels.dtype.kind not in "iu"
+            or labels.min() < 0 or labels.max() >= logits.shape[1]):
+        raise ValueError("label outside class range")
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_p = shifted - log_z
-    return -(t * log_p).sum(axis=1), np.exp(log_p) - t
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    rows = np.arange(len(labels))
+    d_logits = np.exp(log_p)
+    d_logits[rows, labels] -= 1.0
+    return -log_p[rows, labels], d_logits

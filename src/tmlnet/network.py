@@ -12,8 +12,8 @@ concatenated in front of it.
 Activation volumes are (B, rows, cols, channels); vectors are (B, dims).
 
 Each layer kind is defined once, as one `Kind` entry of the `KINDS` table:
-its forward and backward, output shape, parameter shapes and init, the
-checks on its hyperparameters, and its checkpoint fields. The entries reach
+its forward and backward, output shape, parameter shapes and init, and its
+checkpoint fields, the one list of its hyperparameters. The entries reach
 their kernels through the module at call time (`L.conv2d_forward`,
 `T.forward_batch`, ...) and never hold a reference to a kernel function, so
 code that replaces a module attribute (a tracer, a test's call recorder)
@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -109,7 +109,19 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        KINDS[self.kind].check(self)
+        kind = KINDS[self.kind]
+        for _key, attr, parse in kind.fields:
+            try:
+                v = attrgetter(attr)(self)
+            except AttributeError:
+                raise ValueError(f"{self.kind} layer has no {attr}") from None
+            if parse is int and (not isinstance(v, (int, np.integer)) or v < 1):
+                raise ValueError(f"{self.kind} {attr} must be a positive integer, got {v!r}")
+        named = {"kind", *(attr.split(".")[0] for _key, attr, _parse in kind.fields)}
+        for f in fields(self):
+            if f.name not in named and getattr(self, f.name) != f.default:
+                raise ValueError(f"{self.kind} takes no {f.name}, got {getattr(self, f.name)!r}")
+        kind.check(self)
 
 
 def conv(out_channels, kernel_h, kernel_w):
@@ -220,16 +232,6 @@ def _fan_in_normal(gain: float):
     return init
 
 
-def _positive_ints(*names):
-    def check(layer: LayerSpec):
-        for name in names:
-            v = getattr(layer, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValueError(f"{layer.kind} {name} must be a positive integer, got {v!r}")
-
-    return check
-
-
 def _check_rate(layer: LayerSpec):
     if not (isinstance(layer.rate, (int, float)) and 0.0 <= layer.rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {layer.rate!r}")
@@ -288,8 +290,9 @@ def _flag(text: str) -> bool:
     return text == "1"
 
 
-def _tml_from_fields(out_channels, kh, kw, c1, c2, eps, trainable):
-    return tml_layer(out_channels, kh, kw, T.TmlConfig(c1, c2, eps), trainable)
+def _tml_from_fields(values: dict) -> LayerSpec:
+    cfg = {path[4:]: values.pop(path) for path in list(values) if path.startswith("tml.")}
+    return LayerSpec("tml", tml=T.TmlConfig(**cfg), **values)
 
 
 @dataclass(frozen=True)
@@ -298,6 +301,11 @@ class Kind:
 
     Conv and tml share their geometry: out_channels kernels of kernel_h x
     kernel_w cells over every input channel, a (kh, kw, in, out) weight.
+
+    `fields` are also the rule a spec is checked by: each path resolves, each
+    int field is a positive integer, and every other attribute keeps its
+    default. `check` adds what fields cannot say (dropout's rate range), and
+    `make` exists only for fields nested in a config (tml's `TmlConfig`).
 
     The network runs a layer's backward only if the layer or one beneath it
     trains (the shape walk's step), and passes it `need_dx`: whether a layer
@@ -329,7 +337,7 @@ class Kind:
     init: Callable = lambda layer, shapes, rng: {}  # (layer, param shapes, rng) -> params
     check: Callable = lambda layer: None  # raises ValueError on a bad hyperparameter
     fields: tuple = ()  # checkpoint fields: (key, LayerSpec attribute path, parser)
-    make: Callable | None = None  # builds the LayerSpec from the parsed fields, in order
+    make: Callable | None = None  # ({attribute path: value}) -> LayerSpec
     pooled: Callable | None = None  # (layer, params, a, keep) -> (gap's vector, cache)
 
 
@@ -347,9 +355,7 @@ KINDS = {
             "b": (layer.out_channels,),
         },
         init=_fan_in_normal(2.0),
-        check=_positive_ints("out_channels", "kernel_h", "kernel_w"),
         fields=(("out", "out_channels", int), ("kh", "kernel_h", int), ("kw", "kernel_w", int)),
-        make=conv,
     ),
     "maxpool": Kind(
         forward=lambda layer, p, a, train_mode, rng, keep: (
@@ -375,9 +381,7 @@ KINDS = {
             "b": (layer.units,),
         },
         init=_fan_in_normal(1.0),
-        check=_positive_ints("units"),
         fields=(("units", "units", int),),
-        make=fc,
     ),
     "gap": Kind(
         forward=lambda layer, p, a, train_mode, rng, keep: (L.gap_forward(a), a.shape),
@@ -391,18 +395,16 @@ KINDS = {
         ),
         check=_check_rate,
         fields=(("rate", "rate", float),),
-        make=dropout,
     ),
 }
 
-# a conv without bias whose weights are exponents: conv geometry, checks and fields
+# a conv without bias whose weights are exponents: conv geometry and fields
 KINDS["tml"] = Kind(
     forward=_tml_forward,
     backward=_tml_backward,
     out_shape=_tml_shape,
     param_shapes=lambda layer, shape: {"w": KINDS["conv"].param_shapes(layer, shape)["w"]},
     init=lambda layer, shapes, rng: {"w": T.init_kernels(layer.tml, shapes["w"], rng).weights},
-    check=KINDS["conv"].check,
     fields=KINDS["conv"].fields + (
         ("c1", "tml.c1", float),
         ("c2", "tml.c2", float),
@@ -463,6 +465,9 @@ def validate_network(spec: NetworkSpec):
     Returns (main walk, side walk, widest), where widest is the largest
     per-image activation size (values) on either chain.
     """
+    shape = spec.input_shape
+    if len(shape) != 3 or not all(isinstance(n, (int, np.integer)) and n > 0 for n in shape):
+        raise ValueError(f"input shape must be three positive integers, got {shape}")
     if not spec.layers:
         raise ValueError("network has no layers")
     side = _chain_shapes(spec.side_layers, spec.input_shape)
@@ -747,11 +752,9 @@ def save_network(spec: NetworkSpec, path) -> None:
     ]
     for chain, specs in (("main", spec.layers), ("side", spec.side_layers)):
         for layer in specs:
-            fields = [
-                f"{key}={_field_text(attrgetter(attr)(layer))}"
-                for key, attr, _parse in KINDS[layer.kind].fields
-            ]
-            lines.append(" ".join(["layer", f"chain={chain}", f"kind={layer.kind}", *fields]))
+            pairs = (f"{key}={_field_text(attrgetter(attr)(layer))}"
+                     for key, attr, _parse in KINDS[layer.kind].fields)
+            lines.append(" ".join(["layer", f"chain={chain}", f"kind={layer.kind}", *pairs]))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -787,10 +790,10 @@ def load_network(path) -> NetworkSpec:
             if ln.startswith("layer "):
                 pairs = [part.split("=", 1) for part in ln.split()[1:]]
                 kind = KINDS[dict(pairs)["kind"]]
-                fields = _each_once(pairs, ["chain", "kind", *(key for key, *_ in kind.fields)])
-                values = [parse(fields[key]) for key, _attr, parse in kind.fields]
-                layer = kind.make(*values) if kind.make else LayerSpec(fields["kind"])
-                chains[fields["chain"]].append(layer)
+                text = _each_once(pairs, ["chain", "kind", *(key for key, *_ in kind.fields)])
+                values = {attr: parse(text[key]) for key, attr, parse in kind.fields}
+                layer = kind.make(values) if kind.make else LayerSpec(text["kind"], **values)
+                chains[text["chain"]].append(layer)
             else:
                 key, value = ln.split("=", 1)
                 header.append((key, value))

@@ -89,17 +89,6 @@ class InvariantLog:
     steps: int = 0
 
 
-def _check_labels(labels: np.ndarray, num_classes: int) -> None:
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise ValueError("label outside class range")
-
-
-def teacher_onehot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    _check_labels(labels, num_classes)
-    return np.eye(num_classes)[labels]
-
-
 def train_step(
     spec: NetworkSpec,
     batch,
@@ -112,16 +101,17 @@ def train_step(
     velocities) slots in checkpoint order; mutates spec parameters in place and
     returns the batch's mean loss before the update.
 
-    Raises ValueError on an empty batch or a non-finite loss, gradient or
-    update. Whatever the step raises, a projection's error too, leaves every
-    parameter, velocity and `invariants` unchanged.
+    Raises ValueError on an empty batch, a label outside the class range, or
+    a non-finite loss, gradient or update. Whatever the step raises, a
+    projection's error too, leaves every parameter, velocity and `invariants`
+    unchanged. A bad label or loss is found after the forward, so a train-mode
+    dropout may already have drawn the batch's masks from `rng`.
     """
     xb, labels = batch
     if len(labels) == 0:
         raise ValueError("empty batch")
-    onehot = teacher_onehot(labels, spec.num_classes)
     logits, trace = network_forward(spec, xb, train_mode=True, rng=rng)
-    losses, d_logits = softmax_xent(logits, onehot)
+    losses, d_logits = softmax_xent(logits, labels)
     mean_loss = float(losses.mean())
     if not np.isfinite(mean_loss):
         raise ValueError("non-finite loss")
@@ -183,7 +173,8 @@ def evaluate(spec: NetworkSpec, ds: Dataset, batch_size: int = 256) -> float:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
     if len(ds) == 0:
         raise ValueError("empty dataset")
-    _check_labels(ds.labels, spec.num_classes)
+    if ds.labels.min() < 0 or ds.labels.max() >= spec.num_classes:
+        raise ValueError("label outside class range")
     hits = 0
     for start in range(0, len(ds), batch_size):
         xb = ds.take(slice(start, start + batch_size))

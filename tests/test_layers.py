@@ -520,35 +520,52 @@ class TestGap:
 class TestSoftmaxXent:
     def test_uniform_logits_loss_is_log_c(self):
         for c in (2, 5, 10):
-            t = np.zeros((1, c))
-            t[0, 1] = 1.0
-            losses, _ = softmax_xent(np.zeros((1, c)), t)
+            losses, _ = softmax_xent(np.zeros((1, c)), np.array([1]))
             assert losses[0] == pytest.approx(np.log(c))
 
     def test_peaked_logits_loss_vanishes(self):
-        t = np.array([[0.0, 1.0, 0.0]])
-        losses, _ = softmax_xent(np.array([[0.0, 50.0, 0.0]]), t)
+        losses, _ = softmax_xent(np.array([[0.0, 50.0, 0.0]]), np.array([1]))
         assert losses[0] < 1e-20
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         logits = rng.normal(size=(1, 5))
-        t = np.zeros((1, 5))
-        t[0, 2] = 1.0
-        _, analytic = softmax_xent(logits, t)
-        numeric = _central_diff(lambda: softmax_xent(logits, t)[0][0], logits, DEFAULT_STEP)
+        labels = np.array([2])
+        _, analytic = softmax_xent(logits, labels)
+        numeric = _central_diff(lambda: softmax_xent(logits, labels)[0][0], logits, DEFAULT_STEP)
         assert _rel_err(analytic, numeric) < 1e-6
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(8)
         logits = rng.normal(size=(3, 4))
-        t = np.eye(4)[:3]
-        losses, grads = softmax_xent(logits, t)
+        labels = np.arange(3)
+        losses, grads = softmax_xent(logits, labels)
         for i in range(3):
-            li, gi = softmax_xent(logits[i : i + 1], t[i : i + 1])
+            li, gi = softmax_xent(logits[i : i + 1], labels[i : i + 1])
             assert losses[i] == pytest.approx(li[0])
             np.testing.assert_allclose(grads[i], gi[0])
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            softmax_xent(np.array([[np.inf, 0.0]]), np.array([[1.0, 0.0]]))
+            softmax_xent(np.array([[np.inf, 0.0]]), np.array([0]))
+
+    def test_label_form_equals_onehot_form_bitwise(self):
+        # the loss and gradient against one-hot teachers t: -sum(t * log_p)
+        # and softmax - t
+        logits = np.random.default_rng(9).normal(scale=20.0, size=(6, 5))
+        labels = np.array([1, 0, 4, 4, 2, 3])
+        t = np.eye(5)[labels]
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        losses, d_logits = softmax_xent(logits, labels)
+        assert losses.tobytes() == (-(t * log_p).sum(axis=1)).tobytes()
+        assert d_logits.tobytes() == (np.exp(log_p) - t).tobytes()
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[0, 3], [-1, 0], [0], [0, 1, 2], [[0], [1]], [0.0, 1.0], []],
+        ids=["past-last", "negative", "too-few", "too-many", "column", "float", "empty"],
+    )
+    def test_rejects_labels_not_one_per_row_in_range(self, labels):
+        with pytest.raises(ValueError, match="label outside class range"):
+            softmax_xent(np.zeros((2, 3)), np.array(labels))

@@ -44,8 +44,7 @@ def hlac_net():
 
 def batch_loss(spec, xb, labels):
     logits, _ = network_forward(spec, xb, train_mode=False)
-    onehot = np.eye(spec.num_classes)[labels]
-    losses, _ = softmax_xent(logits, onehot)
+    losses, _ = softmax_xent(logits, labels)
     return float(losses.mean())
 
 
@@ -143,6 +142,24 @@ class TestShapeChain:
     )
     def test_bad_hyperparameter_rejected_when_built(self, make):
         with pytest.raises(ValueError, match="must be"):
+            make()
+
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: LayerSpec("conv", out_channels=2, kernel_h=3, kernel_w=3, trainable=False),
+             "conv takes no trainable, got False"),
+            (lambda: LayerSpec("relu", units=5), "relu takes no units, got 5"),
+            (lambda: LayerSpec("fc", units=3, rate=0.5), "fc takes no rate, got 0.5"),
+            (lambda: LayerSpec("tml", out_channels=2, kernel_h=2, kernel_w=2),
+             "tml layer has no tml.c1"),
+        ],
+        ids=["frozen-conv", "relu-units", "fc-rate", "tml-without-config"],
+    )
+    def test_attribute_outside_its_kinds_fields_rejected_when_built(self, make, message):
+        # a frozen conv would still train, and come back trainable from a
+        # checkpoint; a tml layer without its constants would fail in the walk
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()
 
     def test_baseline_nets_validate(self):
@@ -590,6 +607,14 @@ class TestPoolRoute:
         assert trace_bytes(network_forward(spec, xb)[1]) * 128 <= 45 << 20
 
 
+def net_named(name):
+    """A `cli.ARCHS` net at 32 px with its bank's defaults, or a test net of
+    this file: "tiny-branched", "pool" or "dropout"."""
+    if name in ARCHS:
+        return build_network(name, (32, 32, 1), 6, dict(DEFAULTS, **(ARCHS[name].bank or {})))
+    return {"tiny-branched": tiny_branched_net, "pool": pool_net, "dropout": dropout_net}[name]()
+
+
 class TestPooledBank:
     """A bank whose only consumer is a GAP, and whose input gradient nothing
     reads, runs with the GAP as one pooled step: its trace keeps no maps."""
@@ -622,12 +647,7 @@ class TestPooledBank:
     def test_no_block_stop_falls_inside_a_pooled_pair(self, arch):
         # every forward runs a pooled bank with the GAP after it, so the
         # blocks of a trace-free one must not stop between the two
-        if arch in ARCHS:
-            cfg = dict(DEFAULTS, **(ARCHS[arch].bank or {}))
-            spec = build_network(arch, (32, 32, 1), 6, cfg)
-        else:
-            spec = pool_net() if arch == "pool" else dropout_net()
-        walks = validate_network(spec)[:2]
+        walks = validate_network(net_named(arch))[:2]
         assert any(walk.pooled for walk in walks) == (arch in ("dhlac", "baseline+hlac", "dropout"))
         for walk in walks:
             assert all(walk.stop != i + 1 for i in walk.pooled)
@@ -652,7 +672,7 @@ class TestBackward:
         )
         logits, trace = network_forward(spec, xb)
         assert len(walks) == 2  # the side chain, then the main chain
-        _, d_logits = softmax_xent(logits, np.eye(3)[[0, 2]])
+        _, d_logits = softmax_xent(logits, np.array([0, 2]))
         grads = network_backward(spec, trace, d_logits / 2)
         assert len(walks) == 2
         assert [set(g) for g in grads.main] == [set(p) for p in spec.params]
@@ -663,10 +683,9 @@ class TestBackward:
         rng = np.random.default_rng(10)
         xb = rng.uniform(0.1, 2.0, size=(2, 6, 6, 1))
         labels = np.array([0, 2])
-        onehot = np.eye(3)[labels]
 
         logits, trace = network_forward(spec, xb, train_mode=False)
-        losses, d_logits = softmax_xent(logits, onehot)
+        losses, d_logits = softmax_xent(logits, labels)
         grads = network_backward(spec, trace, d_logits / len(labels))
 
         step = 1e-6
@@ -705,7 +724,7 @@ class TestBackward:
         xb = np.random.default_rng(13).uniform(0.1, 2.0, size=(2, 4, 4, 1))
         labels = np.array([1, 2])
         logits, trace = network_forward(spec, xb)
-        _, d_logits = softmax_xent(logits, np.eye(3)[labels])
+        _, d_logits = softmax_xent(logits, labels)
         grads = network_backward(spec, trace, d_logits / len(labels))
         w = spec.side_params[0]["w"]
         numeric = _central_diff(lambda: batch_loss(spec, xb, labels), w, 1e-6)
@@ -724,7 +743,7 @@ class TestBackward:
         xb = np.random.default_rng(13).uniform(0.1, 2.0, size=(2, 4, 4, 1))
         labels = np.array([0, 1])
         logits, trace = network_forward(spec, xb)
-        _, d_logits = softmax_xent(logits, np.eye(18)[labels])
+        _, d_logits = softmax_xent(logits, labels)
         grads = network_backward(spec, trace, d_logits / len(labels))
         w = spec.side_params[0]["w"]
         numeric = _central_diff(lambda: batch_loss(spec, xb, labels), w, 1e-6)
@@ -867,7 +886,7 @@ class TestBackward:
         logits, trace = network_forward(spec, xb)
         x, y = trace.caches[2]  # no z = log(x + eps): only d_w reads it
         assert x is trace.caches[1] and y.shape == (2, 3, 3, 2)
-        _, d_logits = softmax_xent(logits, np.eye(3)[labels])
+        _, d_logits = softmax_xent(logits, labels)
         grads = network_backward(spec, trace, d_logits / len(labels))
         assert grads.main[2] == {}
         for key in ("w", "b"):
@@ -955,6 +974,13 @@ class TestSerialization:
         la, _ = network_forward(spec, xb)
         lb, _ = network_forward(back, xb)
         np.testing.assert_array_equal(la, lb)
+
+    @pytest.mark.parametrize("name", sorted(ARCHS) + ["tiny-branched", "pool", "dropout"])
+    def test_round_trip_keeps_whole_layer_specs(self, tmp_path, name):
+        spec = init_params(net_named(name), np.random.default_rng(0))
+        save_network(spec, tmp_path / "ckpt.net")
+        back = load_network(tmp_path / "ckpt.net")
+        assert back.layers == spec.layers and back.side_layers == spec.side_layers
 
     @pytest.mark.parametrize(
         "build,text",
@@ -1072,6 +1098,26 @@ class TestSerialization:
         path.write_text("\n".join(ln for ln in path.read_text().splitlines()
                                   if not ln.startswith("classes=")))
         with pytest.raises(ValueError, match="classes"):
+            load_network(path)
+
+    @pytest.mark.parametrize("shape", [(0, 0, 1), (5, 5, 0), (-1, 5, 1), (5, 5)],
+                             ids=["no-pixels", "no-channels", "negative-rows", "two-axes"])
+    def test_input_shape_not_three_positive_ints_rejected(self, shape):
+        spec = NetworkSpec([fc(3)], shape, 3)
+        with pytest.raises(ValueError, match=re.escape(
+                f"input shape must be three positive integers, got {shape}")):
+            validate_network(spec)
+
+    @pytest.mark.parametrize("text,shape", [("0x0x1", "(0, 0, 1)"), ("-1x5x1", "(-1, 5, 1)")],
+                             ids=["no-pixels", "negative-rows"])
+    def test_checkpoint_input_not_positive_rejected(self, tmp_path, text, shape):
+        # an fc reads any input, so only the shape check stops 0x0x1
+        path = tmp_path / "ckpt.net"
+        save_network(init_params(NetworkSpec([fc(3)], (2, 2, 1), 3), np.random.default_rng(0)),
+                     path)
+        path.write_text(path.read_text().replace("input=2x2x1", f"input={text}"))
+        with pytest.raises(ValueError, match=re.escape(
+                f"ckpt.net: input shape must be three positive integers, got {shape}")):
             load_network(path)
 
     @pytest.mark.parametrize("line", ["bogus=1", "classes=2", "input=6x6x1",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,6 @@ from tmlnet.training import (
     OptimizerState,
     TrainConfig,
     evaluate,
-    teacher_onehot,
     train_loop,
     train_step,
     write_metrics_csv,
@@ -68,7 +69,7 @@ class TestEnergy:
         rng = np.random.default_rng(1)
         batch = toy_batch(rng)
         logits, _ = network_forward(spec, batch[0], train_mode=False)
-        expected = float(softmax_xent(logits, teacher_onehot(batch[1], 2))[0].mean())
+        expected = float(softmax_xent(logits, batch[1])[0].mean())
         loss = train_step(spec, batch, TrainConfig(lam=0.0), OptimizerState.zeros_like(spec), rng)
         assert loss == pytest.approx(expected, abs=1e-12)
         # the reported loss carries no L1 term, whatever lambda is
@@ -200,10 +201,9 @@ class TestTrainStep:
         batch = toy_batch(rng)
 
         # reference: raw gradients, momentum update, no projection
-        onehot = teacher_onehot(batch[1], 2)
         logits, trace = network_forward(ref, batch[0], train_mode=True,
                                         rng=np.random.default_rng(99))
-        losses, d_logits = softmax_xent(logits, onehot)
+        losses, d_logits = softmax_xent(logits, batch[1])
         grads = network_backward(ref, trace, d_logits / len(losses))
         vel = OptimizerState.zeros_like(ref)
         for plist, glist, vlist in ((ref.params, grads.main, vel.velocities.main),):
@@ -300,6 +300,27 @@ class TestTrainStep:
             for key in a:
                 assert b[key].tobytes() == a[key].tobytes()
         assert inv == InvariantLog()
+
+    @pytest.mark.parametrize("bad", [2, -1], ids=["num-classes", "negative"])
+    def test_bad_label_leaves_the_step_unapplied(self, bad):
+        # the loss finds the label after the forward, before anything is written
+        bank = tml_layer(4, 3, 3, TmlConfig(c1=1.0, c2=0.5))
+        spec = init_params(build_dhlac_net((16, 16, 1), 2, bank), np.random.default_rng(13))
+        cfg = TrainConfig(learning_rate=0.1, lam=0.01, momentum=0.9)
+        state, inv = OptimizerState.zeros_like(spec), InvariantLog()
+        rng = np.random.default_rng(14)
+        train_step(spec, toy_batch(rng, shape=(16, 16, 1)), cfg, state, rng, invariants=inv)
+        arrays = spec.params + spec.side_params + state.velocities.main + state.velocities.side
+        before = [{k: v.copy() for k, v in p.items()} for p in arrays]
+        logged = dataclasses.replace(inv)
+        xb, labels = toy_batch(rng, shape=(16, 16, 1))
+        labels[1] = bad
+        with pytest.raises(ValueError, match="label outside class range"):
+            train_step(spec, (xb, labels), cfg, state, rng, invariants=inv)
+        for a, b in zip(before, arrays):
+            for key in a:
+                assert b[key].tobytes() == a[key].tobytes()
+        assert inv == logged and inv.steps == 1
 
     def test_l1_subgradient_applied(self, monkeypatch):
         # with momentum 0 and projection off, the kernel moves by
@@ -481,12 +502,9 @@ class TestConfigValidation:
             TrainConfig(epochs=0)
 
     def test_labels_validated(self):
-        with pytest.raises(ValueError):
-            teacher_onehot(np.array([0, 5]), 3)
-
-    def test_onehot_shape(self):
-        t = teacher_onehot(np.array([1, 0]), 3)
-        np.testing.assert_array_equal(t, [[0, 1, 0], [1, 0, 0]])
+        # train_step hands its labels to the loss, which checks them
+        with pytest.raises(ValueError, match="label outside class range"):
+            softmax_xent(np.zeros((2, 3)), np.array([0, 5]))
 
 
 def test_write_metrics_csv_handles_missing_test_acc(tmp_path):

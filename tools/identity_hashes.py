@@ -18,12 +18,17 @@ command line (gen-stripes, hlac-extract, gradcheck, and train, eval,
 viz-kernels, viz-features and viz-cooc for each net, then a dhlac train that
 reads a config file and overrides one of its keys by a flag) in a scratch
 directory and hashes every output and every file written.
-Each line reads `<sha256>  <what>`.
+The first line names the thread settings the run read:
+`OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` ("unset" when not set) and
+`os.cpu_count()`. OpenBLAS splits a GEMM's sums by thread, so logits and
+gradients can differ in their last bits between thread counts. Every other
+line reads `<sha256>  <what>`.
 
-Two trees give the same bytes exactly when `diff` of their outputs is empty:
+Two trees give the same bytes exactly when `diff` of their outputs, made with
+the same thread settings, is empty:
 
-    PYTHONPATH=src python tools/identity_hashes.py > change.txt
-    PYTHONPATH=<other tree>/src python tools/identity_hashes.py > parent.txt
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/identity_hashes.py > change.txt
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=<other tree>/src python tools/identity_hashes.py > parent.txt
     diff parent.txt change.txt
 
 With `--npz <file>` it also saves every array it hashes, under its line's
@@ -133,7 +138,6 @@ def network_hashes(emit: Emitter, seed: int) -> None:
                              samples_per_class=math.ceil(batch / CLASSES), rng_seed=seed)
         train, _test = gen_stripe_dataset(stripes)
         xb, labels = train.images[:batch], train.labels[:batch]
-        onehot = np.eye(CLASSES)[labels]
         for arch in ARCHS:
             tag = f"{arch} {crop}px B={batch}"
             spec = build(arch, crop, seed)
@@ -142,7 +146,7 @@ def network_hashes(emit: Emitter, seed: int) -> None:
                 rng = np.random.default_rng(seed + 1)
                 logits, trace = network_forward(spec, xb, train_mode=mode == "train", rng=rng)
                 emit(f"{tag} {mode} logits", logits)
-                _, d_logits = softmax_xent(logits, onehot)
+                _, d_logits = softmax_xent(logits, labels)
                 grads = network_backward(spec, trace, d_logits / batch)
                 emit_arrays(emit, f"{tag} {mode} grad", grads.main, grads.side)
             emit(f"{tag} trace-free logits", network_forward(spec, xb, trace=False)[0])
@@ -227,6 +231,9 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--npz", help="also save every hashed array to this .npz file")
     args = parser.parse_args()
+    threads = (f"{name}={os.environ.get(name, 'unset')}"
+               for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    print(*threads, f"os.cpu_count()={os.cpu_count()}")
     emit = Emitter({} if args.npz else None)
     for hashes in (stripe_hashes, network_hashes, restart_hashes, cli_hashes):
         hashes(emit, args.seed)
